@@ -28,11 +28,9 @@ class Tensor:
     """Dense 2-D value, optionally tracked for gradients.
 
     `grad` accumulates across backward calls until `zero_grad` resets it.
-    `tape_id` is the node's position in the recording tape (None for values
-    created outside any tape or never used by a recorded op).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "tape_id", "_tape", "_produced")
+    __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -45,9 +43,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad = None
-        self.tape_id = None
         self._tape = None
-        self._produced = False
 
     @property
     def shape(self):
@@ -98,8 +94,6 @@ class Tape:
 
     def _record(self, out, parents, backward_fn):
         out._tape = self
-        out._produced = True
-        out.tape_id = len(self._nodes)
         self._nodes.append(_Node(out, parents, backward_fn))
 
 
@@ -262,6 +256,27 @@ def row_cosine(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _apply("row_cosine", cos, (a, b), back)
+
+
+def row_normalize(a: Tensor) -> Tensor:
+    """Each row scaled to unit Euclidean norm.
+
+    Zero-norm rows stay zero and get zero gradient, the same rule as
+    `row_cosine`. A row whose norm overflows is rejected rather than
+    silently normalized to zero.
+    """
+    ad = a.data
+    norm = np.linalg.norm(ad, axis=1, keepdims=True)
+    _check_finite(norm, "row_normalize")
+    ok = norm > 0
+    safe = np.where(ok, norm, 1.0)
+    out = ad / safe
+
+    def back(g):
+        radial = np.sum(g * out, axis=1, keepdims=True)
+        return ((g - radial * out) * (ok / safe),)
+
+    return _apply("row_normalize", out, (a,), back)
 
 
 def sum_all(a: Tensor) -> Tensor:

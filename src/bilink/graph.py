@@ -316,19 +316,24 @@ def normalized_adjacency(n_u: int, n_v: int, u: np.ndarray, v: np.ndarray,
                          w: np.ndarray) -> sp.csr_matrix:
     """Symmetrically normalized block adjacency over stacked node indexing.
 
-    Builds [[0, W], [W^T, 0]] + I (self-loops of weight 1) and returns
-    D^{-1/2} (A + I) D^{-1/2} with weighted degrees. Duplicate (u, v)
-    entries sum. Isolated nodes keep degree 1 from the self-loop.
+    Returns D^{-1/2} (A + I) D^{-1/2} for A = [[0, W], [W^T, 0]] with
+    self-loops of weight 1 and weighted degrees D. Duplicate (u, v) entries
+    sum first, so each pair's value is computed once and the result is
+    exactly symmetric. Isolated nodes keep degree 1 from the self-loop.
     """
     n = n_u + n_v
-    loops = np.arange(n, dtype=np.int64)
-    rows = np.concatenate([u, v + n_u, loops])
-    cols = np.concatenate([v + n_u, u, loops])
-    data = np.concatenate([w, w, np.ones(n)])
-    a = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    deg = np.asarray(a.sum(axis=1)).ravel()
+    key, inverse = np.unique(np.asarray(u, dtype=np.int64) * np.int64(n_v)
+                             + np.asarray(v, dtype=np.int64), return_inverse=True)
+    w = np.bincount(inverse, weights=w, minlength=len(key))
+    u, v = key // n_v, key % n_v + n_u
+    deg = np.bincount(np.concatenate([u, v]), weights=np.concatenate([w, w]),
+                      minlength=n) + 1.0
     d_inv_sqrt = 1.0 / np.sqrt(deg)
-    return sp.diags(d_inv_sqrt) @ a @ sp.diags(d_inv_sqrt)
+    vals = w * d_inv_sqrt[u] * d_inv_sqrt[v]
+    loops = np.arange(n, dtype=np.int64)
+    return sp.csr_matrix((np.concatenate([vals, vals, 1.0 / deg]),
+                          (np.concatenate([u, v, loops]),
+                           np.concatenate([v, u, loops]))), shape=(n, n))
 
 
 def build_weighted_adjacency(g: BipartiteGraph, use_weights: bool) -> sp.csr_matrix:

@@ -3,7 +3,8 @@ multi-seed aggregation.
 
 Conventions: ROC-AUC uses the rank (Mann-Whitney) form with ties counted
 half. Hits@K ranks each positive against the shared negative pool by
-default; with fewer than K negatives every positive counts as a hit.
+default; with fewer than K negatives every positive counts as a hit,
+which `compute_all` flags.
 Threshold metrics return 0 (flagged, never an error) on zero denominators.
 """
 
@@ -129,7 +130,12 @@ def threshold_prf(scores, labels, threshold: float = 0.5) -> ThresholdReport:
 
 
 def compute_all(scores, labels, k: int = 50, threshold: float = 0.5) -> dict:
-    """The full metric sextuple for one scored evaluation set."""
+    """The full metric sextuple for one scored evaluation set, plus flags.
+
+    Flags name degenerate values: the precision/recall/F1 flags of
+    `threshold_prf`, and `hits_at_k_fewer_negatives_than_k` when the pool
+    has fewer than k negatives, so that every positive counts as a hit.
+    """
     prf = threshold_prf(scores, labels, threshold)
     out = {
         "roc_auc": roc_auc(scores, labels),
@@ -139,7 +145,10 @@ def compute_all(scores, labels, k: int = 50, threshold: float = 0.5) -> dict:
         "recall": prf.recall,
         "f1": prf.f1,
     }
-    return out, list(prf.flags)
+    flags = list(prf.flags)
+    if np.count_nonzero(np.asarray(labels) == 0) < k:
+        flags.append("hits_at_k_fewer_negatives_than_k")
+    return out, flags
 
 
 @dataclass

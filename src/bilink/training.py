@@ -23,6 +23,31 @@ from .optim import adam_step, grads_by_name, init_adam_state
 from .rng import child_seed, rng_for
 
 
+# Range of every numeric VariantConfig field, checked before any training
+# so that a bad value fails fast instead of mid-run or silently.
+_FIELD_RULES = {
+    "loss_balance": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+    "tau": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+    "dropout": (lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
+    "feature_drop_p": (lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
+    "edge_keep_prob": (lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
+    "unk_substitution_rate": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+    "decoder_monitor_fraction": (lambda x: 0.0 < x < 1.0, "in (0, 1)"),
+    "lr": (lambda x: x > 0, "> 0"),
+    "weight_decay": (lambda x: x >= 0, ">= 0"),
+    "eval_negative_ratio": (lambda x: x > 0, "> 0"),
+    "decoder_negative_pool_factor": (lambda x: x > 0, "> 0"),
+    "pretrain_epochs": (lambda x: x >= 0, ">= 0"),
+    "patience": (lambda x: x >= 0, ">= 0"),
+    "decoder_epochs": (lambda x: x >= 1, ">= 1"),
+    "batch_size": (lambda x: x >= 1, ">= 1"),
+    "hits_k": (lambda x: x >= 1, ">= 1"),
+    "input_dim": (lambda x: x >= 1, ">= 1"),
+    "hidden_dim": (lambda x: x >= 1, ">= 1"),
+    "output_dim": (lambda x: x >= 1, ">= 1"),
+}
+
+
 @dataclass
 class VariantConfig:
     """One cell of the weighting ablation grid plus shared hyperparameters.
@@ -62,12 +87,17 @@ class VariantConfig:
     symmetrize_pretrain_loss: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.loss_balance <= 1.0:
-            raise ValidationError(f"loss_balance must be in [0, 1], got {self.loss_balance}")
         if self.num_layers != 2:
             raise ValidationError("only the two-layer encoder is supported")
         if isinstance(self.decoder_hidden_dims, list):
             self.decoder_hidden_dims = tuple(self.decoder_hidden_dims)
+        for name, (ok, rule) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValidationError(f"{name} must be {rule}, got {value!r}")
+        if not all(d >= 1 for d in self.decoder_hidden_dims):
+            raise ValidationError(
+                f"decoder_hidden_dims must all be >= 1, got {self.decoder_hidden_dims}")
 
     @property
     def variant_label(self) -> str:

@@ -41,6 +41,17 @@ class TestForward:
         b = Tensor([[1.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(ad.row_cosine(a, b).data, [[0.0], [1.0]])
 
+    def test_row_normalize_unit_rows_zero_row_stays_zero(self):
+        x = Tensor([[3.0, 4.0], [0.0, 0.0], [-2.0, 0.0]])
+        np.testing.assert_allclose(ad.row_normalize(x).data,
+                                   [[0.6, 0.8], [0.0, 0.0], [-1.0, 0.0]])
+
+    def test_row_normalize_rejects_non_finite_norm(self):
+        x = Tensor([[1e200, 1e200], [1.0, 0.0]])  # finite entries, norm overflows
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError, match="row_normalize"):
+                ad.row_normalize(x)
+
     def test_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)|\(2, 3\)"):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -182,6 +193,23 @@ class TestGradCheck:
         a0 = rng.normal(size=(4, 3)) + 0.2
         run_grad_check(lambda y: ad.sum_all(ad.row_cosine(Tensor(a0), y)),
                        rng.normal(size=(4, 3)) + 0.5)
+
+    def test_row_normalize_with_zero_norm_row(self):
+        rng = np.random.default_rng(15)
+        weights = Tensor(rng.normal(size=(4, 3)))
+        x0 = rng.normal(size=(4, 3))
+        x0[2] = 0.0
+
+        def build(x):
+            return ad.sum_all(ad.mul(ad.row_normalize(x), weights))
+
+        with Tape():
+            x = leaf(x0.copy())
+            grads = backward(build(x))
+        numeric = finite_difference_grad(lambda a: build(Tensor(a)).item(), x0.copy())
+        live = [0, 1, 3]
+        assert max_grad_error(grads[x][live], numeric[live]) < 1e-4
+        np.testing.assert_array_equal(grads[x][2], np.zeros(3))
 
     def test_take_and_replace_and_concat(self):
         rng = np.random.default_rng(9)

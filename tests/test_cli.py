@@ -113,6 +113,25 @@ class TestRun:
         assert code in (EXIT_VALIDATION, EXIT_RUNTIME)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("command,flags", [
+        ("run", ["--batch-size", "0"]),
+        ("run", ["--lr", "-1"]),
+        ("run", ["--tau", "2"]),
+        ("run", ["--dropout", "1.0"]),
+        ("run", ["--hits-k", "0"]),
+        ("ablate", ["--edge-keep-prob", "0"]),
+    ])
+    def test_bad_value_exits_before_training(self, dataset, tmp_path, capsys,
+                                             command, flags):
+        out = tmp_path / "out"
+        code = main([command, *dataset_flags(dataset), "--seeds", "42",
+                     "--out-dir", str(out), *FAST_FLAGS, *flags])
+        assert code == EXIT_VALIDATION
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigPrecedence:
     def test_flags_beat_file_beat_defaults(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -4,7 +4,7 @@ import pytest
 from bilink.errors import ValidationError
 from bilink.graph import (BipartiteGraph, EdgeArray, build_weighted_adjacency,
                           chronological_split, complement_size, load_graph,
-                          sample_negatives)
+                          normalized_adjacency, sample_negatives)
 from util import dense_normalized_adjacency, make_graph
 
 
@@ -231,3 +231,22 @@ class TestAdjacency:
         g = make_graph(2, 1, [(0, 0, 1.0, 1)])  # u=1 is isolated
         adj = build_weighted_adjacency(g, use_weights=True).toarray()
         assert adj[1, 1] == 1.0
+
+    def test_direct_call_sums_duplicate_entries(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            n_u = int(rng.integers(1, 8))
+            n_v = int(rng.integers(1, 8))
+            m = int(rng.integers(1, 30))
+            u = rng.integers(0, n_u, m)
+            v = rng.integers(0, n_v, m)
+            w = rng.uniform(0.5, 20.0, m)
+            adj = normalized_adjacency(n_u, n_v, u, v, w).toarray()
+            oracle = dense_normalized_adjacency(n_u, n_v, list(zip(u, v, w)))
+            assert np.max(np.abs(adj - oracle)) < 1e-12
+            np.testing.assert_array_equal(adj, adj.T)
+
+    def test_direct_call_without_edges_is_identity(self):
+        empty = np.array([], dtype=np.int64)
+        adj = normalized_adjacency(2, 3, empty, empty, np.array([]))
+        np.testing.assert_array_equal(adj.toarray(), np.eye(5))

@@ -58,6 +58,14 @@ class TestAttractive:
                             np.array([]), weighted=True)
 
 
+    def test_out_of_range_edge_index_rejected(self):
+        pred, target = np.ones((3, 2)), np.ones((4, 2))
+        for eu, ev in (([0, 3], [0, 1]), ([0, 1], [4, 0]), ([-1, 0], [0, 1])):
+            with pytest.raises(ValueError, match="out of range"):
+                attractive_loss(tensor(pred), target, np.array(eu), np.array(ev),
+                                np.ones(2), weighted=True)
+
+
 class TestRepulsive:
     def test_matching_rows_hit_plus_one(self):
         rows = np.array([[1.0, 1.0], [2.0, 0.5]])
@@ -175,3 +183,46 @@ class TestProperties:
             grads = backward(loss)
         assert pred in grads
         assert target not in grads
+
+
+class TestIncidenceProduct:
+    """The loss sums w_e * cos over edges as one sparse product over unit rows;
+    duplicate pairs and zero-norm rows must give the per-edge result."""
+
+    def _case(self, seed):
+        rng = np.random.default_rng(seed)
+        pred = rng.normal(size=(6, 5))
+        target = rng.normal(size=(7, 5))
+        pred[4] = 0.0
+        target[[2, 5]] = 0.0
+        # corrupted-view style edges: (1, 3) three times, (0, 2) twice
+        eu = np.array([1, 0, 1, 4, 0, 3, 1, 5])
+        ev = np.array([3, 2, 3, 1, 2, 5, 3, 6])
+        w = rng.uniform(0.5, 20.0, len(eu))
+        return pred, target, eu, ev, w
+
+    def test_both_terms_match_oracle_with_duplicates_and_zero_rows(self):
+        for seed in range(5):
+            pred, target, eu, ev, w = self._case(seed)
+            pairs = list(zip(eu, ev))
+            for weighted in (True, False):
+                attr = attractive_loss(tensor(pred), target, eu, ev, w, weighted)
+                rep = repulsive_loss(tensor(pred), target, eu, ev, w, weighted)
+                assert abs(attr.item() - loss_term_oracle(
+                    pred, target, pairs, w, weighted, -1.0)) < 1e-12
+                assert abs(rep.item() - loss_term_oracle(
+                    pred, target, pairs, w, weighted, +1.0)) < 1e-12
+
+    def test_gradient_matches_per_edge_gather(self):
+        pred, target, eu, ev, w = self._case(9)
+        with Tape():
+            p = tensor(pred, grad=True)
+            fast = backward(repulsive_loss(p, target, eu, ev, w, weighted=True))[p]
+        with Tape():
+            p = tensor(pred, grad=True)
+            cos = ad.row_cosine(ad.take_rows(p, eu), ad.take_rows(Tensor(target), ev))
+            gather = ad.scale(ad.sum_all(ad.mul(cos, Tensor(w.reshape(-1, 1)))),
+                              1.0 / w.sum())
+            slow = backward(gather)[p]
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(fast[4], np.zeros(5))  # zero-norm row

@@ -182,8 +182,13 @@ class TestAggregate:
 
 class TestComputeAll:
     def test_sextuple_present(self):
-        values, flags = compute_all([0.9, 0.8, 0.3, 0.1], [1, 1, 0, 0])
+        values, flags = compute_all([0.9, 0.8, 0.3, 0.1], [1, 1, 0, 0], k=2)
         assert set(values) == {"roc_auc", "average_precision", "hits_at_k",
                                "precision", "recall", "f1"}
         assert values["roc_auc"] == 1.0
         assert flags == []
+
+    def test_fewer_negatives_than_k_flagged(self):
+        values, flags = compute_all([0.9, 0.8, 0.3, 0.1], [1, 1, 0, 0], k=3)
+        assert values["hits_at_k"] == 1.0
+        assert flags == ["hits_at_k_fewer_negatives_than_k"]

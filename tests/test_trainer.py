@@ -53,6 +53,26 @@ class TestVariantConfig:
         with pytest.raises(ValidationError):
             VariantConfig(loss_balance=-0.1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("dropout", 1.0), ("dropout", -0.1), ("hits_k", 0),
+        ("edge_keep_prob", 0.0), ("edge_keep_prob", 1.5), ("lr", 0.0),
+        ("lr", -1.0), ("lr", float("nan")), ("tau", 2.0), ("tau", -0.1),
+        ("feature_drop_p", 1.0), ("weight_decay", -1e-5),
+        ("pretrain_epochs", -1), ("decoder_epochs", 0), ("patience", -1),
+        ("hidden_dim", 0), ("output_dim", 0), ("input_dim", 0),
+        ("decoder_hidden_dims", (16, 0)), ("unk_substitution_rate", 1.5),
+        ("eval_negative_ratio", 0.0), ("decoder_monitor_fraction", 1.0),
+        ("decoder_negative_pool_factor", 0.0),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            VariantConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        VariantConfig(pretrain_epochs=0, tau=0.0, dropout=0.0, edge_keep_prob=1.0,
+                      unk_substitution_rate=0.0, patience=0, weight_decay=0.0,
+                      batch_size=1, hits_k=1)
+
 
 class TestPretrain:
     def test_two_epoch_traces_replay_identically(self):
