@@ -3,7 +3,8 @@
 Operations record onto the innermost active Tape (opened with a `with`
 block). Outside a tape they are plain forward computations, which is how
 evaluation-time encoding runs. A tape is single-threaded; independent tapes
-may live on separate threads.
+may live on separate threads. Closing the block drops the tape's record, so
+`backward` runs inside the block.
 """
 
 import threading
@@ -75,10 +76,16 @@ class _Node:
 
 
 class Tape:
-    """Ordered record of operations; creation order is already topological."""
+    """Ordered record of operations; creation order is already topological.
+
+    Leaving the `with` block closes the tape and drops its nodes. A node
+    holds its output tensor, whose `_tape` points back here, so without this
+    every step's activations would live on until the cyclic GC ran.
+    """
 
     def __init__(self):
         self._nodes = []
+        self.closed = False
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -87,6 +94,8 @@ class Tape:
     def __exit__(self, exc_type, exc, tb):
         popped = _tape_stack().pop()
         assert popped is self
+        self._nodes = []
+        self.closed = True
         return False
 
     def __len__(self):
@@ -124,6 +133,8 @@ def backward(loss: Tensor) -> dict:
     if loss._tape is None:
         raise ValueError("loss was not recorded on a tape (no gradient path)")
     tape = loss._tape
+    if tape.closed:
+        raise ValueError("the loss's tape is closed; call backward inside its block")
 
     pending = {id(loss): np.ones((1, 1))}
     holders = {id(loss): loss}

@@ -4,7 +4,10 @@ Stored as an npz archive (binary .npy members carry dtype and shape, so
 float64 values round-trip bit-exactly) plus a JSON metadata entry.
 """
 
+import contextlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -17,13 +20,32 @@ FORMAT_VERSION = 1
 _META_KEY = "__meta__"
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside `path` for writing and move it onto
+    `path` with `os.replace` when the block exits cleanly. If the block
+    raises, the temporary file is removed and `path` keeps its old bytes."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    if "b" not in mode:
+        open_kwargs.setdefault("encoding", "utf-8")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def save_arrays(path, arrays: dict, meta: dict) -> None:
     meta = dict(meta)
     meta["format_version"] = FORMAT_VERSION
     payload = {name: np.ascontiguousarray(a) for name, a in arrays.items()}
     payload[_META_KEY] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         np.savez(fh, **payload)
 
 

@@ -3,12 +3,15 @@
 A run directory is self-describing: dataset hash, full config and seed are
 recorded in the manifest, and rerunning the same spec reproduces the metric
 report byte-for-byte (wall-clock timings live in a separate manifest field).
+Every file is written atomically (a temporary file, then `os.replace`), so an
+interrupted write leaves the previous file intact.
 """
 
 import dataclasses
 import hashlib
 import json
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -39,10 +42,33 @@ def _seed_int(root, *tags) -> int:
     return int(child_seed(root, *tags).generate_state(1)[0])
 
 
-def run_seed(split, cfg: VariantConfig, seed: int) -> dict:
-    """One full two-phase run for a single seed. Returns a manifest dict."""
+def _pretrain_key(cfg: VariantConfig, seed: int) -> tuple:
+    """What phase 1 reads: the seed and the config less `weighted_bce`."""
+    return seed, dataclasses.astuple(cfg.replace(weighted_bce=False))
+
+
+def run_seed(split, cfg: VariantConfig, seed: int, pretrained: dict | None = None) -> dict:
+    """One full two-phase run for a single seed. Returns a manifest dict.
+
+    `pretrained` is an optional dict shared by runs of one seed. Phase 1 then
+    runs once per distinct pretraining config, and later runs reuse its
+    (state, trace), or re-raise its error. The encoder is frozen after phase
+    1, so reusing it changes no output.
+    """
     t0 = time.monotonic()
-    state, trace = pretrain(split, cfg, seed)
+    cache = {} if pretrained is None else pretrained
+    key = _pretrain_key(cfg, seed)
+    reused = key in cache
+    if not reused:
+        try:
+            cache[key] = pretrain(split, cfg, seed)
+        except Exception as exc:
+            cache[key] = exc, exc.__traceback__
+            raise
+    first, second = cache[key]
+    if isinstance(first, Exception):
+        raise first.with_traceback(second)  # each re-raise shows one pretrain
+    state, trace = first, second
     checksum_before = state_checksum(state)
 
     emb = extract_embeddings(state, split.train, cfg, provenance="train")
@@ -72,6 +98,7 @@ def run_seed(split, cfg: VariantConfig, seed: int) -> dict:
             "best_monitor_hits": record.best_hits,
             "epochs_run": record.epochs_run,
             "monitor_history": record.monitor_history,
+            "flags": record.flags,
         },
         "encoder_checksum_before_decoder": checksum_before,
         "encoder_checksum_after_decoder": checksum_after,
@@ -79,63 +106,82 @@ def run_seed(split, cfg: VariantConfig, seed: int) -> dict:
         "eval_info": info,
         "_state": state,
         "_decoder": dec,
-        "_elapsed_seconds": time.monotonic() - t0,
+        "_timing": {"elapsed_seconds": time.monotonic() - t0,
+                    "pretrain_reused": reused},
     }
+
+
+def _failure(seed: int, exc: BaseException) -> dict:
+    return {"seed": seed, "error": str(exc), "type": type(exc).__name__,
+            "traceback": "".join(traceback.format_exception(exc))}
+
+
+def _run_seed_variants(split, cfgs, seed):
+    """Every variant of one seed, one after another, sharing phase 1. Returns
+    one manifest dict or failure record per variant, in order."""
+    pretrained, outcomes = {}, []
+    for cfg in cfgs:
+        try:
+            outcomes.append(run_seed(split, cfg, seed, pretrained))
+        except Exception as exc:
+            outcomes.append(_failure(seed, exc))
+    return outcomes
+
+
+def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int):
+    """Outcomes of every (seed, variant), one row per seed in seed order.
+
+    One task per seed, so a seed's pretrains run one after another in one
+    process; with `workers > 1` the tasks share one pool of forked workers.
+    """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    seeds = list(seeds)
+    split = chronological_split(graph)
+    if workers == 1:
+        return [_run_seed_variants(split, cfgs, seed) for seed in seeds]
+    rows = []
+    with ProcessPoolExecutor(max_workers=max(1, min(workers, len(seeds)))) as pool:
+        futures = [pool.submit(_run_seed_variants, split, cfgs, seed) for seed in seeds]
+        for seed, fut in zip(seeds, futures):
+            try:
+                rows.append(fut.result())
+            except Exception as exc:  # the task never returned, e.g. a lost worker
+                rows.append([_failure(seed, exc)] * len(cfgs))
+    return rows
 
 
 def _manifest_json(result: dict, ds_hash: str) -> dict:
     out = {k: v for k, v in result.items() if not k.startswith("_")}
     out["dataset_hash"] = ds_hash
-    out["timing"] = {"elapsed_seconds": result["_elapsed_seconds"]}
+    out["timing"] = result["_timing"]
     return out
 
 
-def _run_seed_for_pool(args):
-    graph, cfg, seed = args
-    split = chronological_split(graph)
-    return run_seed(split, cfg, seed)
+def _write_json(path, payload) -> None:
+    with ckpt.atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def run_dataset(graph: BipartiteGraph, cfg: VariantConfig, seeds,
-                out_dir, ds_hash: str, workers: int = 1,
-                save_checkpoints: bool = True) -> mt.EvalReport:
-    """Run every seed, write per-seed manifests/checkpoints and the
-    aggregate report. Per-seed failures are recorded; other seeds proceed."""
-    out_dir = Path(out_dir)
+def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes, ds_hash: str,
+                   save_checkpoints: bool) -> mt.EvalReport:
+    """Per-seed manifests (and checkpoints) plus the report of one variant."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    split = chronological_split(graph)
-
-    results, failures = [], []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(seed, pool.submit(_run_seed_for_pool, (graph, cfg, seed)))
-                       for seed in seeds]
-            for seed, fut in futures:
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    failures.append({"seed": seed, "error": str(exc)})
-    else:
-        for seed in seeds:
-            try:
-                results.append(run_seed(split, cfg, seed))
-            except Exception as exc:
-                failures.append({"seed": seed, "error": str(exc)})
-
+    results = [o for o in outcomes if "error" not in o]
+    failures = [o for o in outcomes if "error" in o]
     for result in results:
         seed_dir = out_dir / f"seed_{result['seed']}"
         seed_dir.mkdir(exist_ok=True)
-        with open(seed_dir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(_manifest_json(result, ds_hash), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(seed_dir / "manifest.json", _manifest_json(result, ds_hash))
         if save_checkpoints:
-            ckpt.save_model_state(seed_dir / "model.npz", result["_state"],
-                                  {"config": result["config"], "seed": result["seed"]})
-            ckpt.save_decoder(seed_dir / "decoder.npz", result["_decoder"],
-                              {"config": result["config"], "seed": result["seed"]})
+            meta = {"config": result["config"], "seed": result["seed"]}
+            ckpt.save_model_state(seed_dir / "model.npz", result["_state"], meta)
+            ckpt.save_decoder(seed_dir / "decoder.npz", result["_decoder"], meta)
 
     if failures and not results:
-        raise ValidationError(f"all seeds failed: {failures}")
+        raise ValidationError(
+            f"all seeds failed: {[(f['seed'], f['error']) for f in failures]}")
 
     per_seed = [r["metrics"] for r in results]
     ok_seeds = [r["seed"] for r in results]
@@ -149,18 +195,26 @@ def run_dataset(graph: BipartiteGraph, cfg: VariantConfig, seeds,
     payload["dataset_hash"] = ds_hash
     if failures:
         payload["failures"] = failures
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "report.json", payload)
     write_report_csv(out_dir / "report.csv", {cfg.variant_label: report})
     return report
+
+
+def run_dataset(graph: BipartiteGraph, cfg: VariantConfig, seeds,
+                out_dir, ds_hash: str, workers: int = 1,
+                save_checkpoints: bool = True) -> mt.EvalReport:
+    """Run every seed, write per-seed manifests/checkpoints and the
+    aggregate report. Per-seed failures are recorded; other seeds proceed."""
+    rows = _run_grid(graph, [cfg], seeds, workers)
+    return _write_variant(Path(out_dir), cfg, [row[0] for row in rows], ds_hash,
+                          save_checkpoints)
 
 
 def write_report_csv(path, reports: dict) -> None:
     """One row per variant, six metric columns formatted 'mean ± std'."""
     import csv as _csv
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with ckpt.atomic_write(path, newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["variant"] + list(mt.METRIC_NAMES))
         for label, report in reports.items():
@@ -181,17 +235,18 @@ def run_ablation(graph: BipartiteGraph, base_cfg: VariantConfig, seeds,
                  out_dir, ds_hash: str, workers: int = 1) -> dict:
     """All four weighting variants over the seed list.
 
-    Emits a four-row comparison CSV plus a JSON summary flagging the
-    maximum pairwise gap in mean ROC-AUC across variants.
+    Pretraining never reads `weighted_bce`, so each seed pretrains twice, not
+    four times. Emits a four-row comparison CSV plus a JSON summary flagging
+    the maximum pairwise gap in mean ROC-AUC across variants.
     """
+    seeds = list(seeds)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    cfgs = [base_cfg.replace(**flags) for flags in ALL_VARIANTS]
+    rows = _run_grid(graph, cfgs, seeds, workers)
     reports = {}
-    for flags in ALL_VARIANTS:
-        cfg = base_cfg.replace(**flags)
-        sub_dir = out_dir / cfg.variant_label
-        reports[cfg.variant_label] = run_dataset(
-            graph, cfg, seeds, sub_dir, ds_hash, workers=workers,
+    for i, cfg in enumerate(cfgs):
+        reports[cfg.variant_label] = _write_variant(
+            out_dir / cfg.variant_label, cfg, [row[i] for row in rows], ds_hash,
             save_checkpoints=False)
 
     def mean_auc(report):
@@ -203,14 +258,12 @@ def run_ablation(graph: BipartiteGraph, base_cfg: VariantConfig, seeds,
     gap = max(aucs.values()) - min(aucs.values())
     summary = {
         "dataset_hash": ds_hash,
-        "seeds": list(seeds),
+        "seeds": seeds,
         "mean_roc_auc": aucs,
         "max_pairwise_roc_auc_gap": gap,
         "variants": {label: rep.to_dict() for label, rep in reports.items()},
     }
-    with open(out_dir / "ablation.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "ablation.json", summary)
     write_report_csv(out_dir / "ablation.csv", reports)
     return summary
 

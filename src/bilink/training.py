@@ -308,10 +308,15 @@ def decoder_bce_examples(positives_uv: np.ndarray, pos_weights: np.ndarray,
 
 @dataclass
 class DecoderRecord:
+    """Early-stopping record. `flags` names a degenerate monitor: with fewer
+    monitor negatives than `hits_k` every epoch reads Hits@K = 1.0, so the
+    first epoch is kept."""
+
     best_epoch: int
     best_hits: float
     epochs_run: int
     monitor_history: list = field(default_factory=list)
+    flags: list = field(default_factory=list)
 
 
 def _decoder_scores(dec, emb, pairs):
@@ -391,8 +396,12 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
 
     for name, p in params.items():
         p.data = best[2][name]
+    flags = []
+    if n_hold_neg < cfg.hits_k:
+        flags.append("monitor_hits_at_k_fewer_negatives_than_k")
     record = DecoderRecord(best_epoch=best[1], best_hits=best[0],
-                           epochs_run=epochs_run, monitor_history=history)
+                           epochs_run=epochs_run, monitor_history=history,
+                           flags=flags)
     return dec, record
 
 

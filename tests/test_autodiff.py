@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -102,6 +105,30 @@ class TestBackward:
             backward(loss)
             backward(loss)
         np.testing.assert_array_equal(x.grad, 2 * np.ones((2, 2)))
+
+    def test_closing_tape_frees_intermediates_without_gc(self):
+        gc.disable()
+        try:
+            with Tape():
+                x = leaf(np.ones((3, 4)))
+                h = ad.relu(ad.scale(x, 2.0))
+                ref = weakref.ref(h.data)
+                loss = ad.sum_all(h)
+                del h
+                backward(loss)
+                assert ref() is not None
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert loss.item() == 24.0
+
+    def test_backward_after_block_exit_raises(self):
+        with Tape():
+            x = leaf(np.ones((2, 2)))
+            loss = ad.sum_all(x)
+        with pytest.raises(ValueError, match="closed"):
+            backward(loss)
+        assert x.grad is None
 
     def test_reused_tensor_accumulates_within_pass(self):
         with Tape():

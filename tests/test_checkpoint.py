@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from bilink.checkpoint import (load_arrays, load_decoder, load_model_state,
-                               save_arrays, save_decoder, save_model_state)
+from bilink import checkpoint
+from bilink.checkpoint import (atomic_write, load_arrays, load_decoder,
+                               load_model_state, save_arrays, save_decoder,
+                               save_model_state)
 from bilink.errors import ValidationError
 from bilink.model import (init_decoder, init_model_state, online_named_params,
                           state_checksum, target_named_params)
@@ -65,3 +67,34 @@ def test_non_checkpoint_rejected(tmp_path):
     np.savez(path, a=np.zeros(3))
     with pytest.raises(ValidationError, match="metadata"):
         load_arrays(path)
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(RuntimeError, match="disk full"):
+        with atomic_write(path) as fh:
+            fh.write("new, half")
+            raise RuntimeError("disk full")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    with atomic_write(path) as fh:
+        fh.write("new\n")
+    assert path.read_text(encoding="utf-8") == "new\n"
+
+
+def test_failed_checkpoint_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ck.npz"
+    save_arrays(path, {"w": np.ones((2, 2))}, {"note": "old"})
+
+    def savez_partway(fh, **payload):
+        fh.write(b"PK\x03\x04 truncated")
+        raise OSError("interrupted")
+
+    monkeypatch.setattr(checkpoint.np, "savez", savez_partway)
+    with pytest.raises(OSError, match="interrupted"):
+        save_arrays(path, {"w": np.zeros((2, 2))}, {"note": "new"})
+    arrays, meta = load_arrays(path)
+    assert meta["note"] == "old"
+    np.testing.assert_array_equal(arrays["w"], np.ones((2, 2)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]

@@ -132,6 +132,18 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_bad_worker_count_exits_before_training(self, dataset, tmp_path, capsys,
+                                                    command, workers):
+        out = tmp_path / "out"
+        code = main([command, *dataset_flags(dataset), "--seeds", "42",
+                     "--workers", workers, "--out-dir", str(out), *FAST_FLAGS])
+        assert code == EXIT_VALIDATION
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestConfigPrecedence:
     def test_flags_beat_file_beat_defaults(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

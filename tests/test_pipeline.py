@@ -7,7 +7,7 @@ from bilink import pipeline
 from bilink.cli import EXIT_OK, EXIT_RUNTIME, main
 from bilink.graph import chronological_split
 from bilink.synthetic import SyntheticSpec, write_dataset
-from bilink.training import VariantConfig
+from bilink.training import ALL_VARIANTS, VariantConfig
 
 FAST = dict(pretrain_epochs=3, decoder_epochs=5, input_dim=12, hidden_dim=12,
             output_dim=8, decoder_hidden_dims=(12, 6))
@@ -40,14 +40,14 @@ def test_worker_pool_matches_sequential(dataset, tmp_path):
 def test_failed_seed_recorded_others_proceed(dataset, tmp_path, monkeypatch):
     graph, ds_hash = _load(dataset)
     cfg = VariantConfig(**FAST)
-    real = pipeline.run_seed
+    real = pipeline.pretrain
 
     def flaky(split, cfg_, seed):
         if seed == 43:
             raise RuntimeError("synthetic failure for seed 43")
         return real(split, cfg_, seed)
 
-    monkeypatch.setattr(pipeline, "run_seed", flaky)
+    monkeypatch.setattr(pipeline, "pretrain", flaky)
     pipeline.run_dataset(graph, cfg, [42, 43, 44], tmp_path, ds_hash)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["seeds"] == [42, 44]
@@ -80,3 +80,158 @@ def test_split_reused_across_seeds_is_unmutated(dataset):
     pipeline.run_seed(split, VariantConfig(**FAST), 42)
     pipeline.run_seed(split, VariantConfig(**FAST), 43)
     np.testing.assert_array_equal(split.train.edges.u, before)
+
+
+def _without_timing(path):
+    manifest = json.loads(path.read_text())
+    manifest.pop("timing")
+    return manifest
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ablation_matches_separate_runs(dataset, tmp_path, workers):
+    graph, ds_hash = _load(dataset)
+    base = VariantConfig(**FAST)
+    pipeline.run_ablation(graph, base, [42, 43], tmp_path / "grid", ds_hash,
+                          workers=workers)
+    for flags in ALL_VARIANTS:
+        cfg = base.replace(**flags)
+        alone = tmp_path / "alone" / cfg.variant_label
+        pipeline.run_dataset(graph, cfg, [42, 43], alone, ds_hash,
+                             save_checkpoints=False)
+        shared = tmp_path / "grid" / cfg.variant_label
+        for name in ("report.json", "report.csv"):
+            assert (shared / name).read_bytes() == (alone / name).read_bytes()
+        for seed in (42, 43):
+            assert (_without_timing(shared / f"seed_{seed}" / "manifest.json")
+                    == _without_timing(alone / f"seed_{seed}" / "manifest.json"))
+
+
+def test_ablation_pretrains_once_per_pretraining_config(dataset, tmp_path, monkeypatch):
+    graph, ds_hash = _load(dataset)
+    real, calls = pipeline.pretrain, []
+
+    def counting(split, cfg_, seed):
+        calls.append((cfg_.weighted_pretrain, seed))
+        return real(split, cfg_, seed)
+
+    monkeypatch.setattr(pipeline, "pretrain", counting)
+    pipeline.run_ablation(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash)
+    assert sorted(calls) == [(False, 42), (False, 43), (True, 42), (True, 43)]
+    for seed in (42, 43):
+        timing = {label: json.loads(
+            (tmp_path / label / f"seed_{seed}" / "manifest.json").read_text())["timing"]
+            for label in ("wp_wb", "wp_nwb", "nwp_wb", "nwp_nwb")}
+        assert [t["pretrain_reused"] for t in timing.values()] == [False, True,
+                                                                   False, True]
+
+
+def _failures(path):
+    return json.loads((path / "report.json").read_text()).get("failures", [])
+
+
+def test_failed_pretrain_recorded_under_every_variant_sharing_it(
+        dataset, tmp_path, monkeypatch):
+    graph, ds_hash = _load(dataset)
+    real = pipeline.pretrain
+
+    def flaky(split, cfg_, seed):
+        if seed == 43 and cfg_.weighted_pretrain:
+            raise RuntimeError("synthetic pretrain failure")
+        return real(split, cfg_, seed)
+
+    monkeypatch.setattr(pipeline, "pretrain", flaky)
+    pipeline.run_ablation(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash)
+    for label in ("wp_wb", "wp_nwb"):
+        (failure,) = _failures(tmp_path / label)
+        assert failure["seed"] == 43
+        assert failure["type"] == "RuntimeError"
+        assert failure["error"] == "synthetic pretrain failure"
+        assert failure["traceback"].count("in flaky") == 1
+        assert not (tmp_path / label / "seed_43").exists()
+    for label in ("nwp_wb", "nwp_nwb"):
+        assert _failures(tmp_path / label) == []
+        assert (tmp_path / label / "seed_43" / "manifest.json").exists()
+
+
+def test_failed_decoder_recorded_under_its_own_variant(dataset, tmp_path, monkeypatch):
+    graph, ds_hash = _load(dataset)
+    real = pipeline.train_decoder
+    decoder_seed_43 = pipeline._seed_int(43, "decoder")
+
+    def flaky(emb, positives, weights, negatives, cfg_, seed):
+        if cfg_.variant_label == "wp_wb" and seed == decoder_seed_43:
+            raise ValueError("synthetic decoder failure")
+        return real(emb, positives, weights, negatives, cfg_, seed)
+
+    monkeypatch.setattr(pipeline, "train_decoder", flaky)
+    pipeline.run_ablation(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash)
+    (failure,) = _failures(tmp_path / "wp_wb")
+    assert failure["seed"] == 43 and failure["type"] == "ValueError"
+    assert (tmp_path / "wp_wb" / "seed_42" / "manifest.json").exists()
+    for label in ("wp_nwb", "nwp_wb", "nwp_nwb"):
+        assert _failures(tmp_path / label) == []
+
+
+def test_failure_record_from_pool_worker(dataset, tmp_path, monkeypatch):
+    graph, ds_hash = _load(dataset)
+    real = pipeline.pretrain
+
+    def flaky(split, cfg_, seed):
+        if seed == 43:
+            raise RuntimeError("synthetic failure for seed 43")
+        return real(split, cfg_, seed)
+
+    monkeypatch.setattr(pipeline, "pretrain", flaky)
+    pipeline.run_dataset(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash,
+                         workers=2, save_checkpoints=False)
+    (failure,) = _failures(tmp_path)
+    assert failure["seed"] == 43
+    assert failure["type"] == "RuntimeError"
+    assert "synthetic failure for seed 43" in failure["traceback"]
+    assert "in flaky" in failure["traceback"]
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        from concurrent.futures import Future
+
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_one_pool_per_call_capped_at_seed_count(dataset, tmp_path, monkeypatch):
+    graph, ds_hash = _load(dataset)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
+    _InlinePool.created = []
+    pipeline.run_ablation(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash,
+                          workers=10_000)
+    assert _InlinePool.created == [2]
+
+
+def test_degenerate_decoder_monitor_flagged(tmp_path):
+    paths = write_dataset(SyntheticSpec(n_u=30, n_v=30, n_edges=400, weight_skew=4,
+                                        seed=3), tmp_path)
+    graph, _ = _load(paths)
+    split = chronological_split(graph)
+    cfg = VariantConfig(**{**FAST, "pretrain_epochs": 4, "decoder_epochs": 30})
+    result = pipeline.run_seed(split, cfg, 42)
+    assert result["decoder"]["flags"] == ["monitor_hits_at_k_fewer_negatives_than_k"]
+    assert set(result["decoder"]["monitor_history"]) == {1.0}
+    assert result["decoder"]["best_epoch"] == 0
+    healthy = pipeline.run_seed(split, cfg.replace(hits_k=2), 42)
+    assert healthy["decoder"]["flags"] == []
