@@ -26,12 +26,9 @@ def active_tape():
 
 
 class Tensor:
-    """Dense 2-D value, optionally tracked for gradients.
+    """Dense 2-D value, optionally tracked for gradients."""
 
-    `grad` accumulates across backward calls until `zero_grad` resets it.
-    """
-
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -43,7 +40,6 @@ class Tensor:
             raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = None
         self._tape = None
 
     @property
@@ -54,9 +50,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() needs a 1x1 tensor, got {self.shape}")
         return float(self.data[0, 0])
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -125,8 +118,7 @@ def backward(loss: Tensor) -> dict:
     """Backpropagate from a scalar loss through its recording tape.
 
     Returns {leaf tensor: gradient array} for every requires_grad leaf that
-    the loss depends on, and accumulates the same gradients into each leaf's
-    `.grad`. Each tape node is visited exactly once.
+    the loss depends on. Each tape node is visited exactly once.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward needs a scalar (1x1) loss, got shape {loss.shape}")
@@ -153,14 +145,8 @@ def backward(loss: Tensor) -> dict:
                 pending[key] = pg
                 holders[key] = parent
 
-    grads = {}
-    for key, g in pending.items():
-        leaf = holders[key]
-        if not leaf.requires_grad:
-            continue
-        leaf.grad = g if leaf.grad is None else leaf.grad + g
-        grads[leaf] = g
-    return grads
+    return {holders[key]: g for key, g in pending.items()
+            if holders[key].requires_grad}
 
 
 def _shapes(*tensors):

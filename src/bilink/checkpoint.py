@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import (DecoderParams, EncoderParams, Heads, LinearParams,
-                    MlpParams, ModelState, Tensor, decoder_named_params,
-                    online_named_params, target_named_params)
+from .model import (ModelState, ParamStore, decoder_shapes, make_store,
+                    model_shapes, online_named_params, target_named_params)
 
 FORMAT_VERSION = 1
 _META_KEY = "__meta__"
@@ -70,70 +69,70 @@ def save_model_state(path, state: ModelState, extra_meta: dict | None = None) ->
     save_arrays(path, arrays, meta)
 
 
-def _linear_from(arrays, prefix, requires_grad):
-    return LinearParams(
-        weight=Tensor(arrays[f"{prefix}.weight"], requires_grad=requires_grad),
-        bias=Tensor(arrays[f"{prefix}.bias"], requires_grad=requires_grad),
-    )
+def _dim(path, arrays: dict, name: str, axis: int) -> int:
+    a = arrays.get(name)
+    if a is None or a.ndim != 2:
+        raise ValidationError(f"{path}: checkpoint key {name!r} is missing or not a matrix")
+    return a.shape[axis]
 
 
-def _mlp_from(arrays, prefix, requires_grad):
-    return MlpParams(
-        layer1=_linear_from(arrays, f"{prefix}.layer1", requires_grad),
-        layer2=_linear_from(arrays, f"{prefix}.layer2", requires_grad),
-        slope=Tensor(arrays[f"{prefix}.slope"], requires_grad=requires_grad),
-    )
-
-
-def _encoder_from(arrays, prefix, requires_grad):
-    return EncoderParams(
-        proj_u=_linear_from(arrays, f"{prefix}.proj_u", requires_grad),
-        proj_v=_linear_from(arrays, f"{prefix}.proj_v", requires_grad),
-        conv1=Tensor(arrays[f"{prefix}.conv1"], requires_grad=requires_grad),
-        conv2=Tensor(arrays[f"{prefix}.conv2"], requires_grad=requires_grad),
-        unk_u=Tensor(arrays[f"{prefix}.unk_u"], requires_grad=requires_grad),
-        unk_v=Tensor(arrays[f"{prefix}.unk_v"], requires_grad=requires_grad),
-    )
-
-
-def _heads_from(arrays, prefix, requires_grad):
-    return Heads(
-        projector_u=_mlp_from(arrays, f"{prefix}.projector_u", requires_grad),
-        projector_v=_mlp_from(arrays, f"{prefix}.projector_v", requires_grad),
-        predictor_u=_mlp_from(arrays, f"{prefix}.predictor_u", requires_grad),
-        predictor_v=_mlp_from(arrays, f"{prefix}.predictor_v", requires_grad),
-    )
+def _check_layout(path, arrays: dict, expected: dict) -> None:
+    """Reject a missing key, an unknown key or a shape other than `expected`."""
+    missing = sorted(expected.keys() - arrays.keys())
+    unknown = sorted(arrays.keys() - expected.keys())
+    if missing or unknown:
+        raise ValidationError(f"{path}: checkpoint keys do not match the model "
+                              f"(missing {missing}, unknown {unknown})")
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ValidationError(
+                f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
 
 
 def load_model_state(path):
-    """Returns (ModelState, meta)."""
+    """Returns (ModelState, meta). Every target shape must equal its online
+    shape, and the layer shapes must chain."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "model_state":
         raise ValidationError(f"{path}: checkpoint kind is {meta.get('kind')!r}, "
                               "expected 'model_state'")
+    def width(name, axis):
+        return _dim(path, arrays, f"online.encoder.{name}", axis)
+
+    shapes = model_shapes(d_u=width("proj_u.weight", 0), d_v=width("proj_v.weight", 0),
+                          input_dim=width("proj_u.weight", 1),
+                          hidden_dim=width("conv1", 1), output_dim=width("conv2", 1))
+    _check_layout(path, arrays, {f"{side}.{name}": shape for side in ("online", "target")
+                                 for name, shape in shapes.items()})
     state = ModelState(
-        online_encoder=_encoder_from(arrays, "online.encoder", True),
-        online_heads=_heads_from(arrays, "online.heads", True),
-        target_encoder=_encoder_from(arrays, "target.encoder", False),
-        target_heads=_heads_from(arrays, "target.heads", False),
+        online=make_store({name: arrays[f"online.{name}"] for name in shapes},
+                          requires_grad=True),
+        target=make_store({name: arrays[f"target.{name}"] for name in shapes},
+                          requires_grad=False),
         tau=float(meta["tau"]),
     )
     return state, meta
 
 
-def save_decoder(path, dec: DecoderParams, extra_meta: dict | None = None) -> None:
-    arrays = {name: t.data for name, t in decoder_named_params(dec).items()}
-    meta = {"kind": "decoder", "n_layers": len(dec.layers)}
+def save_decoder(path, dec: ParamStore, extra_meta: dict | None = None) -> None:
+    arrays = {name: t.data for name, t in dec.items()}
+    meta = {"kind": "decoder", "n_layers": len(dec) // 2}
     if extra_meta:
         meta.update(extra_meta)
     save_arrays(path, arrays, meta)
 
 
 def load_decoder(path):
+    """Returns (decoder ParamStore, meta); the layer shapes must chain down
+    to one output column."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "decoder":
         raise ValidationError(f"{path}: checkpoint kind is {meta.get('kind')!r}, "
                               "expected 'decoder'")
-    layers = [_linear_from(arrays, f"decoder.layer{i + 1}", True)
-              for i in range(int(meta["n_layers"]))]
-    return DecoderParams(layers=layers), meta
+    n_layers = meta.get("n_layers")
+    if not isinstance(n_layers, int) or n_layers < 1:
+        raise ValidationError(f"{path}: bad decoder layer count {n_layers!r}")
+    hidden = [_dim(path, arrays, f"decoder.layer{i}.weight", 1) for i in range(1, n_layers)]
+    shapes = decoder_shapes(_dim(path, arrays, "decoder.layer1.weight", 0) // 2, hidden)
+    _check_layout(path, arrays, shapes)
+    return make_store({name: arrays[name] for name in shapes}, requires_grad=True), meta

@@ -29,6 +29,9 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(VariantConfig)}
+# Fields older checkpoints may record, with the only behaviour still built.
+_REMOVED_FIELDS = {"num_layers": 2, "final_layer_relu": False,
+                   "loss_on_raw_embeddings": False, "symmetrize_pretrain_loss": False}
 
 
 def _parse_config_value(name: str, raw: str):
@@ -148,12 +151,37 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+def _recorded_config(path, meta: dict) -> VariantConfig:
+    recorded = meta.get("config", {})
+    for name, fixed in _REMOVED_FIELDS.items():
+        if recorded.get(name, fixed) != fixed:
+            raise ValidationError(
+                f"{path}: recorded config sets removed field {name} = "
+                f"{recorded[name]!r}; only {fixed!r} is supported")
+    return VariantConfig(**{k: v for k, v in recorded.items() if k in _CONFIG_FIELDS})
+
+
+def _check_widths(state, dec, graph) -> None:
+    """The checkpoints must fit the dataset's feature widths and each other."""
+    want = (graph.x_u.shape[1], graph.x_v.shape[1])
+    got = (state.online["encoder.proj_u.weight"].shape[0],
+           state.online["encoder.proj_v.weight"].shape[0])
+    if got != want:
+        raise ValidationError(f"model input widths (u, v) = {got} do not match "
+                              f"the dataset's feature widths {want}")
+    embed = state.online["encoder.conv2"].shape[1]
+    if dec["decoder.layer1.weight"].shape[0] != 2 * embed:
+        raise ValidationError(
+            f"decoder input width {dec['decoder.layer1.weight'].shape[0]} does "
+            f"not match twice the model's embedding width {embed}")
+
+
 def cmd_eval_only(args) -> int:
     state, meta = ckpt.load_model_state(args.model)
     dec, _ = ckpt.load_decoder(args.decoder)
-    cfg = VariantConfig(**{k: v for k, v in meta.get("config", {}).items()
-                           if k in _CONFIG_FIELDS})
+    cfg = _recorded_config(args.model, meta)
     graph, ds_hash = pipeline.load_dataset(args.edges, args.u_features, args.v_features)
+    _check_widths(state, dec, graph)
     split = chronological_split(graph)
     metrics, info = evaluate_final(state, split, dec, cfg, args.seed)
     payload = {"dataset_hash": ds_hash, "seed": args.seed,

@@ -4,9 +4,13 @@ The encoder is a two-layer graph convolution over the stacked (U then V)
 node indexing: h' = act(A_norm @ h @ W). Per-partition linear input
 projections first map the raw feature spaces into a shared width, and
 learnable UNK rows stand in for nodes the encoder has never seen.
+
+Each network's parameters live in one `ParamStore`, read by name: the
+online network and its EMA target (same names and shapes) and the decoder.
+Names are the checkpoint keys less their `online.` / `target.` prefix.
 """
 
-import copy
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,52 +19,44 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-@dataclass
-class LinearParams:
-    weight: Tensor
-    bias: Tensor
+class ParamStore(dict):
+    """Ordered name -> Tensor map over one contiguous float64 buffer, `flat`.
+
+    Every tensor's `.data` is a view into `flat` (laid out in `shapes`
+    order), so the optimizer, the EMA update and snapshots work on the whole
+    buffer at once. Write a parameter in place (`p.data[...] = x`);
+    rebinding `.data` leaves the buffer. Build one with `make_store`.
+    """
+
+    def __init__(self, flat: np.ndarray, shapes: dict, requires_grad: bool):
+        super().__init__()
+        self.flat = flat
+        self.requires_grad = requires_grad
+        start = 0
+        for name, shape in shapes.items():
+            size = int(np.prod(shape))
+            self[name] = Tensor(flat[start:start + size].reshape(shape),
+                                requires_grad=requires_grad)
+            start += size
+
+    def __reduce__(self):
+        # Pickle (e.g. from a pool worker) sends the buffer once and
+        # rebuilds the views over it.
+        return ParamStore, (self.flat, {name: t.shape for name, t in self.items()},
+                            self.requires_grad)
 
 
-@dataclass
-class MlpParams:
-    """Two-layer head: out = (prelu(h @ W1 + b1, slope)) @ W2 + b2."""
-
-    layer1: LinearParams
-    layer2: LinearParams
-    slope: Tensor  # scalar PReLU slope
-
-
-@dataclass
-class EncoderParams:
-    proj_u: LinearParams
-    proj_v: LinearParams
-    conv1: Tensor
-    conv2: Tensor
-    unk_u: Tensor
-    unk_v: Tensor
-
-
-@dataclass
-class Heads:
-    projector_u: MlpParams
-    projector_v: MlpParams
-    predictor_u: MlpParams
-    predictor_v: MlpParams
-
-
-@dataclass
-class DecoderParams:
-    """Three-layer MLP scoring a concatenated (u, v) embedding pair."""
-
-    layers: list  # [LinearParams, LinearParams, LinearParams]
+def make_store(arrays: dict, requires_grad: bool) -> ParamStore:
+    """A store holding a copy of an ordered name -> array mapping."""
+    arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+    flat = np.concatenate([a.ravel() for a in arrays.values()])
+    return ParamStore(flat, {name: a.shape for name, a in arrays.items()}, requires_grad)
 
 
 @dataclass
 class ModelState:
-    online_encoder: EncoderParams
-    online_heads: Heads
-    target_encoder: EncoderParams
-    target_heads: Heads
+    online: ParamStore
+    target: ParamStore
     tau: float
 
 
@@ -69,179 +65,122 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _linear(rng, d_in, d_out, requires_grad=True) -> LinearParams:
-    return LinearParams(
-        weight=Tensor(glorot(rng, d_in, d_out), requires_grad=requires_grad),
-        bias=Tensor(np.zeros((1, d_out)), requires_grad=requires_grad),
-    )
+def _linear_shapes(prefix, d_in, d_out) -> dict:
+    return {f"{prefix}.weight": (d_in, d_out), f"{prefix}.bias": (1, d_out)}
 
 
-def _mlp(rng, d_in, d_hidden, d_out, requires_grad=True) -> MlpParams:
-    return MlpParams(
-        layer1=_linear(rng, d_in, d_hidden, requires_grad),
-        layer2=_linear(rng, d_hidden, d_out, requires_grad),
-        slope=Tensor(np.array([[0.25]]), requires_grad=requires_grad),
-    )
+def model_shapes(d_u: int, d_v: int, input_dim: int, hidden_dim: int,
+                 output_dim: int) -> dict:
+    """Ordered name -> shape of the online (and target) store: encoder,
+    then four two-layer PReLU heads out = prelu(h @ W1 + b1) @ W2 + b2."""
+    shapes = {
+        **_linear_shapes("encoder.proj_u", d_u, input_dim),
+        **_linear_shapes("encoder.proj_v", d_v, input_dim),
+        "encoder.conv1": (input_dim, hidden_dim),
+        "encoder.conv2": (hidden_dim, output_dim),
+        "encoder.unk_u": (1, output_dim),
+        "encoder.unk_v": (1, output_dim),
+    }
+    for head in ("projector_u", "projector_v", "predictor_u", "predictor_v"):
+        shapes.update(_linear_shapes(f"heads.{head}.layer1", output_dim, hidden_dim))
+        shapes.update(_linear_shapes(f"heads.{head}.layer2", hidden_dim, output_dim))
+        shapes[f"heads.{head}.slope"] = (1, 1)
+    return shapes
 
 
-def init_encoder(rng, d_u: int, d_v: int, input_dim: int, hidden_dim: int,
-                 output_dim: int) -> EncoderParams:
-    return EncoderParams(
-        proj_u=_linear(rng, d_u, input_dim),
-        proj_v=_linear(rng, d_v, input_dim),
-        conv1=Tensor(glorot(rng, input_dim, hidden_dim), requires_grad=True),
-        conv2=Tensor(glorot(rng, hidden_dim, output_dim), requires_grad=True),
-        unk_u=Tensor(rng.normal(0.0, 0.01, size=(1, output_dim)), requires_grad=True),
-        unk_v=Tensor(rng.normal(0.0, 0.01, size=(1, output_dim)), requires_grad=True),
-    )
-
-
-def init_heads(rng, embed_dim: int, hidden_dim: int) -> Heads:
-    return Heads(
-        projector_u=_mlp(rng, embed_dim, hidden_dim, embed_dim),
-        projector_v=_mlp(rng, embed_dim, hidden_dim, embed_dim),
-        predictor_u=_mlp(rng, embed_dim, hidden_dim, embed_dim),
-        predictor_v=_mlp(rng, embed_dim, hidden_dim, embed_dim),
-    )
-
-
-def init_decoder(rng, embed_dim: int, hidden_dims=(256, 64)) -> DecoderParams:
+def decoder_shapes(embed_dim: int, hidden_dims=(256, 64)) -> dict:
+    """Ordered name -> shape of the MLP scoring a concatenated (u, v) pair."""
     dims = [2 * embed_dim, *hidden_dims, 1]
-    layers = [_linear(rng, dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    return DecoderParams(layers=layers)
+    shapes = {}
+    for i in range(len(dims) - 1):
+        shapes.update(_linear_shapes(f"decoder.layer{i + 1}", dims[i], dims[i + 1]))
+    return shapes
+
+
+def _init_value(rng, name: str, shape: tuple) -> np.ndarray:
+    """Zero biases, 0.25 PReLU slopes, N(0, 0.01) UNK rows, Glorot weights."""
+    leaf = name.rsplit(".", 1)[-1]
+    if leaf == "bias":
+        return np.zeros(shape)
+    if leaf == "slope":
+        return np.full(shape, 0.25)
+    if leaf.startswith("unk_"):
+        return rng.normal(0.0, 0.01, size=shape)
+    return glorot(rng, *shape)
 
 
 def init_model_state(rng, d_u: int, d_v: int, input_dim: int, hidden_dim: int,
                      output_dim: int, tau: float) -> ModelState:
-    online_encoder = init_encoder(rng, d_u, d_v, input_dim, hidden_dim, output_dim)
-    online_heads = init_heads(rng, output_dim, hidden_dim)
-    target_encoder = _detached_copy(online_encoder)
-    target_heads = _detached_copy(online_heads)
-    return ModelState(online_encoder, online_heads, target_encoder, target_heads, tau)
+    """Online network and its detached target copy (equal values, no grads)."""
+    shapes = model_shapes(d_u, d_v, input_dim, hidden_dim, output_dim)
+    arrays = {name: _init_value(rng, name, shape) for name, shape in shapes.items()}
+    return ModelState(make_store(arrays, requires_grad=True),
+                      make_store(arrays, requires_grad=False), tau)
 
 
-def _detached_copy(obj):
-    """Structural copy whose tensors share values but never take gradients."""
-    if isinstance(obj, Tensor):
-        return Tensor(obj.data.copy(), requires_grad=False)
-    if isinstance(obj, LinearParams):
-        return LinearParams(_detached_copy(obj.weight), _detached_copy(obj.bias))
-    if isinstance(obj, MlpParams):
-        return MlpParams(_detached_copy(obj.layer1), _detached_copy(obj.layer2),
-                         _detached_copy(obj.slope))
-    if isinstance(obj, EncoderParams):
-        return EncoderParams(*[_detached_copy(getattr(obj, f)) for f in
-                               ("proj_u", "proj_v", "conv1", "conv2", "unk_u", "unk_v")])
-    if isinstance(obj, Heads):
-        return Heads(*[_detached_copy(getattr(obj, f)) for f in
-                       ("projector_u", "projector_v", "predictor_u", "predictor_v")])
-    raise TypeError(f"cannot copy {type(obj)}")
-
-
-def _linear_named(prefix, lin):
-    return {f"{prefix}.weight": lin.weight, f"{prefix}.bias": lin.bias}
-
-
-def _mlp_named(prefix, mlp):
-    out = {}
-    out.update(_linear_named(f"{prefix}.layer1", mlp.layer1))
-    out.update(_linear_named(f"{prefix}.layer2", mlp.layer2))
-    out[f"{prefix}.slope"] = mlp.slope
-    return out
-
-
-def encoder_named_params(enc: EncoderParams, prefix="encoder") -> dict:
-    out = {}
-    out.update(_linear_named(f"{prefix}.proj_u", enc.proj_u))
-    out.update(_linear_named(f"{prefix}.proj_v", enc.proj_v))
-    out[f"{prefix}.conv1"] = enc.conv1
-    out[f"{prefix}.conv2"] = enc.conv2
-    out[f"{prefix}.unk_u"] = enc.unk_u
-    out[f"{prefix}.unk_v"] = enc.unk_v
-    return out
-
-
-def heads_named_params(heads: Heads, prefix="heads") -> dict:
-    out = {}
-    for name in ("projector_u", "projector_v", "predictor_u", "predictor_v"):
-        out.update(_mlp_named(f"{prefix}.{name}", getattr(heads, name)))
-    return out
-
-
-def decoder_named_params(dec: DecoderParams, prefix="decoder") -> dict:
-    out = {}
-    for i, lin in enumerate(dec.layers):
-        out.update(_linear_named(f"{prefix}.layer{i + 1}", lin))
-    return out
+def init_decoder(rng, embed_dim: int, hidden_dims=(256, 64)) -> ParamStore:
+    shapes = decoder_shapes(embed_dim, hidden_dims)
+    return make_store({name: _init_value(rng, name, shape)
+                       for name, shape in shapes.items()}, requires_grad=True)
 
 
 def online_named_params(state: ModelState) -> dict:
-    out = encoder_named_params(state.online_encoder, "online.encoder")
-    out.update(heads_named_params(state.online_heads, "online.heads"))
-    return out
+    """Online parameters under their checkpoint keys."""
+    return {f"online.{name}": t for name, t in state.online.items()}
 
 
 def target_named_params(state: ModelState) -> dict:
-    out = encoder_named_params(state.target_encoder, "target.encoder")
-    out.update(heads_named_params(state.target_heads, "target.heads"))
-    return out
+    """Target parameters under their checkpoint keys."""
+    return {f"target.{name}": t for name, t in state.target.items()}
 
 
-def affine(x: Tensor, lin: LinearParams) -> Tensor:
-    return ad.add(ad.matmul(x, lin.weight), lin.bias)
+def affine(params: ParamStore, prefix: str, x: Tensor) -> Tensor:
+    return ad.add(ad.matmul(x, params[f"{prefix}.weight"]), params[f"{prefix}.bias"])
 
 
-def encode(params: EncoderParams, adj, x_u, x_v, *, dropout_p: float = 0.0,
-           dropout_seed: int = 0, final_relu: bool = False):
+def encode(params: ParamStore, adj, x_u, x_v, *, dropout_p: float = 0.0,
+           dropout_seed: int = 0):
     """Two convolution layers over the stacked node blocks.
 
     The adjacency must have been built with the same weighting flag as the
-    training run. ReLU follows layer 1; the final layer is linear unless
-    `final_relu` restores the activation there too (a nonnegative final
-    embedding cripples the cosine objective, so the default is off).
-    Dropout, when nonzero, sits between the two layers.
+    training run. ReLU follows layer 1; the final layer is linear (a
+    nonnegative final embedding cripples the cosine objective). Dropout,
+    when nonzero, sits between the two layers.
     """
     xu = x_u if isinstance(x_u, Tensor) else ad.constant(x_u)
     xv = x_v if isinstance(x_v, Tensor) else ad.constant(x_v)
     n_u = xu.shape[0]
-    h = ad.concat_rows(affine(xu, params.proj_u), affine(xv, params.proj_v))
-    h = ad.relu(ad.sparse_dense_matmul(adj, ad.matmul(h, params.conv1)))
+    h = ad.concat_rows(affine(params, "encoder.proj_u", xu),
+                       affine(params, "encoder.proj_v", xv))
+    h = ad.relu(ad.sparse_dense_matmul(adj, ad.matmul(h, params["encoder.conv1"])))
     if dropout_p > 0.0:
         h = ad.dropout_mask(h, dropout_p, dropout_seed)
-    h = ad.sparse_dense_matmul(adj, ad.matmul(h, params.conv2))
-    if final_relu:
-        h = ad.relu(h)
+    h = ad.sparse_dense_matmul(adj, ad.matmul(h, params["encoder.conv2"]))
     n = h.shape[0]
     return ad.slice_rows(h, 0, n_u), ad.slice_rows(h, n_u, n)
 
 
-def mlp_forward(mlp: MlpParams, h: Tensor) -> Tensor:
-    hidden = ad.prelu(affine(h, mlp.layer1), mlp.slope)
-    return affine(hidden, mlp.layer2)
+def mlp_forward(params: ParamStore, prefix: str, h: Tensor) -> Tensor:
+    """The head `prefix`, e.g. "heads.projector_u", applied to `h`."""
+    hidden = ad.prelu(affine(params, f"{prefix}.layer1", h), params[f"{prefix}.slope"])
+    return affine(params, f"{prefix}.layer2", hidden)
 
 
-def project(heads: Heads, h_u: Tensor, h_v: Tensor):
-    return mlp_forward(heads.projector_u, h_u), mlp_forward(heads.projector_v, h_v)
-
-
-def predict_heads(heads: Heads, z_u: Tensor, z_v: Tensor):
-    return mlp_forward(heads.predictor_u, z_u), mlp_forward(heads.predictor_v, z_v)
+def project(params: ParamStore, h_u: Tensor, h_v: Tensor):
+    return (mlp_forward(params, "heads.projector_u", h_u),
+            mlp_forward(params, "heads.projector_v", h_v))
 
 
 def ema_update(state: ModelState) -> ModelState:
     """target <- tau * target + (1 - tau) * online over encoder and head
-    parameters. Mutates the target copy in place and returns the state."""
+    parameters. Mutates the target buffer in place and returns the state."""
     tau = state.tau
-    online = online_named_params(state)
-    target = target_named_params(state)
-    for name, tgt in target.items():
-        src = online[name.replace("target.", "online.", 1)]
-        tgt.data *= tau
-        tgt.data += (1.0 - tau) * src.data
+    state.target.flat *= tau
+    state.target.flat += (1.0 - tau) * state.online.flat
     return state
 
 
-def decode_logits(dec: DecoderParams, emb_u: np.ndarray, emb_v: np.ndarray,
+def decode_logits(dec: ParamStore, emb_u: np.ndarray, emb_v: np.ndarray,
                   pairs: np.ndarray) -> Tensor:
     """Pre-sigmoid link scores for (u, v) index pairs.
 
@@ -258,18 +197,16 @@ def decode_logits(dec: DecoderParams, emb_u: np.ndarray, emb_v: np.ndarray,
             raise ValueError("v index out of range for embedding table")
     h = ad.concat_cols(ad.constant(emb_u[pairs[:, 0]]),
                        ad.constant(emb_v[pairs[:, 1]]))
-    last = len(dec.layers) - 1
-    for i, lin in enumerate(dec.layers):
-        h = affine(h, lin)
-        if i < last:
+    n_layers = len(dec) // 2
+    for i in range(1, n_layers + 1):
+        h = affine(dec, f"decoder.layer{i}", h)
+        if i < n_layers:
             h = ad.relu(h)
     return h
 
 
 def state_checksum(state: ModelState) -> str:
     """SHA-256 over all online and target parameter bytes in name order."""
-    import hashlib
-
     h = hashlib.sha256()
     params = {**online_named_params(state), **target_named_params(state)}
     for name in sorted(params):

@@ -1,44 +1,44 @@
-"""Adam with decoupled weight decay, operating on named parameter dicts."""
+"""Adam with decoupled weight decay over one parameter store's flat buffer."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TrainingError
 
+# Elements per pass of the update, so one block's temporaries stay in cache.
+# On a 2-vCPU x86 host, whole-buffer temporaries made a step over the
+# default-size network (about 370k values) 2.4x slower than per-parameter
+# updates; 32k-element blocks made it about 20% faster than them.
+_BLOCK = 1 << 15
+
 
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
 
-def init_adam_state(params: dict) -> AdamState:
-    state = AdamState()
-    for name, p in params.items():
-        state.m[name] = np.zeros_like(p.data)
-        state.v[name] = np.zeros_like(p.data)
-    return state
+def init_adam_state(params) -> AdamState:
+    return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
+def adam_step(params, grads: dict, state: AdamState, lr: float,
               weight_decay: float, beta1: float = 0.9, beta2: float = 0.999,
               eps: float = 1e-8) -> None:
-    """One in-place update of every parameter.
+    """One in-place update of every parameter of a `ParamStore`.
 
+    `grads` maps parameter tensors to gradients, as `backward` returns it.
     Weight decay is applied directly to the parameter (decoupled from the
     moment estimates). A parameter absent from `grads` is treated as having
     a zero gradient; it still experiences weight decay.
     """
-    if state.m.keys() != params.keys():
+    if state.m.shape != params.flat.shape:
         raise ValueError("optimizer state does not match parameter set")
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    parts = []
     for name, p in params.items():
-        g = grads.get(name)
+        g = grads.get(p)
         if g is None:
             g = np.zeros_like(p.data)
         elif not np.isfinite(g).all():
@@ -47,25 +47,21 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter {name!r} "
                 f"shape {p.data.shape}")
-        m = state.m[name]
-        v = state.v[name]
+        parts.append(g.ravel())
+    g = np.concatenate(parts)
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for lo in range(0, g.size, _BLOCK):
+        blk = slice(lo, lo + _BLOCK)
+        gb, m, v, p = g[blk], state.m[blk], state.v[blk], params.flat[blk]
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += (1.0 - beta1) * gb
         v *= beta2
-        v += (1.0 - beta2) * g * g
+        v += (1.0 - beta2) * gb * gb
         m_hat = m / bc1
         v_hat = v / bc2
         if weight_decay:
-            p.data *= 1.0 - lr * weight_decay
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-def grads_by_name(params: dict, grad_map: dict) -> dict:
-    """Translate a backward() tensor-keyed map into a name-keyed map."""
-    by_id = {id(p): name for name, p in params.items()}
-    out = {}
-    for tensor, g in grad_map.items():
-        name = by_id.get(id(tensor))
-        if name is not None:
-            out[name] = g
-    return out
+            p *= 1.0 - lr * weight_decay
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -16,10 +16,9 @@ from .errors import TrainingError, ValidationError
 from .graph import (BipartiteGraph, NegativeSet, TemporalSplit, aggregate_pairs,
                     merge_graphs, normalized_adjacency, sample_negatives)
 from .losses import attractive_loss, repulsive_loss, total_pretrain_loss
-from .model import (DecoderParams, ModelState, decode_logits,
-                    decoder_named_params, ema_update, encode, init_decoder,
-                    init_model_state, mlp_forward, online_named_params)
-from .optim import adam_step, grads_by_name, init_adam_state
+from .model import (ModelState, ParamStore, decode_logits, ema_update, encode,
+                    init_decoder, init_model_state, mlp_forward)
+from .optim import adam_step, init_adam_state
 from .rng import child_seed, rng_for
 
 
@@ -64,7 +63,6 @@ class VariantConfig:
     tau: float = 0.99
     hidden_dim: int = 256
     output_dim: int = 128
-    num_layers: int = 2
     dropout: float = 0.2
     lr: float = 0.001
     weight_decay: float = 1e-5
@@ -82,13 +80,8 @@ class VariantConfig:
     eval_negative_ratio: float = 1.0
     decoder_monitor_fraction: float = 0.1
     decoder_negative_pool_factor: float = 5.0
-    final_layer_relu: bool = False
-    loss_on_raw_embeddings: bool = False
-    symmetrize_pretrain_loss: bool = False
 
     def __post_init__(self):
-        if self.num_layers != 2:
-            raise ValidationError("only the two-layer encoder is supported")
         if isinstance(self.decoder_hidden_dims, list):
             self.decoder_hidden_dims = tuple(self.decoder_hidden_dims)
         for name, (ok, rule) in _FIELD_RULES.items():
@@ -135,29 +128,11 @@ class FrozenEmbeddings:
     provenance: str
 
 
-def _predict_side(projector, predictor, h):
-    """Online rows entering the cosine terms: predictor(projector(h)), or
-    predictor(h) directly when the projector is bypassed (raw wiring)."""
-    return mlp_forward(predictor, h if projector is None else
-                       mlp_forward(projector, h))
-
-
-def _target_rows(state: ModelState, cfg: VariantConfig, adj, x_u, x_v):
-    """Target-side matrices (constants: computed outside any tape).
-
-    Only the partitions the objective consumes are materialized: V always,
-    U additionally when the symmetrized direction is on.
-    """
-    h_u, h_v = encode(state.target_encoder, adj, x_u, x_v,
-                      final_relu=cfg.final_layer_relu)
-    heads = state.target_heads
-    if cfg.loss_on_raw_embeddings:
-        t_u, t_v = h_u, h_v
-    else:
-        t_v = mlp_forward(heads.projector_v, h_v)
-        t_u = (mlp_forward(heads.projector_u, h_u)
-               if cfg.symmetrize_pretrain_loss else None)
-    return (None if t_u is None else t_u.data), t_v.data
+def _target_rows(state: ModelState, adj, x_u, x_v) -> np.ndarray:
+    """Target-side V rows the objective consumes, projector_v(h_v) (constants:
+    computed outside any tape)."""
+    _, h_v = encode(state.target, adj, x_u, x_v)
+    return mlp_forward(state.target, "heads.projector_v", h_v).data
 
 
 def _view_adjacency(n_u, n_v, view):
@@ -177,8 +152,7 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
 
     state = init_model_state(rng_for(seed, "init"), g.x_u.shape[1], g.x_v.shape[1],
                              cfg.input_dim, cfg.hidden_dim, cfg.output_dim, cfg.tau)
-    params = online_named_params(state)
-    opt_state = init_adam_state(params)
+    opt_state = init_adam_state(state.online)
 
     # Collapsed modeling edges; weights forced to 1 under unweighted pretraining.
     cu, cv, cw = aggregate_pairs(g.edges, g.n_v, use_weights=cfg.weighted_pretrain)
@@ -203,64 +177,43 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
         adjc = _view_adjacency(g.n_u, g.n_v, corrupted)
 
         # Stable targets first, outside the tape (stop-gradient).
-        tgt2_u, tgt2_v = _target_rows(state, cfg, adj2, view2.x_u, view2.x_v)
-        tgtc_u, tgtc_v = _target_rows(state, cfg, adjc, corrupted.x_u, corrupted.x_v)
+        tgt2_v = _target_rows(state, adj2, view2.x_u, view2.x_v)
+        tgtc_v = _target_rows(state, adjc, corrupted.x_u, corrupted.x_v)
 
         dropout_seed = int(rng_for(seed, "dropout", epoch).integers(2 ** 31))
-        heads = state.online_heads
-        raw = cfg.loss_on_raw_embeddings
         with Tape():
-            h_u, h_v = encode(state.online_encoder, adj1, view1.x_u, view1.x_v,
-                              dropout_p=cfg.dropout, dropout_seed=dropout_seed,
-                              final_relu=cfg.final_layer_relu)
-            h_u, h_v = _substitute_unk(state, cfg, h_u, h_v, seed, epoch)
-            p_u = _predict_side(None if raw else heads.projector_u,
-                                heads.predictor_u, h_u)
-
+            h_u, _ = encode(state.online, adj1, view1.x_u, view1.x_v,
+                            dropout_p=cfg.dropout, dropout_seed=dropout_seed)
+            h_u = _substitute_unk(state, cfg, h_u, seed, epoch)
+            p_u = mlp_forward(state.online, "heads.predictor_u",
+                              mlp_forward(state.online, "heads.projector_u", h_u))
             attr = attractive_loss(p_u, tgt2_v, view1.edge_u, view1.edge_v,
                                    view1.edge_w, weighted=cfg.weighted_pretrain)
             rep = repulsive_loss(p_u, tgtc_v, corrupted.edge_u, corrupted.edge_v,
                                  corrupted.edge_w, weighted=cfg.weighted_pretrain)
-            if cfg.symmetrize_pretrain_loss:
-                p_v = _predict_side(None if raw else heads.projector_v,
-                                    heads.predictor_v, h_v)
-                attr_vu = attractive_loss(p_v, tgt2_u, view1.edge_v, view1.edge_u,
-                                          view1.edge_w, weighted=cfg.weighted_pretrain)
-                rep_vu = repulsive_loss(p_v, tgtc_u, corrupted.edge_v,
-                                        corrupted.edge_u, corrupted.edge_w,
-                                        weighted=cfg.weighted_pretrain)
-                attr = ad.scale(ad.add(attr, attr_vu), 0.5)
-                rep = ad.scale(ad.add(rep, rep_vu), 0.5)
             total = total_pretrain_loss(attr, rep, cfg.loss_balance)
             if not np.isfinite(total.item()):
                 raise TrainingError(f"non-finite pretraining loss at epoch {epoch}")
             grad_map = backward(total)
 
-        adam_step(params, grads_by_name(params, grad_map), opt_state,
-                  cfg.lr, cfg.weight_decay)
-        for p in params.values():
-            p.zero_grad()
+        adam_step(state.online, grad_map, opt_state, cfg.lr, cfg.weight_decay)
         ema_update(state)
         trace.append({"epoch": epoch, "total": total.item(),
                       "attractive": attr.item(), "repulsive": rep.item()})
     return state, trace
 
 
-def _substitute_unk(state, cfg, h_u, h_v, seed, epoch):
-    """Swap a small random node subset's embeddings for the UNK rows so the
-    fallback rows receive training signal."""
+def _substitute_unk(state, cfg, h_u, seed, epoch):
+    """Swap a small random U subset's embeddings for the U UNK row so the
+    fallback row receives training signal from the U-side objective."""
     rate = cfg.unk_substitution_rate
     if rate <= 0:
-        return h_u, h_v
+        return h_u
     rng = rng_for(seed, "unk", epoch)
-    n_u, n_v = h_u.shape[0], h_v.shape[0]
+    n_u = h_u.shape[0]
     k_u = max(1, int(round(rate * n_u)))
-    k_v = max(1, int(round(rate * n_v)))
     idx_u = rng.choice(n_u, size=min(k_u, n_u), replace=False)
-    idx_v = rng.choice(n_v, size=min(k_v, n_v), replace=False)
-    enc = state.online_encoder
-    return (ad.replace_rows(h_u, idx_u, enc.unk_u),
-            ad.replace_rows(h_v, idx_v, enc.unk_v))
+    return ad.replace_rows(h_u, idx_u, state.online["encoder.unk_u"])
 
 
 def extract_embeddings(state: ModelState, graph: BipartiteGraph,
@@ -274,16 +227,15 @@ def extract_embeddings(state: ModelState, graph: BipartiteGraph,
     adj = normalized_adjacency(
         graph.n_u, graph.n_v,
         *aggregate_pairs(graph.edges, graph.n_v, use_weights=cfg.weighted_pretrain))
-    h_u, h_v = encode(state.online_encoder, adj, graph.x_u, graph.x_v,
-                      final_relu=cfg.final_layer_relu)
+    h_u, h_v = encode(state.online, adj, graph.x_u, graph.x_v)
     known_u = np.zeros(graph.n_u, dtype=bool)
     known_v = np.zeros(graph.n_v, dtype=bool)
     if graph.n_edges > 0:
         known_u[np.unique(graph.edges.u)] = True
         known_v[np.unique(graph.edges.v)] = True
 
-    unk_u_row = state.online_encoder.unk_u.data
-    unk_v_row = state.online_encoder.unk_v.data
+    unk_u_row = state.online["encoder.unk_u"].data
+    unk_v_row = state.online["encoder.unk_v"].data
     emb_u = np.vstack([np.where(known_u[:, None], h_u.data, unk_u_row), unk_u_row])
     emb_v = np.vstack([np.where(known_v[:, None], h_v.data, unk_v_row), unk_v_row])
     emb_u.setflags(write=False)
@@ -357,10 +309,9 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
 
     dec = init_decoder(rng_for(seed, "decoder-init"), cfg.output_dim,
                        cfg.decoder_hidden_dims)
-    params = decoder_named_params(dec)
-    opt_state = init_adam_state(params)
+    opt_state = init_adam_state(dec)
 
-    best = (-1.0, -1, None)  # (hits, epoch, params snapshot)
+    best = (-1.0, -1, None)  # (hits, epoch, parameter buffer snapshot)
     history = []
     epochs_run = 0
     for epoch in range(cfg.decoder_epochs):
@@ -380,22 +331,17 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
                 loss = ad.bce_with_logits(logits, labels[batch, None],
                                           weights[batch, None])
                 grad_map = backward(loss)
-            adam_step(params, grads_by_name(params, grad_map), opt_state,
-                      cfg.lr, cfg.weight_decay)
-            for p in params.values():
-                p.zero_grad()
+            adam_step(dec, grad_map, opt_state, cfg.lr, cfg.weight_decay)
 
         hits = mt.hits_at_k(_decoder_scores(dec, emb, monitor_pairs),
                             monitor_labels, k=cfg.hits_k)
         history.append(hits)
         if hits > best[0]:
-            snapshot = {name: p.data.copy() for name, p in params.items()}
-            best = (hits, epoch, snapshot)
+            best = (hits, epoch, dec.flat.copy())
         if epoch - best[1] >= cfg.patience:
             break
 
-    for name, p in params.items():
-        p.data = best[2][name]
+    dec.flat[...] = best[2]
     flags = []
     if n_hold_neg < cfg.hits_k:
         flags.append("monitor_hits_at_k_fewer_negatives_than_k")
@@ -405,7 +351,7 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
     return dec, record
 
 
-def evaluate_final(state: ModelState, split: TemporalSplit, dec: DecoderParams,
+def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
                    cfg: VariantConfig, seed: int):
     """Score test-era pairs with embeddings from the full pre-test history.
 

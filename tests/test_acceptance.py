@@ -176,11 +176,11 @@ def _composed_loss_instance(seed):
         p.data += rng.normal(scale=0.1, size=p.data.shape)
 
     def loss_fn():
-        enc = state.online_encoder
+        enc = state.online
         h_u, h_v = encode(enc, adj, g.x_u, g.x_v, dropout_p=0.2, dropout_seed=5)
-        h_u = ad.replace_rows(h_u, np.array([0]), enc.unk_u)
-        z_u, _ = project(state.online_heads, h_u, h_v)
-        p_u = mlp_forward(state.online_heads.predictor_u, z_u)
+        h_u = ad.replace_rows(h_u, np.array([0]), enc["encoder.unk_u"])
+        z_u, _ = project(state.online, h_u, h_v)
+        p_u = mlp_forward(state.online, "heads.predictor_u", z_u)
         attr = attractive_loss(p_u, tgt_v2, eu, ev, ew, weighted=True)
         rep = repulsive_loss(p_u, tgt_vc, ceu, cev, np.ones(4), weighted=True)
         return total_pretrain_loss(attr, rep, 0.5)

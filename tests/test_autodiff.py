@@ -30,8 +30,8 @@ class TestForward:
             x = leaf([[-1.0, 2.0]])
             y = ad.relu(x)
             assert y.data.tolist() == [[0.0, 2.0]]
-            backward(ad.sum_all(y))
-        assert x.grad.tolist() == [[0.0, 1.0]]
+            grads = backward(ad.sum_all(y))
+        assert grads[x].tolist() == [[0.0, 1.0]]
 
     def test_row_cosine_identity(self):
         rng = np.random.default_rng(0)
@@ -98,14 +98,6 @@ class TestBackward:
             with pytest.raises(ValueError, match="scalar"):
                 backward(y)
 
-    def test_repeated_backward_accumulates(self):
-        with Tape():
-            x = leaf(np.ones((2, 2)))
-            loss = ad.sum_all(x)
-            backward(loss)
-            backward(loss)
-        np.testing.assert_array_equal(x.grad, 2 * np.ones((2, 2)))
-
     def test_closing_tape_frees_intermediates_without_gc(self):
         gc.disable()
         try:
@@ -128,7 +120,6 @@ class TestBackward:
             loss = ad.sum_all(x)
         with pytest.raises(ValueError, match="closed"):
             backward(loss)
-        assert x.grad is None
 
     def test_reused_tensor_accumulates_within_pass(self):
         with Tape():

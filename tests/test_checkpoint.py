@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,8 +9,25 @@ from bilink.checkpoint import (atomic_write, load_arrays, load_decoder,
                                load_model_state, save_arrays, save_decoder,
                                save_model_state)
 from bilink.errors import ValidationError
-from bilink.model import (init_decoder, init_model_state, online_named_params,
-                          state_checksum, target_named_params)
+from bilink.model import init_decoder, init_model_state, state_checksum
+
+DATA = Path(__file__).parent / "data"
+# Written by the code before parameters moved into flat stores (3 pretrain
+# and 3 decoder epochs on the gen-synth set in test_cli.TestCheckpointFiles).
+PARENT_CHECKSUM = "2b9a2ab3d7972013e892e6847bc3dfe3af54255ac2f74f67898d2082523ff819"
+PARENT_DECODER_SHA256 = {
+    "decoder.layer1.weight": ((4, 3), "fbcb60928254a4a73f4bbec1426d240446183c2eabd70c5c7c0ce3726cc200eb"),
+    "decoder.layer1.bias": ((1, 3), "23699d37935498ae25bbbc3fad1f8bd28feedb90d2b40a818e1c240a8778e205"),
+    "decoder.layer2.weight": ((3, 2), "c15524caa21c3c682fe55979d074154dfbba216a969e3ce3a27e5b7618474353"),
+    "decoder.layer2.bias": ((1, 2), "25f79058f0814515018f0625d2abc11832fbb3fccade3f8dfd4753fd92e8666c"),
+    "decoder.layer3.weight": ((2, 1), "808743ca009cd5fda66d70aa98fdfa7f4e3aadd3ed6649f2036f684388e8f239"),
+    "decoder.layer3.bias": ((1, 1), "866e725e5ec085943899d9849cc19fe1eef6c9033e896caf4622aefce4c8772f"),
+}
+
+
+def assert_in_buffer(store):
+    for name, t in store.items():
+        assert np.shares_memory(t.data, store.flat), name
 
 
 def test_arrays_round_trip_bit_exact(tmp_path):
@@ -37,8 +57,12 @@ def test_model_state_round_trip(tmp_path):
     assert meta["seed"] == 42
     assert loaded.tau == 0.97
     assert state_checksum(loaded) == state_checksum(state)
-    assert all(p.requires_grad for p in online_named_params(loaded).values())
-    assert not any(p.requires_grad for p in target_named_params(loaded).values())
+    assert list(loaded.online) == list(state.online)
+    assert list(loaded.target) == list(state.target)
+    assert all(p.requires_grad for p in loaded.online.values())
+    assert not any(p.requires_grad for p in loaded.target.values())
+    assert_in_buffer(loaded.online)
+    assert_in_buffer(loaded.target)
 
 
 def test_decoder_round_trip(tmp_path):
@@ -48,9 +72,70 @@ def test_decoder_round_trip(tmp_path):
     save_decoder(path, dec)
     loaded, meta = load_decoder(path)
     assert meta["n_layers"] == 3
-    for a, b in zip(dec.layers, loaded.layers):
-        assert a.weight.data.tobytes() == b.weight.data.tobytes()
-        assert a.bias.data.tobytes() == b.bias.data.tobytes()
+    assert list(loaded) == list(dec)
+    assert loaded.flat.tobytes() == dec.flat.tobytes()
+    assert_in_buffer(loaded)
+
+
+def test_parent_checkpoints_load_unchanged():
+    loaded, meta = load_model_state(DATA / "parent_model.npz")
+    raw, _ = load_arrays(DATA / "parent_model.npz")
+    assert state_checksum(loaded) == PARENT_CHECKSUM
+    stored = {f"online.{k}": t for k, t in loaded.online.items()}
+    stored.update({f"target.{k}": t for k, t in loaded.target.items()})
+    assert list(stored) == list(raw)
+    for name, a in raw.items():
+        assert stored[name].shape == a.shape
+        assert stored[name].data.tobytes() == a.tobytes()
+    assert meta["config"]["final_layer_relu"] is False
+
+    dec, meta = load_decoder(DATA / "parent_decoder.npz")
+    assert meta["n_layers"] == 3
+    assert list(dec) == list(PARENT_DECODER_SHA256)
+    for name, (shape, digest) in PARENT_DECODER_SHA256.items():
+        assert dec[name].shape == shape
+        assert hashlib.sha256(dec[name].data.tobytes()).hexdigest() == digest
+
+
+def _resaved(tmp_path, source, edit):
+    """Copy of a checkpoint with `edit(arrays)` applied to its arrays."""
+    arrays, meta = load_arrays(source)
+    edit(arrays)
+    path = tmp_path / source.name
+    save_arrays(path, arrays, meta)
+    return path
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda a: a.pop("target.heads.predictor_v.slope"), "missing"),
+    (lambda a: a.update({"online.encoder.conv3": np.ones((2, 2))}), "unknown"),
+    (lambda a: a.update({"target.encoder.unk_v": np.ones((1, 3))}),
+     "target.encoder.unk_v has shape"),
+    (lambda a: a.update({"online.encoder.conv1": np.ones((3, 5))}),
+     "online.encoder.conv2 has shape"),
+    (lambda a: a.update({"online.encoder.conv2": np.ones(8)}), "not a matrix"),
+])
+def test_bad_model_layout_rejected(tmp_path, edit, match):
+    path = _resaved(tmp_path, DATA / "parent_model.npz", edit)
+    with pytest.raises(ValidationError, match=match):
+        load_model_state(path)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda a: a.pop("decoder.layer2.bias"), "missing"),
+    (lambda a: a.update({"decoder.layer4.weight": np.ones((1, 1))}), "unknown"),
+    (lambda a: a.update({"decoder.layer2.weight": np.ones((4, 2))}),
+     "decoder.layer2.weight has shape"),
+    (lambda a: a.update({"decoder.layer3.weight": np.ones((2, 2)),
+                         "decoder.layer3.bias": np.ones((1, 2))}),
+     "decoder.layer3.weight has shape"),
+    (lambda a: a.update({"decoder.layer1.weight": np.ones((5, 3))}),
+     "decoder.layer1.weight has shape"),
+])
+def test_bad_decoder_layout_rejected(tmp_path, edit, match):
+    path = _resaved(tmp_path, DATA / "parent_decoder.npz", edit)
+    with pytest.raises(ValidationError, match=match):
+        load_decoder(path)
 
 
 def test_kind_mismatch_rejected(tmp_path):

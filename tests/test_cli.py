@@ -4,9 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bilink.checkpoint import load_arrays, save_arrays, save_decoder
 from bilink.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main,
                         read_config_file)
 from bilink.errors import ValidationError
+from bilink.model import init_decoder
+
+DATA = Path(__file__).parent / "data"
 
 FAST_FLAGS = [
     "--pretrain-epochs", "4", "--decoder-epochs", "6",
@@ -229,3 +233,81 @@ class TestEvalAndInspect:
         text = capsys.readouterr().out
         assert "online.encoder.conv1" in text
         assert "shape=" in text and "model_state" in text
+
+
+# The gen-synth set that tests/data/parent_*.npz were trained on, and the
+# eval-only output of the code that wrote them.
+PARENT_SYNTH = ["--n-u", "12", "--n-v", "15", "--n-edges", "80", "--n-blocks", "2",
+                "--weight-skew", "3", "--seed", "5"]
+PARENT_EVAL = {
+    "dataset_hash": "7edbee41153c2d7d731ae56081b43b7a980a63db0fed3999d437884cb143b65b",
+    "metrics": {"average_precision": 0.6139423076923077, "f1": 0.4,
+                "hits_at_k": 0.5, "precision": 1.0, "recall": 0.25,
+                "roc_auc": 0.453125},
+}
+
+
+class TestCheckpointFiles:
+    @pytest.fixture(scope="class")
+    def parent_data(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("parent_data")
+        assert main(["gen-synth", *PARENT_SYNTH, "--out-dir", str(out)]) == EXIT_OK
+        return out
+
+    def _eval(self, data, model=DATA / "parent_model.npz",
+              decoder=DATA / "parent_decoder.npz"):
+        return main(["eval-only", *dataset_flags(data), "--model", str(model),
+                     "--decoder", str(decoder), "--seed", "42"])
+
+    def _resaved(self, tmp_path, source, edit_arrays=None, edit_config=None):
+        arrays, meta = load_arrays(source)
+        if edit_arrays:
+            edit_arrays(arrays)
+        if edit_config:
+            edit_config(meta["config"])
+        path = tmp_path / source.name
+        save_arrays(path, arrays, meta)
+        return path
+
+    def test_parent_checkpoints_evaluate_as_before(self, parent_data, capsys):
+        assert self._eval(parent_data) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["dataset_hash"] == PARENT_EVAL["dataset_hash"]
+        assert payload["metrics"] == PARENT_EVAL["metrics"]
+
+    def test_missing_key_exits_validation(self, parent_data, tmp_path, capsys):
+        model = self._resaved(tmp_path, DATA / "parent_model.npz",
+                              lambda a: a.pop("online.encoder.conv1"))
+        assert self._eval(parent_data, model=model) == EXIT_VALIDATION
+        assert "online.encoder.conv1" in capsys.readouterr().err
+
+    def test_target_shape_mismatch_exits_validation(self, parent_data, tmp_path, capsys):
+        model = self._resaved(
+            tmp_path, DATA / "parent_model.npz",
+            lambda a: a.update({"target.encoder.conv1": np.zeros((3, 5))}))
+        assert self._eval(parent_data, model=model) == EXIT_VALIDATION
+        assert "target.encoder.conv1 has shape (3, 5)" in capsys.readouterr().err
+
+    def test_feature_width_mismatch_exits_validation(self, tmp_path, capsys):
+        # three blocks: five feature columns per side instead of four
+        assert main(["gen-synth", "--n-u", "12", "--n-v", "15", "--n-edges", "80",
+                     "--n-blocks", "3", "--out-dir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        assert self._eval(tmp_path) == EXIT_VALIDATION
+        assert "feature widths (5, 5)" in capsys.readouterr().err
+
+    def test_decoder_width_mismatch_exits_validation(self, parent_data, tmp_path, capsys):
+        decoder = tmp_path / "decoder.npz"
+        save_decoder(decoder, init_decoder(np.random.default_rng(0), 3, (3, 2)))
+        assert self._eval(parent_data, decoder=decoder) == EXIT_VALIDATION
+        assert "decoder input width 6" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_layers", 3), ("final_layer_relu", True),
+        ("loss_on_raw_embeddings", True), ("symmetrize_pretrain_loss", True)])
+    def test_removed_switch_set_exits_validation(self, parent_data, tmp_path, capsys,
+                                                 field, value):
+        model = self._resaved(tmp_path, DATA / "parent_model.npz",
+                              edit_config=lambda c: c.update({field: value}))
+        assert self._eval(parent_data, model=model) == EXIT_VALIDATION
+        assert f"removed field {field}" in capsys.readouterr().err

@@ -1,14 +1,15 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from bilink import autodiff as ad
 from bilink.autodiff import Tape, Tensor, backward
 from bilink.graph import build_weighted_adjacency
-from bilink.model import (ModelState, decode_logits, ema_update, encode,
-                          init_decoder, init_encoder, init_heads,
-                          init_model_state, mlp_forward, online_named_params,
-                          predict_heads, project, state_checksum,
-                          target_named_params)
+from bilink.model import (decode_logits, ema_update, encode, init_decoder,
+                          init_model_state, mlp_forward, project,
+                          state_checksum)
+from bilink.optim import adam_step, init_adam_state
 from util import make_graph
 
 
@@ -16,11 +17,21 @@ def prelu_np(x, slope=0.25):
     return np.where(x < 0, slope * x, x)
 
 
-def dense_mlp(h, mlp):
+def dense_mlp(h, params, prefix):
     """Independent dense evaluation of a two-layer head."""
-    hidden = prelu_np(h @ mlp.layer1.weight.data + mlp.layer1.bias.data,
-                      mlp.slope.data[0, 0])
-    return hidden @ mlp.layer2.weight.data + mlp.layer2.bias.data
+    w = {k[len(prefix) + 1:]: t.data for k, t in params.items() if k.startswith(prefix)}
+    hidden = prelu_np(h @ w["layer1.weight"] + w["layer1.bias"], w["slope"][0, 0])
+    return hidden @ w["layer2.weight"] + w["layer2.bias"]
+
+
+def online_params(rng, d_u=3, d_v=4, input_dim=5, hidden_dim=6, output_dim=4):
+    return init_model_state(rng, d_u, d_v, input_dim, hidden_dim, output_dim,
+                            tau=0.99).online
+
+
+def assert_in_buffer(store):
+    for name, t in store.items():
+        assert np.shares_memory(t.data, store.flat), name
 
 
 class TestEncode:
@@ -29,7 +40,7 @@ class TestEncode:
         edges = [(int(rng.integers(0, n_u)), int(rng.integers(0, n_v)),
                   float(rng.uniform(0.5, 3)), t) for t in range(8)]
         g = make_graph(n_u, n_v, edges, d_u=d_u, d_v=d_v, rng=rng)
-        params = init_encoder(rng, d_u, d_v, input_dim=6, hidden_dim=7, output_dim=4)
+        params = online_params(rng, d_u, d_v, input_dim=6, hidden_dim=7, output_dim=4)
         adj = build_weighted_adjacency(g, use_weights=True)
         return g, params, adj
 
@@ -42,7 +53,7 @@ class TestEncode:
     def test_isolated_node_sees_only_itself(self):
         g = make_graph(2, 1, [(0, 0, 1.0, 1)])  # u=1 isolated
         rng = np.random.default_rng(1)
-        params = init_encoder(rng, 3, 4, input_dim=5, hidden_dim=6, output_dim=4)
+        params = online_params(rng, 3, 4, input_dim=5, hidden_dim=6, output_dim=4)
         adj = build_weighted_adjacency(g, use_weights=True)
         h_u_before, _ = encode(params, adj, g.x_u, g.x_v)
 
@@ -58,19 +69,15 @@ class TestEncode:
         h_u, h_v = encode(params, adj, g.x_u, g.x_v)
 
         a = adj.toarray()
+        w = {name: t.data for name, t in params.items()}
         h0 = np.vstack([
-            g.x_u @ params.proj_u.weight.data + params.proj_u.bias.data,
-            g.x_v @ params.proj_v.weight.data + params.proj_v.bias.data,
+            g.x_u @ w["encoder.proj_u.weight"] + w["encoder.proj_u.bias"],
+            g.x_v @ w["encoder.proj_v.weight"] + w["encoder.proj_v.bias"],
         ])
-        h1 = np.maximum(a @ h0 @ params.conv1.data, 0.0)
-        h2 = a @ h1 @ params.conv2.data
+        h1 = np.maximum(a @ h0 @ w["encoder.conv1"], 0.0)
+        h2 = a @ h1 @ w["encoder.conv2"]
         assert np.max(np.abs(h_u.data - h2[:g.n_u])) < 1e-10
         assert np.max(np.abs(h_v.data - h2[g.n_u:])) < 1e-10
-
-    def test_final_relu_flag(self):
-        g, params, adj = self._setup(seed=3)
-        h_u, _ = encode(params, adj, g.x_u, g.x_v, final_relu=True)
-        assert np.all(h_u.data >= 0)
 
     def test_unweighted_flag_equals_unit_weight_graph(self):
         rng = np.random.default_rng(4)
@@ -78,7 +85,7 @@ class TestEncode:
         g_heavy = make_graph(3, 4, edges, rng=np.random.default_rng(10))
         g_unit = make_graph(3, 4, [(u, v, 1.0, t) for u, v, _, t in edges],
                             rng=np.random.default_rng(10))
-        params = init_encoder(rng, 3, 4, input_dim=5, hidden_dim=6, output_dim=4)
+        params = online_params(rng, 3, 4, input_dim=5, hidden_dim=6, output_dim=4)
         adj_a = build_weighted_adjacency(g_heavy, use_weights=False)
         adj_b = build_weighted_adjacency(g_unit, use_weights=True)
         ha, _ = encode(params, adj_a, g_heavy.x_u, g_heavy.x_v)
@@ -89,36 +96,37 @@ class TestEncode:
 class TestHeads:
     def test_identity_weights_pass_nonnegative_input(self):
         rng = np.random.default_rng(5)
-        heads = init_heads(rng, embed_dim=3, hidden_dim=3)
-        for mlp in (heads.projector_u, heads.predictor_v):
-            mlp.layer1.weight.data = np.eye(3)
-            mlp.layer2.weight.data = np.eye(3)
-            mlp.layer1.bias.data[:] = 0
-            mlp.layer2.bias.data[:] = 0
+        heads = online_params(rng, output_dim=3, hidden_dim=3)
+        for prefix in ("heads.projector_u", "heads.predictor_v"):
+            heads[f"{prefix}.layer1.weight"].data[...] = np.eye(3)
+            heads[f"{prefix}.layer2.weight"].data[...] = np.eye(3)
+            heads[f"{prefix}.layer1.bias"].data[:] = 0
+            heads[f"{prefix}.layer2.bias"].data[:] = 0
         h = np.abs(rng.normal(size=(6, 3)))
         z_u, _ = project(heads, Tensor(h), Tensor(h))
         np.testing.assert_allclose(z_u.data, h, atol=1e-15)
-        _, p_v = predict_heads(heads, Tensor(h), Tensor(h))
+        p_v = mlp_forward(heads, "heads.predictor_v", Tensor(h))
         np.testing.assert_allclose(p_v.data, h, atol=1e-15)
 
     def test_zero_input_zero_bias_zero_output(self):
         rng = np.random.default_rng(6)
-        heads = init_heads(rng, embed_dim=4, hidden_dim=5)
+        heads = online_params(rng, output_dim=4, hidden_dim=5)
         z_u, z_v = project(heads, Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4))))
         np.testing.assert_array_equal(z_u.data, np.zeros((3, 4)))
         np.testing.assert_array_equal(z_v.data, np.zeros((2, 4)))
 
     def test_random_heads_match_dense_oracle(self):
         rng = np.random.default_rng(7)
-        heads = init_heads(rng, embed_dim=5, hidden_dim=6)
+        heads = online_params(rng, output_dim=5, hidden_dim=6)
         h_u = rng.normal(size=(8, 5))
         h_v = rng.normal(size=(9, 5))
         z_u, z_v = project(heads, Tensor(h_u), Tensor(h_v))
-        p_u, p_v = predict_heads(heads, z_u, z_v)
-        assert np.max(np.abs(z_u.data - dense_mlp(h_u, heads.projector_u))) < 1e-10
-        assert np.max(np.abs(z_v.data - dense_mlp(h_v, heads.projector_v))) < 1e-10
-        assert np.max(np.abs(p_u.data - dense_mlp(z_u.data, heads.predictor_u))) < 1e-10
-        assert np.max(np.abs(p_v.data - dense_mlp(z_v.data, heads.predictor_v))) < 1e-10
+        p_u = mlp_forward(heads, "heads.predictor_u", z_u)
+        p_v = mlp_forward(heads, "heads.predictor_v", z_v)
+        assert np.max(np.abs(z_u.data - dense_mlp(h_u, heads, "heads.projector_u"))) < 1e-10
+        assert np.max(np.abs(z_v.data - dense_mlp(h_v, heads, "heads.projector_v"))) < 1e-10
+        assert np.max(np.abs(p_u.data - dense_mlp(z_u.data, heads, "heads.predictor_u"))) < 1e-10
+        assert np.max(np.abs(p_v.data - dense_mlp(z_v.data, heads, "heads.predictor_v"))) < 1e-10
 
 
 class TestEma:
@@ -128,36 +136,32 @@ class TestEma:
                                 output_dim=4, tau=tau)
 
     def _perturb_online(self, state, rng):
-        for p in online_named_params(state).values():
+        for p in state.online.values():
             p.data += rng.normal(size=p.data.shape)
 
     def test_tau_one_freezes_target(self):
         state = self._state(1.0)
         self._perturb_online(state, np.random.default_rng(9))
-        before = {k: v.data.copy() for k, v in target_named_params(state).items()}
+        before = {k: v.data.copy() for k, v in state.target.items()}
         ema_update(state)
-        for k, v in target_named_params(state).items():
+        for k, v in state.target.items():
             np.testing.assert_array_equal(v.data, before[k])
 
     def test_tau_zero_copies_online(self):
         state = self._state(0.0)
         self._perturb_online(state, np.random.default_rng(10))
         ema_update(state)
-        online = online_named_params(state)
-        for k, v in target_named_params(state).items():
-            np.testing.assert_array_equal(
-                v.data, online[k.replace("target.", "online.", 1)].data)
+        for k, v in state.target.items():
+            np.testing.assert_array_equal(v.data, state.online[k].data)
 
     def test_tau_099_arithmetic(self):
         state = self._state(0.99)
-        online = online_named_params(state)
-        target = target_named_params(state)
-        for p in online.values():
+        for p in state.online.values():
             p.data[:] = 0.0
-        for p in target.values():
+        for p in state.target.values():
             p.data[:] = 1.0
         ema_update(state)
-        for p in target.values():
+        for p in state.target.values():
             np.testing.assert_allclose(p.data, np.full_like(p.data, 0.99))
 
     def test_affine_composition_tau_squared(self):
@@ -175,29 +179,25 @@ class TestEma:
         ema_update(state_a)
         ema_update(state_a)
         ema_update(state_b)
-        ta = target_named_params(state_a)
-        tb = target_named_params(state_b)
-        for k in ta:
-            np.testing.assert_allclose(ta[k].data, tb[k].data, atol=1e-12)
+        for k, t in state_a.target.items():
+            np.testing.assert_allclose(t.data, state_b.target[k].data, atol=1e-12)
 
     def test_covers_heads_and_unk(self):
         state = self._state(0.5)
-        state.online_encoder.unk_u.data[:] = 2.0
-        state.target_encoder.unk_u.data[:] = 0.0
-        state.online_heads.predictor_u.slope.data[:] = 0.75
-        state.target_heads.predictor_u.slope.data[:] = 0.25
+        state.online["encoder.unk_u"].data[:] = 2.0
+        state.target["encoder.unk_u"].data[:] = 0.0
+        state.online["heads.predictor_u.slope"].data[:] = 0.75
+        state.target["heads.predictor_u.slope"].data[:] = 0.25
         ema_update(state)
-        np.testing.assert_allclose(state.target_encoder.unk_u.data, 1.0)
-        np.testing.assert_allclose(state.target_heads.predictor_u.slope.data, 0.5)
+        np.testing.assert_allclose(state.target["encoder.unk_u"].data, 1.0)
+        np.testing.assert_allclose(state.target["heads.predictor_u.slope"].data, 0.5)
 
 
 class TestDecoder:
     def test_zero_params_give_logit_zero(self):
         rng = np.random.default_rng(12)
         dec = init_decoder(rng, embed_dim=4, hidden_dims=(5, 3))
-        for lin in dec.layers:
-            lin.weight.data[:] = 0
-            lin.bias.data[:] = 0
+        dec.flat[:] = 0
         emb_u = rng.normal(size=(3, 4))
         emb_v = rng.normal(size=(3, 4))
         logits = decode_logits(dec, emb_u, emb_v, np.array([[0, 1], [2, 2]]))
@@ -221,9 +221,9 @@ class TestDecoder:
         pairs = np.array([[0, 0], [5, 6], [2, 3]])
         logits = decode_logits(dec, emb_u, emb_v, pairs)
         h = np.hstack([emb_u[pairs[:, 0]], emb_v[pairs[:, 1]]])
-        for i, lin in enumerate(dec.layers):
-            h = h @ lin.weight.data + lin.bias.data
-            if i < len(dec.layers) - 1:
+        for i in (1, 2, 3):
+            h = h @ dec[f"decoder.layer{i}.weight"].data + dec[f"decoder.layer{i}.bias"].data
+            if i < 3:
                 h = np.maximum(h, 0.0)
         assert np.max(np.abs(logits.data - h)) < 1e-10
 
@@ -246,15 +246,15 @@ class TestGradientIsolation:
                        d_u=3, d_v=3)
         adj = build_weighted_adjacency(g, use_weights=True)
         with Tape():
-            h_u, h_v = encode(state.online_encoder, adj, g.x_u, g.x_v)
-            t_u, t_v = encode(state.target_encoder, adj, g.x_u, g.x_v)
-            z_u, _ = project(state.online_heads, h_u, h_v)
-            tz_u, _ = project(state.target_heads, t_u, t_v)
+            h_u, h_v = encode(state.online, adj, g.x_u, g.x_v)
+            t_u, t_v = encode(state.target, adj, g.x_u, g.x_v)
+            z_u, _ = project(state.online, h_u, h_v)
+            tz_u, _ = project(state.target, t_u, t_v)
             loss = ad.sum_all(ad.mul(ad.add(z_u, tz_u), ad.add(z_u, tz_u)))
             grads = backward(loss)
-        target_tensors = {id(t) for t in target_named_params(state).values()}
+        target_tensors = {id(t) for t in state.target.values()}
         assert all(id(t) not in target_tensors for t in grads)
-        online_tensors = {id(t) for t in online_named_params(state).values()}
+        online_tensors = {id(t) for t in state.online.values()}
         assert any(id(t) in online_tensors for t in grads)
 
     def test_checksum_stable_and_sensitive(self):
@@ -263,5 +263,40 @@ class TestGradientIsolation:
                                  output_dim=3, tau=0.99)
         a = state_checksum(state)
         assert a == state_checksum(state)
-        state.online_encoder.conv1.data[0, 0] += 1e-12
+        state.online["encoder.conv1"].data[0, 0] += 1e-12
         assert a != state_checksum(state)
+
+
+class TestParamStore:
+    def _state(self):
+        return init_model_state(np.random.default_rng(18), 3, 4, input_dim=5,
+                                hidden_dim=6, output_dim=4, tau=0.9)
+
+    def test_target_is_an_equal_detached_copy(self):
+        state = self._state()
+        assert list(state.target) == list(state.online)
+        np.testing.assert_array_equal(state.target.flat, state.online.flat)
+        assert not np.shares_memory(state.target.flat, state.online.flat)
+        assert all(p.requires_grad for p in state.online.values())
+        assert not any(p.requires_grad for p in state.target.values())
+
+    def test_views_stay_in_buffer_after_adam_and_ema(self):
+        state = self._state()
+        rng = np.random.default_rng(19)
+        opt = init_adam_state(state.online)
+        grads = {p: rng.normal(size=p.shape) for p in state.online.values()}
+        adam_step(state.online, grads, opt, lr=0.1, weight_decay=1e-3)
+        ema_update(state)
+        assert_in_buffer(state.online)
+        assert_in_buffer(state.target)
+        # every parameter moved, through its view of the buffer
+        for name, p in state.online.items():
+            assert not np.array_equal(p.data, state.target[name].data), name
+
+    def test_pickle_round_trip_keeps_one_buffer(self):
+        state = self._state()
+        copy = pickle.loads(pickle.dumps(state))
+        assert state_checksum(copy) == state_checksum(state)
+        assert_in_buffer(copy.online)
+        assert_in_buffer(copy.target)
+        assert not copy.target["encoder.conv1"].requires_grad
