@@ -3,7 +3,7 @@ bipartite graphs: bootstrapped pretraining with weight-aware augmentation,
 a frozen-encoder MLP link decoder, and a ranking-metric evaluation harness.
 """
 
-from .graph import (BipartiteGraph, EdgeArray, IdMaps, NegativeSet,
+from .graph import (BipartiteGraph, EdgeArray, NegativeSet,
                     TemporalSplit, build_weighted_adjacency,
                     chronological_split, load_graph, sample_negatives)
 from .metrics import (EvalReport, aggregate, average_precision, hits_at_k,
@@ -14,7 +14,7 @@ from .training import (FrozenEmbeddings, VariantConfig, evaluate_final,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteGraph", "EdgeArray", "IdMaps", "NegativeSet", "TemporalSplit",
+    "BipartiteGraph", "EdgeArray", "NegativeSet", "TemporalSplit",
     "build_weighted_adjacency", "chronological_split", "load_graph",
     "sample_negatives", "EvalReport", "aggregate", "average_precision",
     "hits_at_k", "roc_auc", "threshold_prf", "FrozenEmbeddings",

@@ -2,6 +2,10 @@
 
 Stored as an npz archive (binary .npy members carry dtype and shape, so
 float64 values round-trip bit-exactly) plus a JSON metadata entry.
+Version 2 model files hold the online network and the target encoder.
+Version 1 files still load: their target was a full copy of the online
+network, which also held a V UNK row and two V heads that no loss trained;
+those keys are checked and then dropped.
 """
 
 import contextlib
@@ -12,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import (ModelState, ParamStore, decoder_shapes, make_store,
-                    model_shapes, online_named_params, target_named_params)
+from .model import (ModelState, ParamStore, decoder_shapes, encoder_shapes,
+                    make_store, model_shapes, online_named_params,
+                    target_named_params)
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _META_KEY = "__meta__"
 
 
@@ -53,7 +58,7 @@ def load_arrays(path):
         if _META_KEY not in archive:
             raise ValidationError(f"{path}: not a checkpoint (missing metadata)")
         meta = json.loads(archive[_META_KEY].tobytes().decode("utf-8"))
-        if meta.get("format_version") != FORMAT_VERSION:
+        if meta.get("format_version") not in (1, FORMAT_VERSION):
             raise ValidationError(
                 f"{path}: unsupported checkpoint version {meta.get('format_version')}")
         arrays = {name: archive[name] for name in archive.files if name != _META_KEY}
@@ -89,6 +94,10 @@ def _check_layout(path, arrays: dict, expected: dict) -> None:
                 f"{path}: {name} has shape {arrays[name].shape}, expected {shape}")
 
 
+def _keyed(side: str, shapes: dict) -> dict:
+    return {f"{side}.{name}": shape for name, shape in shapes.items()}
+
+
 def load_model_state(path):
     """Returns (ModelState, meta). Every target shape must equal its online
     shape, and the layer shapes must chain."""
@@ -99,15 +108,19 @@ def load_model_state(path):
     def width(name, axis):
         return _dim(path, arrays, f"online.encoder.{name}", axis)
 
-    shapes = model_shapes(d_u=width("proj_u.weight", 0), d_v=width("proj_v.weight", 0),
-                          input_dim=width("proj_u.weight", 1),
-                          hidden_dim=width("conv1", 1), output_dim=width("conv2", 1))
-    _check_layout(path, arrays, {f"{side}.{name}": shape for side in ("online", "target")
-                                 for name, shape in shapes.items()})
+    dims = (width("proj_u.weight", 0), width("proj_v.weight", 0),
+            width("proj_u.weight", 1), width("conv1", 1), width("conv2", 1))
+    online, target = model_shapes(*dims), encoder_shapes(*dims)
+    expected = {**_keyed("online", online), **_keyed("target", target)}
+    if meta["format_version"] == 1:
+        v1 = model_shapes(*dims, sides=("u", "v"))
+        _check_layout(path, arrays, {**_keyed("online", v1), **_keyed("target", v1)})
+        arrays = {name: arrays[name] for name in expected}
+    _check_layout(path, arrays, expected)
     state = ModelState(
-        online=make_store({name: arrays[f"online.{name}"] for name in shapes},
+        online=make_store({name: arrays[f"online.{name}"] for name in online},
                           requires_grad=True),
-        target=make_store({name: arrays[f"target.{name}"] for name in shapes},
+        target=make_store({name: arrays[f"target.{name}"] for name in target},
                           requires_grad=False),
         tau=float(meta["tau"]),
     )

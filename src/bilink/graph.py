@@ -89,29 +89,12 @@ class BipartiteGraph:
 
 
 @dataclass
-class IdMaps:
-    """Raw external IDs to dense indices, with a reserved UNK slot per partition."""
-
-    u_index: dict
-    v_index: dict
-    unk_u: int
-    unk_v: int
-
-    def lookup_u(self, raw_id: str) -> int:
-        return self.u_index.get(raw_id, self.unk_u)
-
-    def lookup_v(self, raw_id: str) -> int:
-        return self.v_index.get(raw_id, self.unk_v)
-
-
-@dataclass
 class TemporalSplit:
     """Chronological train/val/test partition of one graph's events."""
 
     train: BipartiteGraph
     val_edges: EdgeArray
     test_edges: EdgeArray
-    id_maps: IdMaps
 
     def all_pairs(self) -> set:
         """Distinct (u, v) pairs present in any era."""
@@ -241,14 +224,7 @@ def chronological_split(g: BipartiteGraph,
     train_edges = take(order[:cut1])
     val_edges = take(order[cut1:cut2])
     test_edges = take(order[cut2:])
-
-    id_maps = IdMaps(
-        u_index={raw: i for i, raw in enumerate(g.u_ids)},
-        v_index={raw: i for i, raw in enumerate(g.v_ids)},
-        unk_u=g.n_u,
-        unk_v=g.n_v,
-    )
-    return TemporalSplit(g.with_edges(train_edges), val_edges, test_edges, id_maps)
+    return TemporalSplit(g.with_edges(train_edges), val_edges, test_edges)
 
 
 def complement_size(split: TemporalSplit) -> int:

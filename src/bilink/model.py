@@ -1,13 +1,14 @@
-"""Encoder, projection/prediction heads, momentum target copy and link decoder.
+"""Encoder, projection/prediction heads, momentum target encoder and link decoder.
 
 The encoder is a two-layer graph convolution over the stacked (U then V)
 node indexing: h' = act(A_norm @ h @ W). Per-partition linear input
-projections first map the raw feature spaces into a shared width, and
-learnable UNK rows stand in for nodes the encoder has never seen.
+projections first map the raw feature spaces into a shared width, and a
+learned U UNK row stands in for U nodes the encoder has never seen.
 
 Each network's parameters live in one `ParamStore`, read by name: the
-online network and its EMA target (same names and shapes) and the decoder.
-Names are the checkpoint keys less their `online.` / `target.` prefix.
+online network (encoder, U UNK row, U projector and predictor), its EMA
+target (the encoder alone, as in BGRL) and the decoder. Names are the
+checkpoint keys less their `online.` / `target.` prefix.
 """
 
 import hashlib
@@ -69,19 +70,26 @@ def _linear_shapes(prefix, d_in, d_out) -> dict:
     return {f"{prefix}.weight": (d_in, d_out), f"{prefix}.bias": (1, d_out)}
 
 
+def encoder_shapes(d_u: int, d_v: int, input_dim: int, hidden_dim: int,
+                   output_dim: int) -> dict:
+    """Ordered name -> shape of the graph encoder: the whole target store,
+    and the first entries of the online store."""
+    return {**_linear_shapes("encoder.proj_u", d_u, input_dim),
+            **_linear_shapes("encoder.proj_v", d_v, input_dim),
+            "encoder.conv1": (input_dim, hidden_dim),
+            "encoder.conv2": (hidden_dim, output_dim)}
+
+
 def model_shapes(d_u: int, d_v: int, input_dim: int, hidden_dim: int,
-                 output_dim: int) -> dict:
-    """Ordered name -> shape of the online (and target) store: encoder,
-    then four two-layer PReLU heads out = prelu(h @ W1 + b1) @ W2 + b2."""
-    shapes = {
-        **_linear_shapes("encoder.proj_u", d_u, input_dim),
-        **_linear_shapes("encoder.proj_v", d_v, input_dim),
-        "encoder.conv1": (input_dim, hidden_dim),
-        "encoder.conv2": (hidden_dim, output_dim),
-        "encoder.unk_u": (1, output_dim),
-        "encoder.unk_v": (1, output_dim),
-    }
-    for head in ("projector_u", "projector_v", "predictor_u", "predictor_v"):
+                 output_dim: int, sides=("u",)) -> dict:
+    """Ordered name -> shape of the online store: the encoder, the U UNK
+    row, then the U projector and predictor heads, each two-layer PReLU
+    out = prelu(h @ W1 + b1) @ W2 + b2. `sides=("u", "v")` gives the
+    checkpoint-version-1 layout, which also held a V UNK row and V heads
+    that no loss trained."""
+    shapes = {**encoder_shapes(d_u, d_v, input_dim, hidden_dim, output_dim),
+              **{f"encoder.unk_{side}": (1, output_dim) for side in sides}}
+    for head in (f"{kind}_{side}" for kind in ("projector", "predictor") for side in sides):
         shapes.update(_linear_shapes(f"heads.{head}.layer1", output_dim, hidden_dim))
         shapes.update(_linear_shapes(f"heads.{head}.layer2", hidden_dim, output_dim))
         shapes[f"heads.{head}.slope"] = (1, 1)
@@ -98,7 +106,7 @@ def decoder_shapes(embed_dim: int, hidden_dims=(256, 64)) -> dict:
 
 
 def _init_value(rng, name: str, shape: tuple) -> np.ndarray:
-    """Zero biases, 0.25 PReLU slopes, N(0, 0.01) UNK rows, Glorot weights."""
+    """Zero biases, 0.25 PReLU slopes, N(0, 0.01) UNK row, Glorot weights."""
     leaf = name.rsplit(".", 1)[-1]
     if leaf == "bias":
         return np.zeros(shape)
@@ -111,11 +119,16 @@ def _init_value(rng, name: str, shape: tuple) -> np.ndarray:
 
 def init_model_state(rng, d_u: int, d_v: int, input_dim: int, hidden_dim: int,
                      output_dim: int, tau: float) -> ModelState:
-    """Online network and its detached target copy (equal values, no grads)."""
-    shapes = model_shapes(d_u, d_v, input_dim, hidden_dim, output_dim)
-    arrays = {name: _init_value(rng, name, shape) for name, shape in shapes.items()}
-    return ModelState(make_store(arrays, requires_grad=True),
-                      make_store(arrays, requires_grad=False), tau)
+    """Online network and its target: a detached copy of the online encoder
+    (equal values, no grads). Values are drawn over the version-1 layout in
+    its order and its V entries dropped, so a seed gives each parameter its
+    version-1 initial value; skipping those draws would shift later ones."""
+    dims = (d_u, d_v, input_dim, hidden_dim, output_dim)
+    drawn = {name: _init_value(rng, name, shape)
+             for name, shape in model_shapes(*dims, sides=("u", "v")).items()}
+    online, target = model_shapes(*dims), encoder_shapes(*dims)
+    return ModelState(make_store({n: drawn[n] for n in online}, requires_grad=True),
+                      make_store({n: drawn[n] for n in target}, requires_grad=False), tau)
 
 
 def init_decoder(rng, embed_dim: int, hidden_dims=(256, 64)) -> ParamStore:
@@ -166,17 +179,12 @@ def mlp_forward(params: ParamStore, prefix: str, h: Tensor) -> Tensor:
     return affine(params, f"{prefix}.layer2", hidden)
 
 
-def project(params: ParamStore, h_u: Tensor, h_v: Tensor):
-    return (mlp_forward(params, "heads.projector_u", h_u),
-            mlp_forward(params, "heads.projector_v", h_v))
-
-
 def ema_update(state: ModelState) -> ModelState:
-    """target <- tau * target + (1 - tau) * online over encoder and head
-    parameters. Mutates the target buffer in place and returns the state."""
+    """target <- tau * target + (1 - tau) * online encoder, the prefix of the
+    online buffer. Mutates the target buffer in place and returns the state."""
     tau = state.tau
     state.target.flat *= tau
-    state.target.flat += (1.0 - tau) * state.online.flat
+    state.target.flat += (1.0 - tau) * state.online.flat[:state.target.flat.size]
     return state
 
 

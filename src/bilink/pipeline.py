@@ -95,10 +95,10 @@ def run_seed(split, cfg: VariantConfig, seed: int, pretrained: dict | None = Non
         "pretrain_trace": trace,
         "decoder": {
             "best_epoch": record.best_epoch,
-            "best_monitor_hits": record.best_hits,
+            "best_monitor_score": record.best_score,
             "epochs_run": record.epochs_run,
+            "monitor_metric": record.monitor_metric,
             "monitor_history": record.monitor_history,
-            "flags": record.flags,
         },
         "encoder_checksum_before_decoder": checksum_before,
         "encoder_checksum_after_decoder": checksum_after,

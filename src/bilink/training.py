@@ -1,6 +1,6 @@
 """Two-phase training: self-supervised pretraining of the encoder, then
-frozen-encoder decoder training with Hits@K early stopping, and the final
-inductive evaluation on the test era.
+frozen-encoder decoder training with early stopping on a monitor slice,
+and the final inductive evaluation on the test era.
 """
 
 import dataclasses
@@ -112,27 +112,24 @@ ALL_VARIANTS = (
 
 @dataclass
 class FrozenEmbeddings:
-    """Encoder outputs for a stated graph, with the UNK rows appended.
+    """Online-encoder outputs for a stated graph, one row per node.
 
-    Row `unk_u` / `unk_v` (== node count of the partition) is the learned
-    fallback; nodes with no incident edge in the source graph are also
-    mapped onto it. Arrays are read-only.
+    A node with no incident edge in the source graph (`known_*` False)
+    holds the fallback row: the learned UNK row for U, the mean of the known
+    V rows for V. Arrays are read-only.
     """
 
     emb_u: np.ndarray
     emb_v: np.ndarray
-    unk_u: int
-    unk_v: int
     known_u: np.ndarray
     known_v: np.ndarray
     provenance: str
 
 
 def _target_rows(state: ModelState, adj, x_u, x_v) -> np.ndarray:
-    """Target-side V rows the objective consumes, projector_v(h_v) (constants:
-    computed outside any tape)."""
-    _, h_v = encode(state.target, adj, x_u, x_v)
-    return mlp_forward(state.target, "heads.projector_v", h_v).data
+    """Target-side V rows the objective consumes: the target encoder's h_v,
+    with no head (constants: computed outside any tape)."""
+    return encode(state.target, adj, x_u, x_v)[1].data
 
 
 def _view_adjacency(n_u, n_v, view):
@@ -140,7 +137,7 @@ def _view_adjacency(n_u, n_v, view):
 
 
 def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
-    """Phase 1: train encoder, heads and UNK rows on the train-era graph.
+    """Phase 1: train encoder, U heads and U UNK row on the train-era graph.
 
     Per epoch: two augmented views and one corrupted view, online forward on
     view 1, target forwards on view 2 and the corrupted view, one optimizer
@@ -220,28 +217,26 @@ def extract_embeddings(state: ModelState, graph: BipartiteGraph,
                        cfg: VariantConfig, provenance: str) -> FrozenEmbeddings:
     """Deterministic online-encoder embeddings over a stated graph.
 
-    No dropout, no gradients. Nodes without any incident edge in `graph`
-    are mapped onto the learned UNK row, and the UNK row itself is exposed
-    at index n_u / n_v for IDs outside the universe entirely.
+    No dropout, no gradients. A U node without any incident edge in `graph`
+    takes the learned UNK row; a V node without one takes the mean of the V
+    rows that have one.
     """
+    if graph.n_edges == 0:
+        raise ValidationError("cannot extract embeddings from a graph with no edges")
     adj = normalized_adjacency(
         graph.n_u, graph.n_v,
         *aggregate_pairs(graph.edges, graph.n_v, use_weights=cfg.weighted_pretrain))
     h_u, h_v = encode(state.online, adj, graph.x_u, graph.x_v)
     known_u = np.zeros(graph.n_u, dtype=bool)
     known_v = np.zeros(graph.n_v, dtype=bool)
-    if graph.n_edges > 0:
-        known_u[np.unique(graph.edges.u)] = True
-        known_v[np.unique(graph.edges.v)] = True
+    known_u[graph.edges.u] = True
+    known_v[graph.edges.v] = True
 
-    unk_u_row = state.online["encoder.unk_u"].data
-    unk_v_row = state.online["encoder.unk_v"].data
-    emb_u = np.vstack([np.where(known_u[:, None], h_u.data, unk_u_row), unk_u_row])
-    emb_v = np.vstack([np.where(known_v[:, None], h_v.data, unk_v_row), unk_v_row])
+    emb_u = np.where(known_u[:, None], h_u.data, state.online["encoder.unk_u"].data)
+    emb_v = np.where(known_v[:, None], h_v.data, h_v.data[known_v].mean(axis=0))
     emb_u.setflags(write=False)
     emb_v.setflags(write=False)
-    return FrozenEmbeddings(emb_u, emb_v, graph.n_u, graph.n_v,
-                            known_u, known_v, provenance)
+    return FrozenEmbeddings(emb_u, emb_v, known_u, known_v, provenance)
 
 
 def decoder_bce_examples(positives_uv: np.ndarray, pos_weights: np.ndarray,
@@ -260,15 +255,15 @@ def decoder_bce_examples(positives_uv: np.ndarray, pos_weights: np.ndarray,
 
 @dataclass
 class DecoderRecord:
-    """Early-stopping record. `flags` names a degenerate monitor: with fewer
-    monitor negatives than `hits_k` every epoch reads Hits@K = 1.0, so the
-    first epoch is kept."""
+    """Early-stopping record. `monitor_metric` is "hits_at_k", or "roc_auc"
+    when the monitor slice holds `hits_k` negatives or fewer: there a Hits@K
+    hit means beating the weakest negative, or every epoch reads 1.0."""
 
     best_epoch: int
-    best_hits: float
+    best_score: float
     epochs_run: int
+    monitor_metric: str
     monitor_history: list = field(default_factory=list)
-    flags: list = field(default_factory=list)
 
 
 def _decoder_scores(dec, emb, pairs):
@@ -281,10 +276,12 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
                   cfg: VariantConfig, seed: int):
     """Phase 2: supervised decoder on frozen embeddings.
 
-    A monitor slice (10% of positives plus 10% of the negative pool) is
-    held out; the rest trains in shuffled minibatches with fresh 1:1
-    negatives drawn from the pool each epoch. Early stopping restores the
-    parameters from the best monitor Hits@K epoch.
+    A monitor slice (10% of positives plus 10% of the negative pool, but at
+    least `hits_k` negatives while one stays for training) is held out; the
+    rest trains in shuffled minibatches with fresh 1:1 negatives drawn from
+    the pool each epoch. Early stopping restores the parameters from the
+    best monitor epoch: by Hits@K if the slice holds more than `hits_k`
+    negatives, else by ROC-AUC.
     """
     positives_uv = np.asarray(positives_uv, dtype=np.int64)
     pos_weights = np.asarray(pos_weights, dtype=np.float64)
@@ -298,7 +295,8 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
     pos_perm = rng.permutation(n_pos)
     neg_perm = rng.permutation(n_neg)
     n_hold_pos = min(max(1, int(round(cfg.decoder_monitor_fraction * n_pos))), n_pos - 1)
-    n_hold_neg = min(max(1, int(round(cfg.decoder_monitor_fraction * n_neg))), n_neg - 1)
+    n_hold_neg = min(max(int(round(cfg.decoder_monitor_fraction * n_neg)), cfg.hits_k),
+                     n_neg - 1)
     hold_pos = pos_perm[:n_hold_pos]
     train_pos = pos_perm[n_hold_pos:]
     hold_neg = neg_perm[:n_hold_neg]
@@ -306,12 +304,13 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
 
     monitor_pairs = np.vstack([positives_uv[hold_pos], neg_pool[hold_neg]])
     monitor_labels = np.concatenate([np.ones(n_hold_pos), np.zeros(n_hold_neg)])
+    monitor_metric = "hits_at_k" if n_hold_neg > cfg.hits_k else "roc_auc"
 
     dec = init_decoder(rng_for(seed, "decoder-init"), cfg.output_dim,
                        cfg.decoder_hidden_dims)
     opt_state = init_adam_state(dec)
 
-    best = (-1.0, -1, None)  # (hits, epoch, parameter buffer snapshot)
+    best = (-1.0, -1, None)  # (score, epoch, parameter buffer snapshot)
     history = []
     epochs_run = 0
     for epoch in range(cfg.decoder_epochs):
@@ -333,21 +332,19 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
                 grad_map = backward(loss)
             adam_step(dec, grad_map, opt_state, cfg.lr, cfg.weight_decay)
 
-        hits = mt.hits_at_k(_decoder_scores(dec, emb, monitor_pairs),
-                            monitor_labels, k=cfg.hits_k)
-        history.append(hits)
-        if hits > best[0]:
-            best = (hits, epoch, dec.flat.copy())
+        scores = _decoder_scores(dec, emb, monitor_pairs)
+        score = (mt.hits_at_k(scores, monitor_labels, k=cfg.hits_k)
+                 if monitor_metric == "hits_at_k" else mt.roc_auc(scores, monitor_labels))
+        history.append(score)
+        if score > best[0]:
+            best = (score, epoch, dec.flat.copy())
         if epoch - best[1] >= cfg.patience:
             break
 
     dec.flat[...] = best[2]
-    flags = []
-    if n_hold_neg < cfg.hits_k:
-        flags.append("monitor_hits_at_k_fewer_negatives_than_k")
-    record = DecoderRecord(best_epoch=best[1], best_hits=best[0],
-                           epochs_run=epochs_run, monitor_history=history,
-                           flags=flags)
+    record = DecoderRecord(best_epoch=best[1], best_score=best[0],
+                           epochs_run=epochs_run, monitor_metric=monitor_metric,
+                           monitor_history=history)
     return dec, record
 
 

@@ -10,11 +10,12 @@ from bilink.checkpoint import (atomic_write, load_arrays, load_decoder,
                                save_model_state)
 from bilink.errors import ValidationError
 from bilink.model import init_decoder, init_model_state, state_checksum
+from util import resave_checkpoint
 
 DATA = Path(__file__).parent / "data"
-# Written by the code before parameters moved into flat stores (3 pretrain
-# and 3 decoder epochs on the gen-synth set in test_cli.TestCheckpointFiles).
-PARENT_CHECKSUM = "2b9a2ab3d7972013e892e6847bc3dfe3af54255ac2f74f67898d2082523ff819"
+# Format version 1, written by the code before parameters moved into flat
+# stores (3 pretrain and 3 decoder epochs on the gen-synth set in
+# test_cli.TestCheckpointFiles).
 PARENT_DECODER_SHA256 = {
     "decoder.layer1.weight": ((4, 3), "fbcb60928254a4a73f4bbec1426d240446183c2eabd70c5c7c0ce3726cc200eb"),
     "decoder.layer1.bias": ((1, 3), "23699d37935498ae25bbbc3fad1f8bd28feedb90d2b40a818e1c240a8778e205"),
@@ -41,7 +42,7 @@ def test_arrays_round_trip_bit_exact(tmp_path):
     save_arrays(path, arrays, {"note": "test"})
     loaded, meta = load_arrays(path)
     assert meta["note"] == "test"
-    assert meta["format_version"] == 1
+    assert meta["format_version"] == checkpoint.FORMAT_VERSION == 2
     assert set(loaded) == set(arrays)
     for name in arrays:
         assert loaded[name].tobytes() == arrays[name].tobytes()
@@ -77,17 +78,41 @@ def test_decoder_round_trip(tmp_path):
     assert_in_buffer(loaded)
 
 
-def test_parent_checkpoints_load_unchanged():
+def _stored(state):
+    return {**{f"online.{k}": t.data for k, t in state.online.items()},
+            **{f"target.{k}": t.data for k, t in state.target.items()}}
+
+
+def test_parent_checkpoints_load_unchanged(tmp_path):
     loaded, meta = load_model_state(DATA / "parent_model.npz")
-    raw, _ = load_arrays(DATA / "parent_model.npz")
-    assert state_checksum(loaded) == PARENT_CHECKSUM
-    stored = {f"online.{k}": t for k, t in loaded.online.items()}
-    stored.update({f"target.{k}": t for k, t in loaded.target.items()})
-    assert list(stored) == list(raw)
-    for name, a in raw.items():
-        assert stored[name].shape == a.shape
-        assert stored[name].data.tobytes() == a.tobytes()
+    raw, raw_meta = load_arrays(DATA / "parent_model.npz")
+    assert raw_meta["format_version"] == 1
+    stored = _stored(loaded)
+    for name, a in stored.items():
+        assert a.shape == raw[name].shape
+        assert a.tobytes() == raw[name].tobytes(), name
+    # dropped: the untrained V UNK row and V heads, and every target key
+    # outside the encoder
+    def heads(side, names):
+        return {f"{side}.heads.{head}.{leaf}" for head in names
+                for leaf in ("layer1.weight", "layer1.bias", "layer2.weight",
+                             "layer2.bias", "slope")}
+
+    dead = (heads("online", ("projector_v", "predictor_v"))
+            | heads("target", ("projector_u", "projector_v", "predictor_u", "predictor_v"))
+            | {"online.encoder.unk_v", "target.encoder.unk_u", "target.encoder.unk_v"})
+    assert len(dead) == 33
+    assert raw.keys() - stored.keys() == dead
     assert meta["config"]["final_layer_relu"] is False
+
+    path = tmp_path / "model_v2.npz"
+    save_model_state(path, loaded, meta)
+    again, meta2 = load_model_state(path)
+    assert meta2["format_version"] == 2
+    assert list(_stored(again)) == list(stored)
+    for name, a in _stored(again).items():
+        assert a.tobytes() == stored[name].tobytes(), name
+    assert state_checksum(again) == state_checksum(loaded)
 
     dec, meta = load_decoder(DATA / "parent_decoder.npz")
     assert meta["n_layers"] == 3
@@ -98,19 +123,20 @@ def test_parent_checkpoints_load_unchanged():
 
 
 def _resaved(tmp_path, source, edit):
-    """Copy of a checkpoint with `edit(arrays)` applied to its arrays."""
+    """Copy of a checkpoint, in its own format version, with `edit(arrays)`
+    applied to its arrays."""
     arrays, meta = load_arrays(source)
     edit(arrays)
     path = tmp_path / source.name
-    save_arrays(path, arrays, meta)
+    resave_checkpoint(path, arrays, meta)
     return path
 
 
 @pytest.mark.parametrize("edit,match", [
-    (lambda a: a.pop("target.heads.predictor_v.slope"), "missing"),
+    (lambda a: a.pop("target.encoder.conv1"), "missing"),
     (lambda a: a.update({"online.encoder.conv3": np.ones((2, 2))}), "unknown"),
-    (lambda a: a.update({"target.encoder.unk_v": np.ones((1, 3))}),
-     "target.encoder.unk_v has shape"),
+    (lambda a: a.update({"target.encoder.proj_v.bias": np.ones((1, 5))}),
+     "target.encoder.proj_v.bias has shape"),
     (lambda a: a.update({"online.encoder.conv1": np.ones((3, 5))}),
      "online.encoder.conv2 has shape"),
     (lambda a: a.update({"online.encoder.conv2": np.ones(8)}), "not a matrix"),
@@ -118,6 +144,17 @@ def _resaved(tmp_path, source, edit):
 def test_bad_model_layout_rejected(tmp_path, edit, match):
     path = _resaved(tmp_path, DATA / "parent_model.npz", edit)
     with pytest.raises(ValidationError, match=match):
+        load_model_state(path)
+
+
+def test_v2_file_with_a_version_1_key_rejected(tmp_path):
+    """Version 1 keys are dropped only from version-1 files."""
+    path = tmp_path / "model.npz"
+    save_model_state(path, load_model_state(DATA / "parent_model.npz")[0])
+    v1_arrays, _ = load_arrays(DATA / "parent_model.npz")
+    path = _resaved(tmp_path, path, lambda a: a.update(
+        {"target.heads.projector_v.slope": v1_arrays["target.heads.projector_v.slope"]}))
+    with pytest.raises(ValidationError, match=r"unknown \['target.heads.projector_v.slope'\]"):
         load_model_state(path)
 
 

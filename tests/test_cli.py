@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilink.checkpoint import load_arrays, save_arrays, save_decoder
+from bilink.checkpoint import load_arrays, save_decoder
 from bilink.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main,
                         read_config_file)
 from bilink.errors import ValidationError
 from bilink.model import init_decoder
+from util import resave_checkpoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -266,7 +267,7 @@ class TestCheckpointFiles:
         if edit_config:
             edit_config(meta["config"])
         path = tmp_path / source.name
-        save_arrays(path, arrays, meta)
+        resave_checkpoint(path, arrays, meta)
         return path
 
     def test_parent_checkpoints_evaluate_as_before(self, parent_data, capsys):

@@ -124,13 +124,6 @@ class TestChronologicalSplit:
         with pytest.raises(ValidationError, match="three non-empty"):
             chronological_split(g)
 
-    def test_id_maps_reserve_unk(self):
-        g = make_graph(3, 3, [(i % 3, i % 3, 1.0, i) for i in range(10)])
-        split = chronological_split(g)
-        assert split.id_maps.unk_u == 3
-        assert split.id_maps.unk_v == 3
-        assert split.id_maps.lookup_u("never-seen") == 3
-
 
 class TestSampleNegatives:
     def _full_split(self, edges, n_u, n_v):

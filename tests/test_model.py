@@ -6,9 +6,9 @@ import pytest
 from bilink import autodiff as ad
 from bilink.autodiff import Tape, Tensor, backward
 from bilink.graph import build_weighted_adjacency
-from bilink.model import (decode_logits, ema_update, encode, init_decoder,
-                          init_model_state, mlp_forward, project,
-                          state_checksum)
+from bilink.model import (decode_logits, ema_update, encode, encoder_shapes,
+                          init_decoder, init_model_state, mlp_forward,
+                          model_shapes, state_checksum)
 from bilink.optim import adam_step, init_adam_state
 from util import make_graph
 
@@ -97,36 +97,32 @@ class TestHeads:
     def test_identity_weights_pass_nonnegative_input(self):
         rng = np.random.default_rng(5)
         heads = online_params(rng, output_dim=3, hidden_dim=3)
-        for prefix in ("heads.projector_u", "heads.predictor_v"):
+        for prefix in ("heads.projector_u", "heads.predictor_u"):
             heads[f"{prefix}.layer1.weight"].data[...] = np.eye(3)
             heads[f"{prefix}.layer2.weight"].data[...] = np.eye(3)
             heads[f"{prefix}.layer1.bias"].data[:] = 0
             heads[f"{prefix}.layer2.bias"].data[:] = 0
         h = np.abs(rng.normal(size=(6, 3)))
-        z_u, _ = project(heads, Tensor(h), Tensor(h))
+        z_u = mlp_forward(heads, "heads.projector_u", Tensor(h))
         np.testing.assert_allclose(z_u.data, h, atol=1e-15)
-        p_v = mlp_forward(heads, "heads.predictor_v", Tensor(h))
-        np.testing.assert_allclose(p_v.data, h, atol=1e-15)
+        p_u = mlp_forward(heads, "heads.predictor_u", Tensor(h))
+        np.testing.assert_allclose(p_u.data, h, atol=1e-15)
 
     def test_zero_input_zero_bias_zero_output(self):
         rng = np.random.default_rng(6)
         heads = online_params(rng, output_dim=4, hidden_dim=5)
-        z_u, z_v = project(heads, Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4))))
-        np.testing.assert_array_equal(z_u.data, np.zeros((3, 4)))
-        np.testing.assert_array_equal(z_v.data, np.zeros((2, 4)))
+        for prefix in ("heads.projector_u", "heads.predictor_u"):
+            z = mlp_forward(heads, prefix, Tensor(np.zeros((3, 4))))
+            np.testing.assert_array_equal(z.data, np.zeros((3, 4)))
 
     def test_random_heads_match_dense_oracle(self):
         rng = np.random.default_rng(7)
         heads = online_params(rng, output_dim=5, hidden_dim=6)
         h_u = rng.normal(size=(8, 5))
-        h_v = rng.normal(size=(9, 5))
-        z_u, z_v = project(heads, Tensor(h_u), Tensor(h_v))
+        z_u = mlp_forward(heads, "heads.projector_u", Tensor(h_u))
         p_u = mlp_forward(heads, "heads.predictor_u", z_u)
-        p_v = mlp_forward(heads, "heads.predictor_v", z_v)
         assert np.max(np.abs(z_u.data - dense_mlp(h_u, heads, "heads.projector_u"))) < 1e-10
-        assert np.max(np.abs(z_v.data - dense_mlp(h_v, heads, "heads.projector_v"))) < 1e-10
         assert np.max(np.abs(p_u.data - dense_mlp(z_u.data, heads, "heads.predictor_u"))) < 1e-10
-        assert np.max(np.abs(p_v.data - dense_mlp(z_v.data, heads, "heads.predictor_v"))) < 1e-10
 
 
 class TestEma:
@@ -182,15 +178,16 @@ class TestEma:
         for k, t in state_a.target.items():
             np.testing.assert_allclose(t.data, state_b.target[k].data, atol=1e-12)
 
-    def test_covers_heads_and_unk(self):
+    def test_covers_encoder_only(self):
         state = self._state(0.5)
-        state.online["encoder.unk_u"].data[:] = 2.0
-        state.target["encoder.unk_u"].data[:] = 0.0
-        state.online["heads.predictor_u.slope"].data[:] = 0.75
-        state.target["heads.predictor_u.slope"].data[:] = 0.25
+        state.online["encoder.conv2"].data[:] = 2.0
+        state.target["encoder.conv2"].data[:] = 0.0
+        online_before = state.online.flat.copy()
         ema_update(state)
-        np.testing.assert_allclose(state.target["encoder.unk_u"].data, 1.0)
-        np.testing.assert_allclose(state.target["heads.predictor_u.slope"].data, 0.5)
+        np.testing.assert_allclose(state.target["encoder.conv2"].data, 1.0)
+        np.testing.assert_array_equal(state.online.flat, online_before)
+        assert "encoder.unk_u" not in state.target
+        assert not any(name.startswith("heads.") for name in state.target)
 
 
 class TestDecoder:
@@ -248,9 +245,8 @@ class TestGradientIsolation:
         with Tape():
             h_u, h_v = encode(state.online, adj, g.x_u, g.x_v)
             t_u, t_v = encode(state.target, adj, g.x_u, g.x_v)
-            z_u, _ = project(state.online, h_u, h_v)
-            tz_u, _ = project(state.target, t_u, t_v)
-            loss = ad.sum_all(ad.mul(ad.add(z_u, tz_u), ad.add(z_u, tz_u)))
+            z_u = mlp_forward(state.online, "heads.projector_u", h_u)
+            loss = ad.add(ad.sum_all(ad.mul(z_u, t_u)), ad.sum_all(ad.mul(h_v, t_v)))
             grads = backward(loss)
         target_tensors = {id(t) for t in state.target.values()}
         assert all(id(t) not in target_tensors for t in grads)
@@ -273,9 +269,13 @@ class TestParamStore:
                                 hidden_dim=6, output_dim=4, tau=0.9)
 
     def test_target_is_an_equal_detached_copy(self):
+        """The target copies the online encoder, which leads the online buffer."""
         state = self._state()
-        assert list(state.target) == list(state.online)
-        np.testing.assert_array_equal(state.target.flat, state.online.flat)
+        assert list(state.target) == list(encoder_shapes(3, 4, 5, 6, 4))
+        assert list(state.online) == list(model_shapes(3, 4, 5, 6, 4))
+        assert list(state.online)[:len(state.target)] == list(state.target)
+        np.testing.assert_array_equal(state.target.flat,
+                                      state.online.flat[:state.target.flat.size])
         assert not np.shares_memory(state.target.flat, state.online.flat)
         assert all(p.requires_grad for p in state.online.values())
         assert not any(p.requires_grad for p in state.target.values())
@@ -285,13 +285,25 @@ class TestParamStore:
         rng = np.random.default_rng(19)
         opt = init_adam_state(state.online)
         grads = {p: rng.normal(size=p.shape) for p in state.online.values()}
+        before = [(name, p, p.data.copy()) for store in (state.online, state.target)
+                  for name, p in store.items()]
         adam_step(state.online, grads, opt, lr=0.1, weight_decay=1e-3)
         ema_update(state)
         assert_in_buffer(state.online)
         assert_in_buffer(state.target)
         # every parameter moved, through its view of the buffer
-        for name, p in state.online.items():
-            assert not np.array_equal(p.data, state.target[name].data), name
+        for name, p, old in before:
+            assert not np.array_equal(p.data, old), name
+
+    def test_store_sizes_at_defaults(self):
+        """Default dims (256/256/128) with 12-wide features: the online store
+        holds only what the objective trains, the target only the encoder."""
+        state = init_model_state(np.random.default_rng(0), 12, 12, input_dim=256,
+                                 hidden_dim=256, output_dim=128, tau=0.99)
+        assert state.online.flat.size == 236_930
+        assert state.target.flat.size == 104_960
+        v1 = model_shapes(12, 12, 256, 256, 128, sides=("u", "v"))
+        assert sum(int(np.prod(shape)) for shape in v1.values()) == 368_900
 
     def test_pickle_round_trip_keeps_one_buffer(self):
         state = self._state()

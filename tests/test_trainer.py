@@ -7,9 +7,11 @@ from bilink import autodiff as ad
 from bilink import training
 from bilink.autodiff import Tensor
 from bilink.errors import ValidationError
-from bilink.graph import chronological_split, sample_negatives
-from bilink.model import state_checksum
+from bilink.graph import (EdgeArray, TemporalSplit, chronological_split, load_graph,
+                          merge_graphs, normalized_adjacency, sample_negatives)
+from bilink.model import ModelState, state_checksum
 from bilink.pipeline import run_seed
+from bilink.synthetic import SyntheticSpec, write_dataset
 from bilink.training import (VariantConfig, decoder_bce_examples, evaluate_final,
                              extract_embeddings, pretrain, train_decoder)
 from util import make_graph
@@ -118,9 +120,8 @@ class TestPretrain:
         assert on == off
 
     def test_unk_substitution_trains_the_loss_facing_row(self):
-        """With weight decay off, any UNK movement is loss-driven: the U row
-        (which feeds the one-directional objective) trains, the V row does
-        not."""
+        """With weight decay off, any UNK movement is loss-driven: the U row,
+        which feeds the one-directional objective, trains."""
         split = small_split(seed=6)
         cfg = VariantConfig(pretrain_epochs=5, unk_substitution_rate=0.2,
                             weight_decay=0.0, **SMALL)
@@ -128,8 +129,42 @@ class TestPretrain:
         state, _ = pretrain(split, cfg, seed=7)
         assert not np.allclose(state.online["encoder.unk_u"].data,
                                init.online["encoder.unk_u"].data)
-        np.testing.assert_array_equal(state.online["encoder.unk_v"].data,
-                                      init.online["encoder.unk_v"].data)
+
+    def test_every_online_parameter_receives_gradient(self, monkeypatch):
+        split = small_split(seed=6)
+        cfg = VariantConfig(pretrain_epochs=1, unk_substitution_rate=0.2, **SMALL)
+        grad_maps = []
+        real_adam_step = training.adam_step
+
+        def recording_adam_step(params, grad_map, *args):
+            grad_maps.append(grad_map)
+            return real_adam_step(params, grad_map, *args)
+
+        monkeypatch.setattr(training, "adam_step", recording_adam_step)
+        state, _ = pretrain(split, cfg, seed=7)
+        (grad_map,) = grad_maps
+        for name, p in state.online.items():
+            assert p in grad_map and np.any(grad_map[p] != 0), name
+
+    def test_target_holds_what_target_rows_reads(self):
+        class ReadLog(dict):
+            def __getitem__(self, name):
+                self.read.add(name)
+                return super().__getitem__(name)
+
+        split = small_split(seed=6)
+        cfg = VariantConfig(pretrain_epochs=1, **SMALL)
+        state, _ = pretrain(split, cfg, seed=7)
+        target = ReadLog(state.target)
+        target.read = set()
+        g = split.train
+        adj = normalized_adjacency(g.n_u, g.n_v, g.edges.u, g.edges.v, g.edges.w)
+        rows = training._target_rows(ModelState(state.online, target, state.tau),
+                                     adj, g.x_u, g.x_v)
+        assert rows.shape == (g.n_v, cfg.output_dim)
+        assert target.read == set(state.target)
+        assert list(state.target) == [name for name in state.online
+                                      if name.startswith("encoder.") and "unk" not in name]
 
     def test_nonfinite_loss_aborts_with_epoch(self):
         split = small_split(seed=8)
@@ -143,16 +178,6 @@ class TestExtractEmbeddings:
     def _trained(self, split, cfg):
         return pretrain(split, cfg, seed=11)[0]
 
-    def test_unseen_id_maps_to_unk_row(self):
-        split = small_split(seed=10)
-        cfg = VariantConfig(pretrain_epochs=2, **SMALL)
-        state = self._trained(split, cfg)
-        emb = extract_embeddings(state, split.train, cfg, "train")
-        unk_idx = split.id_maps.lookup_u("some-future-node")
-        assert unk_idx == emb.unk_u
-        np.testing.assert_array_equal(emb.emb_u[unk_idx],
-                                      state.online["encoder.unk_u"].data[0])
-
     def test_nodes_without_train_edges_get_unk_row(self):
         # node u=9 never appears in the train era
         edges = [(i % 8, i % 9, 1.0, i) for i in range(40)]
@@ -165,6 +190,15 @@ class TestExtractEmbeddings:
         assert not emb.known_u[9]
         np.testing.assert_array_equal(emb.emb_u[9],
                                       state.online["encoder.unk_u"].data[0])
+
+    def test_graph_without_edges_rejected(self):
+        # every V row would take the mean of no known rows
+        split = small_split(seed=10)
+        cfg = VariantConfig(pretrain_epochs=1, **SMALL)
+        state = self._trained(split, cfg)
+        empty = split.train.with_edges(EdgeArray([], [], [], []))
+        with pytest.raises(ValidationError, match="no edges"):
+            extract_embeddings(state, empty, cfg, "empty")
 
     def test_repeated_extraction_bit_identical(self):
         split = small_split(seed=12)
@@ -243,8 +277,8 @@ class TestTrainDecoder:
         split, cfg, state, emb, pos, w, neg = self._setup()
         dec, record = train_decoder(emb, pos, w, neg, cfg, seed=2)
         assert record.epochs_run - 1 - record.best_epoch <= cfg.patience
-        assert record.best_hits == max(record.monitor_history)
-        assert record.monitor_history[record.best_epoch] == record.best_hits
+        assert record.best_score == max(record.monitor_history)
+        assert record.monitor_history[record.best_epoch] == record.best_score
 
     def test_best_checkpoint_restored(self):
         split, cfg, state, emb, pos, w, neg = self._setup(seed=21)
@@ -265,7 +299,8 @@ class TestTrainDecoder:
 
         real_scores = training._decoder_scores
         monkeypatch.setattr(training, "_decoder_scores", scores)
-        monkeypatch.setattr(training.mt, "hits_at_k", lambda *a, **k: next(scripted))
+        for metric in ("hits_at_k", "roc_auc"):  # whichever the slice size picks
+            monkeypatch.setattr(training.mt, metric, lambda *a, **k: next(scripted))
         dec, record = train_decoder(emb, pos, w, neg, cfg.replace(patience=3), seed=7)
         assert record.best_epoch == 1 and record.epochs_run == 5
         np.testing.assert_array_equal(dec.flat, seen[1])
@@ -283,6 +318,49 @@ class TestTrainDecoder:
         split, cfg, state, emb, pos, w, neg = self._setup(seed=23)
         with pytest.raises(ValidationError, match="decoder training needs"):
             train_decoder(emb, pos[:1], w[:1], neg, cfg, seed=6)
+
+
+@pytest.mark.slow
+def test_held_out_nodes_score_through_fallback_rows(tmp_path):
+    """Inductive case: U and V nodes with no train or val event. Held-out V
+    rows are the mean of the known V rows, held-out U rows the learned UNK
+    row, and the run still scores above the no-signal control band."""
+    paths = write_dataset(SyntheticSpec(seed=7), tmp_path)
+    split = chronological_split(load_graph(paths["edges"], paths["u_features"],
+                                           paths["v_features"]))
+    test = split.test_edges
+    rng = np.random.default_rng(0)
+    held_u = rng.choice(np.unique(test.u), size=5, replace=False)
+    held_v = rng.choice(np.unique(test.v), size=5, replace=False)
+
+    def without_held_out(e):
+        keep = ~np.isin(e.u, held_u) & ~np.isin(e.v, held_v)
+        return EdgeArray(e.u[keep], e.v[keep], e.w[keep], e.t[keep])
+
+    split = TemporalSplit(split.train.with_edges(without_held_out(split.train.edges)),
+                          without_held_out(split.val_edges), test)
+    cfg = VariantConfig()
+    result = run_seed(split, cfg, 42)
+    state, dec = result["_state"], result["_decoder"]
+
+    emb = extract_embeddings(state, merge_graphs(split.train, split.val_edges), cfg,
+                             "train+val")
+    assert not emb.known_u[held_u].any() and not emb.known_v[held_v].any()
+    assert emb.known_u.sum() == split.train.n_u - len(held_u)
+    assert emb.known_v.sum() == split.train.n_v - len(held_v)
+    unk_u = state.online["encoder.unk_u"].data[0]
+    for u in held_u:
+        np.testing.assert_array_equal(emb.emb_u[u], unk_u)
+    mean_v = emb.emb_v[emb.known_v].mean(axis=0)
+    for v in held_v:
+        np.testing.assert_array_equal(emb.emb_v[v], mean_v)
+
+    touching = np.isin(test.u, held_u) | np.isin(test.v, held_v)
+    pairs = np.stack([test.u[touching], test.v[touching]], axis=1)
+    assert np.isin(held_u, pairs[:, 0]).all() and np.isin(held_v, pairs[:, 1]).all()
+    scores = training._decoder_scores(dec, emb, pairs)
+    assert np.isfinite(scores).all() and ((scores > 0) & (scores < 1)).all()
+    assert result["metrics"]["roc_auc"] > 0.55
 
 
 class TestFullRunInvariants:

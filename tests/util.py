@@ -4,10 +4,12 @@ Oracles here are deliberately independent reimplementations (plain loops,
 dense algebra) of the code paths they verify.
 """
 
+import json
 import math
 
 import numpy as np
 
+from bilink import checkpoint
 from bilink.graph import BipartiteGraph, EdgeArray
 
 
@@ -19,6 +21,16 @@ def make_graph(n_u, n_v, edge_tuples, d_u=3, d_v=4, rng=None):
                       e[:, 2], e[:, 3].astype(np.int64))
     return BipartiteGraph(n_u, n_v, rng.normal(size=(n_u, d_u)),
                           rng.normal(size=(n_v, d_v)), edges)
+
+
+def resave_checkpoint(path, arrays, meta):
+    """Write a checkpoint with `meta` as given, format version included
+    (`save_arrays` stamps the current version), e.g. an edited version-1
+    file."""
+    payload = dict(arrays)
+    payload[checkpoint._META_KEY] = np.frombuffer(
+        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **payload)
 
 
 def dense_normalized_adjacency(n_u, n_v, weighted_pairs):
