@@ -43,12 +43,15 @@ def _parse_config_value(name: str, raw: str):
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ValidationError(f"config key {name}: expected a boolean, got {raw!r}")
-    if field.type in ("int", int):
-        return int(raw)
-    if field.type in ("float", float):
-        return float(raw)
-    if field.type in ("tuple", tuple):
-        return tuple(int(x) for x in raw.split(",") if x.strip())
+    try:
+        if field.type in ("int", int):
+            return int(raw)
+        if field.type in ("float", float):
+            return float(raw)
+        if field.type in ("tuple", tuple):
+            return tuple(int(x) for x in raw.split(",") if x.strip())
+    except ValueError as exc:
+        raise ValidationError(f"config key {name}: malformed value ({exc})") from None
     raise ValidationError(f"config key {name} has unsupported type {field.type}")
 
 
@@ -105,7 +108,10 @@ def _add_dataset_flags(parser):
 
 
 def _parse_seeds(raw: str) -> list:
-    seeds = [int(s) for s in raw.replace(",", " ").split()]
+    try:
+        seeds = [int(s) for s in raw.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ValidationError(f"--seeds: malformed seed list ({exc})") from None
     if not seeds:
         raise ValidationError("seed list is empty")
     return seeds

@@ -4,10 +4,12 @@ sampling and normalized adjacency construction.
 Edges are interaction *events*: the same (u, v) pair may occur many times
 with different timestamps. For modeling, events are collapsed into one
 weighted edge per distinct pair (weight = summed event weight, which equals
-the interaction count when every event has weight 1).
+the interaction count when every event has weight 1). Event weights must be
+positive and finite. A set of pairs is a sorted array of int64 keys u*n_v+v.
 """
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,8 +41,10 @@ class EdgeArray:
     def __len__(self):
         return len(self.u)
 
-    def pairs(self) -> set:
-        return set(zip(self.u.tolist(), self.v.tolist()))
+
+def _pair_key(u, v, n_v: int) -> np.ndarray:
+    """int64 key `u * n_v + v` of each (u, v) pair."""
+    return np.asarray(u, dtype=np.int64) * np.int64(n_v) + np.asarray(v, dtype=np.int64)
 
 
 @dataclass
@@ -75,8 +79,10 @@ class BipartiteGraph:
                 raise ValidationError("u index out of range [0, n_u)")
             if e.v.min() < 0 or e.v.max() >= self.n_v:
                 raise ValidationError("v index out of range [0, n_v)")
-            if (e.w <= 0).any():
-                raise ValidationError("all edge weights must be > 0")
+            bad = np.flatnonzero(~(np.isfinite(e.w) & (e.w > 0)))
+            if len(bad):
+                raise ValidationError(f"edge weight must be positive and finite, "
+                                      f"got {e.w[bad[0]]} at event {bad[0]}")
 
     @property
     def n_edges(self) -> int:
@@ -96,11 +102,11 @@ class TemporalSplit:
     val_edges: EdgeArray
     test_edges: EdgeArray
 
-    def all_pairs(self) -> set:
-        """Distinct (u, v) pairs present in any era."""
-        return (self.train.edges.pairs()
-                | self.val_edges.pairs()
-                | self.test_edges.pairs())
+    def pair_keys(self) -> np.ndarray:
+        """Sorted unique keys of the (u, v) pairs present in any era."""
+        eras = (self.train.edges, self.val_edges, self.test_edges)
+        return np.unique(np.concatenate(
+            [_pair_key(e.u, e.v, self.train.n_v) for e in eras]))
 
 
 @dataclass
@@ -183,9 +189,10 @@ def load_graph(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
                 t = int(raw_t)
             except ValueError as exc:
                 raise ValidationError(f"{edge_file}:{lineno}: malformed row ({exc})")
-            if w <= 0:
+            if not (math.isfinite(w) and w > 0):
                 raise ValidationError(
-                    f"{edge_file}:{lineno}: edge weight must be > 0, got {raw_w}")
+                    f"{edge_file}:{lineno}: edge weight must be positive and "
+                    f"finite, got {raw_w}")
             eu.append(u_index[raw_u])
             ev.append(v_index[raw_v])
             ew.append(w)
@@ -229,43 +236,34 @@ def chronological_split(g: BipartiteGraph,
 
 def complement_size(split: TemporalSplit) -> int:
     """Number of cross-partition pairs absent from every era."""
-    g = split.train
-    return g.n_u * g.n_v - len(split.all_pairs())
+    return split.train.n_u * split.train.n_v - len(split.pair_keys())
 
 
 def sample_negatives(split: TemporalSplit, count: int, rng_seed: int) -> NegativeSet:
-    """Sample `count` distinct pairs uniformly from the complement of all eras."""
+    """Sample `count` distinct pairs uniformly from the complement of all eras,
+    by rejection in batches of twice the draws the remaining pairs need at the
+    current acceptance rate; accepted pairs keep their draw order."""
     if count < 1:
         raise ValidationError(f"count must be positive, got {count}")
-    g = split.train
-    n_u, n_v = g.n_u, g.n_v
-    excluded = split.all_pairs()
-    free = n_u * n_v - len(excluded)
+    n_u, n_v = split.train.n_u, split.train.n_v
+    taken = split.pair_keys()
+    free = n_u * n_v - len(taken)
     if count > free:
         raise ValidationError(
             f"requested {count} negatives but the complement has only {free} pairs")
 
     rng = np.random.default_rng(rng_seed)
-    if count > free // 2:
-        # Dense regime: enumerate the complement and choose without replacement.
-        excluded_keys = np.fromiter(
-            (u * n_v + v for u, v in excluded), dtype=np.int64, count=len(excluded))
-        mask = np.ones(n_u * n_v, dtype=bool)
-        mask[excluded_keys] = False
-        pool = np.flatnonzero(mask)
-        keys = rng.choice(pool, size=count, replace=False)
-    else:
-        chosen = set()
-        keys = []
-        while len(keys) < count:
-            u = int(rng.integers(0, n_u))
-            v = int(rng.integers(0, n_v))
-            if (u, v) in excluded or (u, v) in chosen:
-                continue
-            chosen.add((u, v))
-            keys.append(u * n_v + v)
-        keys = np.asarray(keys, dtype=np.int64)
-    pairs = np.stack([keys // n_v, keys % n_v], axis=1).astype(np.int64)
+    keys = np.empty(0, dtype=np.int64)
+    while len(keys) < count:
+        batch = math.ceil(2 * (count - len(keys)) * n_u * n_v / (free - len(keys)))
+        draws = rng.integers(0, np.tile([n_u, n_v], batch)).reshape(batch, 2)
+        drawn = _pair_key(draws[:, 0], draws[:, 1], n_v)
+        drawn = drawn[~np.isin(drawn, taken)]
+        first = np.sort(np.unique(drawn, return_index=True)[1])
+        keys = np.concatenate([keys, drawn[first]])
+        taken = np.union1d(taken, drawn)
+    keys = keys[:count]
+    pairs = np.stack([keys // n_v, keys % n_v], axis=1)
     return NegativeSet(pairs=pairs, provenance="excluded=train+val+test")
 
 
@@ -275,17 +273,10 @@ def aggregate_pairs(edges: EdgeArray, n_v: int, use_weights: bool) -> tuple:
     Returns (u, v, w) arrays. With use_weights the pair weight is the sum of
     its event weights; otherwise every distinct pair gets weight 1.
     """
-    if len(edges) == 0:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty, np.array([], dtype=np.float64)
-    key = edges.u * np.int64(n_v) + edges.v
-    uniq, inverse = np.unique(key, return_inverse=True)
-    if use_weights:
-        w = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(w, inverse, edges.w)
-    else:
-        w = np.ones(len(uniq), dtype=np.float64)
-    return (uniq // n_v).astype(np.int64), (uniq % n_v).astype(np.int64), w
+    uniq, inverse = np.unique(_pair_key(edges.u, edges.v, n_v), return_inverse=True)
+    w = (np.bincount(inverse, weights=edges.w, minlength=len(uniq)) if use_weights
+         else np.ones(len(uniq)))
+    return uniq // n_v, uniq % n_v, w
 
 
 def normalized_adjacency(n_u: int, n_v: int, u: np.ndarray, v: np.ndarray,
@@ -298,8 +289,7 @@ def normalized_adjacency(n_u: int, n_v: int, u: np.ndarray, v: np.ndarray,
     exactly symmetric. Isolated nodes keep degree 1 from the self-loop.
     """
     n = n_u + n_v
-    key, inverse = np.unique(np.asarray(u, dtype=np.int64) * np.int64(n_v)
-                             + np.asarray(v, dtype=np.int64), return_inverse=True)
+    key, inverse = np.unique(_pair_key(u, v, n_v), return_inverse=True)
     w = np.bincount(inverse, weights=w, minlength=len(key))
     u, v = key // n_v, key % n_v + n_u
     deg = np.bincount(np.concatenate([u, v]), weights=np.concatenate([w, w]),

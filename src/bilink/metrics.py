@@ -62,13 +62,12 @@ def average_precision(scores, labels) -> float:
     return math.fsum((hits / ranks)[sorted_labels == 1]) / n_pos
 
 
-def hits_at_k(scores, labels, k: int = 50, mode: str = "pool") -> float:
+def hits_at_k(scores, labels, k: int = 50) -> float:
     """Fraction of positives ranked above the k-th best negative.
 
-    mode "pool" (default): each positive competes against the shared
-    negative pool; a hit means strictly exceeding the k-th highest negative
-    score, and with fewer than k negatives every positive is a hit.
-    mode "global": fraction of positives inside the top-k of all pairs.
+    Each positive competes against the shared negative pool; a hit means
+    strictly exceeding the k-th highest negative score, and with fewer than
+    k negatives every positive is a hit.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
@@ -79,15 +78,10 @@ def hits_at_k(scores, labels, k: int = 50, mode: str = "pool") -> float:
         raise ValidationError("hits_at_k needs at least one negative")
     if len(pos) == 0:
         raise ValidationError("hits_at_k needs at least one positive")
-    if mode == "pool":
-        if len(neg) < k:
-            return 1.0
-        threshold = np.sort(neg)[::-1][k - 1]
-        return float((pos > threshold).mean())
-    if mode == "global":
-        order = np.argsort(-scores, kind="stable")
-        return float(labels[order[:k]].sum() / len(pos))
-    raise ValidationError(f"unknown hits_at_k mode {mode!r}")
+    if len(neg) < k:
+        return 1.0
+    threshold = np.sort(neg)[::-1][k - 1]
+    return float((pos > threshold).mean())
 
 
 @dataclass

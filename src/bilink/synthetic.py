@@ -35,8 +35,15 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_u < 1 or self.n_v < 1 or self.n_edges < 1:
             raise ValidationError("sizes must be positive")
-        if self.weight_skew < 1:
-            raise ValidationError(f"weight_skew must be >= 1, got {self.weight_skew}")
+        for name, ok, rule in (
+                ("weight_skew", self.weight_skew >= 1, ">= 1"),
+                ("n_blocks", self.n_blocks >= 1, ">= 1"),
+                ("time_span", self.time_span >= 1, ">= 1"),
+                ("intra_prob", 0 <= self.intra_prob <= 1, "in [0, 1]"),
+                ("feature_noise", self.feature_noise >= 0, ">= 0"),
+                ("noise_dims", self.noise_dims >= 0, ">= 0")):
+            if not ok:
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)}")
         if self.n_edges > self.n_u * self.n_v:
             raise ValidationError(
                 f"cannot place {self.n_edges} distinct pairs in a "

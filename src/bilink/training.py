@@ -14,7 +14,8 @@ from .augment import augmented_view, corrupt_view
 from .autodiff import Tape, backward
 from .errors import TrainingError, ValidationError
 from .graph import (BipartiteGraph, NegativeSet, TemporalSplit, aggregate_pairs,
-                    merge_graphs, normalized_adjacency, sample_negatives)
+                    build_weighted_adjacency, merge_graphs, normalized_adjacency,
+                    sample_negatives)
 from .losses import attractive_loss, repulsive_loss, total_pretrain_loss
 from .model import (ModelState, ParamStore, decode_logits, ema_update, encode,
                     init_decoder, init_model_state, mlp_forward)
@@ -223,9 +224,7 @@ def extract_embeddings(state: ModelState, graph: BipartiteGraph,
     """
     if graph.n_edges == 0:
         raise ValidationError("cannot extract embeddings from a graph with no edges")
-    adj = normalized_adjacency(
-        graph.n_u, graph.n_v,
-        *aggregate_pairs(graph.edges, graph.n_v, use_weights=cfg.weighted_pretrain))
+    adj = build_weighted_adjacency(graph, cfg.weighted_pretrain)
     h_u, h_v = encode(state.online, adj, graph.x_u, graph.x_v)
     known_u = np.zeros(graph.n_u, dtype=bool)
     known_v = np.zeros(graph.n_v, dtype=bool)

@@ -46,6 +46,14 @@ class TestGenSynth:
         assert lines[0] == "u_id,v_id,weight,timestamp"
         assert len(lines) == 51
 
+    @pytest.mark.parametrize("flags", [["--time-span", "0"], ["--n-blocks", "0"],
+                                       ["--intra-prob", "1.5"]])
+    def test_bad_spec_exits_validation(self, tmp_path, capsys, flags):
+        code = main(["gen-synth", *flags, "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_infeasible_count_exits_validation(self, tmp_path, capsys):
         code = main(["gen-synth", "--n-u", "3", "--n-v", "3", "--n-edges", "100",
                      "--out-dir", str(tmp_path)])
@@ -126,6 +134,8 @@ class TestConfigValidation:
         ("run", ["--dropout", "1.0"]),
         ("run", ["--hits-k", "0"]),
         ("ablate", ["--edge-keep-prob", "0"]),
+        ("run", ["--seeds", "42,x"]),
+        ("run", ["--decoder-hidden-dims", "4,x"]),
     ])
     def test_bad_value_exits_before_training(self, dataset, tmp_path, capsys,
                                              command, flags):
@@ -136,6 +146,16 @@ class TestConfigValidation:
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_config_file_int_exits_before_training(self, dataset, tmp_path,
+                                                             capsys):
+        cfg_file = tmp_path / "bad.cfg"
+        cfg_file.write_text("hidden_dim = abc\n")
+        out = tmp_path / "out"
+        code = main(["run", *dataset_flags(dataset), "--seeds", "42",
+                     "--config", str(cfg_file), "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "hidden_dim" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -5,7 +5,7 @@ from bilink.errors import ValidationError
 from bilink.graph import (BipartiteGraph, EdgeArray, build_weighted_adjacency,
                           chronological_split, complement_size, load_graph,
                           normalized_adjacency, sample_negatives)
-from util import dense_normalized_adjacency, make_graph
+from util import dense_normalized_adjacency, make_graph, sample_negatives_oracle
 
 
 def write_dataset(tmp_path, edge_rows, u_rows, v_rows, u_dim=2, v_dim=2):
@@ -59,6 +59,19 @@ class TestLoadGraph:
         paths = write_dataset(tmp_path, ["a,x,0,10"], ["a,0,0"], ["x,0,0"])
         with pytest.raises(ValidationError, match="weight"):
             load_graph(*paths)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_names_line(self, tmp_path, raw):
+        paths = write_dataset(tmp_path, ["a,x,1,10", f"a,x,{raw},20"],
+                              ["a,0,0"], ["x,0,0"])
+        with pytest.raises(ValidationError, match=":3: edge weight must be "
+                                                  "positive and finite"):
+            load_graph(*paths)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_in_memory_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="positive and finite.*event 1"):
+            make_graph(2, 2, [(0, 0, 1.0, 1), (1, 1, bad, 2)])
 
     def test_malformed_row_names_line(self, tmp_path):
         paths = write_dataset(tmp_path, ["a,x,1,10", "a,x,oops,20"],
@@ -157,9 +170,66 @@ class TestSampleNegatives:
                  for t in range(70)]
         split = self._full_split(edges, 12, 9)
         neg = sample_negatives(split, complement_size(split), rng_seed=5)
-        forbidden = split.all_pairs()
-        for u, v in neg.pairs.tolist():
-            assert (u, v) not in forbidden
+        keys = neg.pairs[:, 0] * 9 + neg.pairs[:, 1]
+        assert not np.isin(keys, split.pair_keys()).any()
+
+    def test_pair_keys_sorted_unique_over_eras(self):
+        split = self._full_split([(0, 2, 1, 1), (1, 0, 1, 2), (0, 2, 1, 3),
+                                  (2, 1, 1, 4), (1, 0, 1, 5)], 3, 4)
+        assert split.pair_keys().tolist() == [2, 4, 9]
+        assert split.pair_keys().dtype == np.int64
+        assert complement_size(split) == 9
+
+    @staticmethod
+    def _random_split(seed):
+        rng = np.random.default_rng(seed)
+        n_u, n_v = rng.integers(3, 40, size=2)
+        m = int(rng.integers(3, n_u * n_v // 2 + 4))
+        edges = [(rng.integers(0, n_u), rng.integers(0, n_v), 1.0, t)
+                 for t in range(m)]
+        return chronological_split(make_graph(int(n_u), int(n_v), edges))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_scalar_loop_up_to_half_the_complement(self, seed):
+        split = self._random_split(seed)
+        free = complement_size(split)
+        for count in sorted({1, 2, free // 4, free // 3, free // 2} - {0}):
+            for rng_seed in (0, 13):
+                got = sample_negatives(split, count, rng_seed).pairs
+                want = sample_negatives_oracle(split, count, rng_seed)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distinct_in_range_and_outside_eras_up_to_full(self, seed):
+        split = self._random_split(seed)
+        n_u, n_v = split.train.n_u, split.train.n_v
+        free = complement_size(split)
+        for count in (free // 2 + 1, (3 * free) // 4, free):
+            pairs = sample_negatives(split, count, rng_seed=seed).pairs
+            assert pairs.shape == (count, 2)
+            assert (pairs >= 0).all()
+            assert (pairs[:, 0] < n_u).all() and (pairs[:, 1] < n_v).all()
+            keys = pairs[:, 0] * n_v + pairs[:, 1]
+            assert len(np.unique(keys)) == count
+            assert not np.isin(keys, split.pair_keys()).any()
+
+    def test_dense_regime_is_uniform(self):
+        # 4x4 grid with 4 pairs taken leaves 12 free pairs; drawing 9 of them
+        # (above half the complement) should include each free pair with
+        # probability 9/12.
+        split = self._full_split([(0, 0, 1, 1), (1, 1, 1, 2), (2, 2, 1, 3),
+                                  (3, 3, 1, 4)], 4, 4)
+        free_keys = np.setdiff1d(np.arange(16), split.pair_keys())
+        trials = 2000
+        hits = np.zeros(16)
+        for seed in range(trials):
+            pairs = sample_negatives(split, 9, rng_seed=seed).pairs
+            hits[pairs[:, 0] * 4 + pairs[:, 1]] += 1
+        assert hits[split.pair_keys()].sum() == 0
+        rate = hits[free_keys] / trials
+        # binomial sd at p = 0.75 over 2000 trials is about 0.0097
+        np.testing.assert_allclose(rate, 0.75, atol=0.04)
 
 
 class TestAdjacency:

@@ -116,11 +116,6 @@ class TestHitsAtK:
         # positive tied with the k-th negative is not a hit
         assert hits_at_k([0.5, 0.5], [1, 0], k=1) == 0.0
 
-    def test_global_mode(self):
-        scores = [0.9, 0.7, 0.6, 0.2]
-        labels = [1, 0, 1, 1]
-        assert hits_at_k(scores, labels, k=2, mode="global") == pytest.approx(1 / 3)
-
     def test_zero_negatives_error(self):
         with pytest.raises(ValidationError):
             hits_at_k([0.5], [1], k=1)

@@ -19,6 +19,23 @@ class TestSyntheticSpec:
         with pytest.raises(ValidationError):
             SyntheticSpec(weight_skew=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("time_span", 0), ("n_blocks", 0), ("intra_prob", -0.1),
+        ("intra_prob", 1.5), ("intra_prob", float("nan")),
+        ("feature_noise", -1.0), ("feature_noise", float("nan")),
+        ("noise_dims", -1),
+    ])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SyntheticSpec(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("time_span", 1), ("n_blocks", 1), ("intra_prob", 0.0),
+        ("intra_prob", 1.0), ("feature_noise", 0.0), ("noise_dims", 0),
+    ])
+    def test_boundary_values_accepted(self, field, value):
+        SyntheticSpec(**{field: value})
+
 
 class TestGenerate:
     def test_skew_one_gives_unit_weights(self):

@@ -23,6 +23,24 @@ def make_graph(n_u, n_v, edge_tuples, d_u=3, d_v=4, rng=None):
                           rng.normal(size=(n_v, d_v)), edges)
 
 
+def sample_negatives_oracle(split, count, rng_seed):
+    """Per-draw rejection loop over a set of (u, v) tuples: one scalar draw
+    of u, then one of v, until `count` distinct pairs outside every era."""
+    n_u, n_v = split.train.n_u, split.train.n_v
+    taken = set()
+    for e in (split.train.edges, split.val_edges, split.test_edges):
+        taken.update(zip(e.u.tolist(), e.v.tolist()))
+    rng = np.random.default_rng(rng_seed)
+    pairs = []
+    while len(pairs) < count:
+        u = int(rng.integers(0, n_u))
+        v = int(rng.integers(0, n_v))
+        if (u, v) not in taken:
+            taken.add((u, v))
+            pairs.append((u, v))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
 def resave_checkpoint(path, arrays, meta):
     """Write a checkpoint with `meta` as given, format version included
     (`save_arrays` stamps the current version), e.g. an edited version-1
