@@ -49,7 +49,7 @@ def _parse_config_value(name: str, raw: str):
         if field.type in ("float", float):
             return float(raw)
         if field.type in ("tuple", tuple):
-            return tuple(int(x) for x in raw.split(",") if x.strip())
+            return tuple(int(x) for x in raw.split(","))
     except ValueError as exc:
         raise ValidationError(f"config key {name}: malformed value ({exc})") from None
     raise ValidationError(f"config key {name} has unsupported type {field.type}")

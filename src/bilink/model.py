@@ -1,9 +1,13 @@
 """Encoder, projection/prediction heads, momentum target encoder and link decoder.
 
 The encoder is a two-layer graph convolution over the stacked (U then V)
-node indexing: h' = act(A_norm @ h @ W). Per-partition linear input
-projections first map the raw feature spaces into a shared width, and a
-learned U UNK row stands in for U nodes the encoder has never seen.
+node indexing, h1 = relu(A_norm @ z @ W1) and h2 = A_norm @ h1 @ W2, where z
+holds per-partition linear projections of the raw features to a shared
+width. Layer 1 is linear up to its ReLU, so it propagates the raw features
+first, A_norm @ z @ W1 = (A_norm @ X) @ (P @ W1), with X the block-diagonal
+[x_u | x_v | 1_U | 1_V] and P the stacked projection weights and biases.
+Layer 2 computes only the rows a caller reads. A learned U UNK row stands in
+for U nodes the encoder has never seen.
 
 Each network's parameters live in one `ParamStore`, read by name: the
 online network (encoder, U UNK row, U projector and predictor), its EMA
@@ -151,26 +155,34 @@ def affine(params: ParamStore, prefix: str, x: Tensor) -> Tensor:
     return ad.add(ad.matmul(x, params[f"{prefix}.weight"]), params[f"{prefix}.bias"])
 
 
-def encode(params: ParamStore, adj, x_u, x_v, *, dropout_p: float = 0.0,
-           dropout_seed: int = 0):
-    """Two convolution layers over the stacked node blocks.
+def encode(params: ParamStore, adj, x_u: np.ndarray, x_v: np.ndarray,
+           rows: slice = slice(None), *, dropout_p: float = 0.0,
+           dropout_seed: int = 0) -> Tensor:
+    """The final embeddings of the stacked nodes `rows` (U nodes first, then
+    V), e.g. `slice(0, n_u)` for the U side; all nodes by default.
 
-    The adjacency must have been built with the same weighting flag as the
-    training run. ReLU follows layer 1; the final layer is linear (a
-    nonnegative final embedding cripples the cosine objective). Dropout,
-    when nonzero, sits between the two layers.
+    Layer 1 is relu((A @ X) @ (P @ conv1)) with the raw features X and the
+    stacked projections P (module docstring): its dense work scales with the
+    raw widths d_u + d_v, not with `input_dim`. Layer 2 is linear (a
+    nonnegative final embedding cripples the cosine objective) and computes
+    (A[rows] @ h1) @ conv2. Dropout, when nonzero, sits between the two
+    layers. The features are constants (no gradient). The adjacency must
+    have been built with the same weighting flag as the training run.
     """
-    xu = x_u if isinstance(x_u, Tensor) else ad.constant(x_u)
-    xv = x_v if isinstance(x_v, Tensor) else ad.constant(x_v)
-    n_u = xu.shape[0]
-    h = ad.concat_rows(affine(params, "encoder.proj_u", xu),
-                       affine(params, "encoder.proj_v", xv))
-    h = ad.relu(ad.sparse_dense_matmul(adj, ad.matmul(h, params["encoder.conv1"])))
+    n_u, d_u = x_u.shape
+    d_v = x_v.shape[1]
+    x = np.zeros((n_u + x_v.shape[0], d_u + d_v + 2))
+    x[:n_u, :d_u] = x_u
+    x[n_u:, d_u:-2] = x_v
+    x[:n_u, -2] = 1.0
+    x[n_u:, -1] = 1.0
+    proj = ad.concat_rows(params["encoder.proj_u.weight"], params["encoder.proj_v.weight"],
+                          params["encoder.proj_u.bias"], params["encoder.proj_v.bias"])
+    h = ad.relu(ad.matmul(ad.sparse_dense_matmul(adj, ad.constant(x)),
+                          ad.matmul(proj, params["encoder.conv1"])))
     if dropout_p > 0.0:
         h = ad.dropout_mask(h, dropout_p, dropout_seed)
-    h = ad.sparse_dense_matmul(adj, ad.matmul(h, params["encoder.conv2"]))
-    n = h.shape[0]
-    return ad.slice_rows(h, 0, n_u), ad.slice_rows(h, n_u, n)
+    return ad.matmul(ad.sparse_dense_matmul(adj[rows], h), params["encoder.conv2"])
 
 
 def mlp_forward(params: ParamStore, prefix: str, h: Tensor) -> Tensor:

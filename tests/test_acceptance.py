@@ -177,7 +177,8 @@ def _composed_loss_instance(seed):
 
     def loss_fn():
         enc = state.online
-        h_u, h_v = encode(enc, adj, g.x_u, g.x_v, dropout_p=0.2, dropout_seed=5)
+        h_u = encode(enc, adj, g.x_u, g.x_v, slice(0, n_u), dropout_p=0.2,
+                     dropout_seed=5)
         h_u = ad.replace_rows(h_u, np.array([0]), enc["encoder.unk_u"])
         z_u = mlp_forward(state.online, "heads.projector_u", h_u)
         p_u = mlp_forward(state.online, "heads.predictor_u", z_u)
@@ -188,6 +189,23 @@ def _composed_loss_instance(seed):
     return params, loss_fn
 
 
+def _kink_distance(loss_fn):
+    """Smallest |pre-activation| over every ReLU and PReLU of one forward."""
+    seen = []
+
+    def recording(op):
+        def wrapped(a, *rest):
+            seen.append(float(np.abs(a.data).min()))
+            return op(a, *rest)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "relu", recording(ad.relu))
+        mp.setattr(ad, "prelu", recording(ad.prelu))
+        loss_fn()
+    return min(seen)
+
+
 def test_criterion_1_gradient_correctness():
     t0 = time.monotonic()
     worst = {}
@@ -196,9 +214,19 @@ def test_criterion_1_gradient_correctness():
             err = _gradcheck(np.asarray(x0, dtype=np.float64), f)
             worst[name] = max(worst.get(name, 0.0), err)
 
+    # The objective is not differentiable where a ReLU or PReLU input is 0,
+    # so an instance with a pre-activation within 1e-3 of a kink is skipped
+    # and the next seed drawn: central differences there straddle the kink.
     worst_composed = 0.0
-    for i in range(100):
-        params, loss_fn = _composed_loss_instance(2000 + i)
+    evaluated = skipped = 0
+    seed = 2000
+    while evaluated < 100:
+        params, loss_fn = _composed_loss_instance(seed)
+        seed += 1
+        if _kink_distance(loss_fn) < 1e-3:
+            skipped += 1
+            continue
+        evaluated += 1
         with Tape():
             grad_map = backward(loss_fn())
         analytic = {name: grad_map.get(p, np.zeros_like(p.data))
@@ -219,7 +247,8 @@ def test_criterion_1_gradient_correctness():
     worst_op = max(worst.values())
     ok = worst_op < 1e-4 and worst_composed < 1e-4 and elapsed < 60
     report(1, ok, f"max op error {worst_op:.2e}, composed objective error "
-                  f"{worst_composed:.2e}, {elapsed:.1f}s (< 60s)")
+                  f"{worst_composed:.2e} over {evaluated} instances ({skipped} "
+                  f"skipped within 1e-3 of a kink), {elapsed:.1f}s (< 60s)")
 
 
 # ---------------------------------------------------------------------------

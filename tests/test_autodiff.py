@@ -65,6 +65,32 @@ class TestForward:
             with pytest.raises(FloatingPointError, match="mul"):
                 ad.mul(big, big)
 
+    def test_unchecked_block_passes_non_finite_but_not_row_normalize(self):
+        big = Tensor(np.full((1, 2), 1e308))
+        with np.errstate(over="ignore"):
+            with ad.finite_checks(False):
+                assert np.isinf(ad.mul(big, big).data).all()
+                with pytest.raises(FloatingPointError, match="row_normalize"):
+                    ad.row_normalize(big)
+            with pytest.raises(FloatingPointError, match="mul"):
+                ad.mul(big, big)
+
+    def test_relu_and_prelu_propagate_nan(self):
+        x = Tensor([[np.nan, -1.0, 2.0]])
+        with ad.finite_checks(False):
+            np.testing.assert_array_equal(ad.relu(x).data, [[np.nan, 0.0, 2.0]])
+            np.testing.assert_array_equal(ad.prelu(x, Tensor([[0.25]])).data,
+                                          [[np.nan, -0.25, 2.0]])
+
+    def test_concat_rows_of_three(self):
+        with Tape():
+            parts = [leaf(np.full((k, 2), float(k))) for k in (1, 2, 3)]
+            stacked = ad.concat_rows(*parts)
+            assert stacked.shape == (6, 2)
+            grads = backward(ad.sum_all(ad.mul(stacked, stacked)))
+        for k, p in zip((1, 2, 3), parts):
+            np.testing.assert_array_equal(grads[p], np.full((k, 2), 2.0 * k))
+
     def test_dropout_p0_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
         np.testing.assert_array_equal(ad.dropout_mask(x, 0.0, seed=1).data, x.data)

@@ -136,6 +136,11 @@ class TestConfigValidation:
         ("ablate", ["--edge-keep-prob", "0"]),
         ("run", ["--seeds", "42,x"]),
         ("run", ["--decoder-hidden-dims", "4,x"]),
+        ("run", ["--decoder-hidden-dims", ","]),
+        ("run", ["--lr", "inf"]),
+        ("run", ["--weight-decay", "inf"]),
+        ("run", ["--eval-negative-ratio", "inf"]),
+        ("run", ["--decoder-negative-pool-factor", "inf"]),
     ])
     def test_bad_value_exits_before_training(self, dataset, tmp_path, capsys,
                                              command, flags):

@@ -10,7 +10,7 @@ from bilink.model import (decode_logits, ema_update, encode, encoder_shapes,
                           init_decoder, init_model_state, mlp_forward,
                           model_shapes, state_checksum)
 from bilink.optim import adam_step, init_adam_state
-from util import make_graph
+from util import encode_oracle, make_graph
 
 
 def prelu_np(x, slope=0.25):
@@ -46,27 +46,26 @@ class TestEncode:
 
     def test_zero_features_zero_biases_zero_embeddings(self):
         g, params, adj = self._setup()
-        h_u, h_v = encode(params, adj, np.zeros_like(g.x_u), np.zeros_like(g.x_v))
-        np.testing.assert_array_equal(h_u.data, np.zeros((g.n_u, 4)))
-        np.testing.assert_array_equal(h_v.data, np.zeros((g.n_v, 4)))
+        h = encode(params, adj, np.zeros_like(g.x_u), np.zeros_like(g.x_v))
+        np.testing.assert_array_equal(h.data, np.zeros((g.n_u + g.n_v, 4)))
 
     def test_isolated_node_sees_only_itself(self):
         g = make_graph(2, 1, [(0, 0, 1.0, 1)])  # u=1 isolated
         rng = np.random.default_rng(1)
         params = online_params(rng, 3, 4, input_dim=5, hidden_dim=6, output_dim=4)
         adj = build_weighted_adjacency(g, use_weights=True)
-        h_u_before, _ = encode(params, adj, g.x_u, g.x_v)
+        h_u_before = encode(params, adj, g.x_u, g.x_v, slice(0, 2))
 
         x_u2 = g.x_u.copy()
         x_u2[0] += 10.0  # perturb the other U node
         x_v2 = g.x_v + 5.0
-        h_u_after, _ = encode(params, adj, x_u2, x_v2)
+        h_u_after = encode(params, adj, x_u2, x_v2, slice(0, 2))
         np.testing.assert_allclose(h_u_before.data[1], h_u_after.data[1], atol=1e-12)
         assert not np.allclose(h_u_before.data[0], h_u_after.data[0])
 
     def test_matches_dense_two_layer_oracle(self):
         g, params, adj = self._setup(seed=2)
-        h_u, h_v = encode(params, adj, g.x_u, g.x_v)
+        h = encode(params, adj, g.x_u, g.x_v).data
 
         a = adj.toarray()
         w = {name: t.data for name, t in params.items()}
@@ -76,8 +75,22 @@ class TestEncode:
         ])
         h1 = np.maximum(a @ h0 @ w["encoder.conv1"], 0.0)
         h2 = a @ h1 @ w["encoder.conv2"]
-        assert np.max(np.abs(h_u.data - h2[:g.n_u])) < 1e-10
-        assert np.max(np.abs(h_v.data - h2[g.n_u:])) < 1e-10
+        assert np.max(np.abs(h - h2)) < 1e-10
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    def test_matches_explicit_projection_oracle(self, dropout_p):
+        g, params, adj = self._setup(seed=5, n_u=6, n_v=7)
+        h = encode(params, adj, g.x_u, g.x_v, dropout_p=dropout_p, dropout_seed=9).data
+        o_u, o_v = encode_oracle(params, adj, g.x_u, g.x_v, dropout_p, dropout_seed=9)
+        np.testing.assert_allclose(h[:g.n_u], o_u, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(h[g.n_u:], o_v, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rows", [slice(0, 6), slice(6, None), slice(2, 9)])
+    def test_rows_equal_slice_of_full_output(self, rows):
+        g, params, adj = self._setup(seed=6, n_u=6, n_v=7)
+        full = encode(params, adj, g.x_u, g.x_v, dropout_p=0.3, dropout_seed=4).data
+        part = encode(params, adj, g.x_u, g.x_v, rows, dropout_p=0.3, dropout_seed=4).data
+        np.testing.assert_array_equal(part, full[rows])
 
     def test_unweighted_flag_equals_unit_weight_graph(self):
         rng = np.random.default_rng(4)
@@ -88,8 +101,8 @@ class TestEncode:
         params = online_params(rng, 3, 4, input_dim=5, hidden_dim=6, output_dim=4)
         adj_a = build_weighted_adjacency(g_heavy, use_weights=False)
         adj_b = build_weighted_adjacency(g_unit, use_weights=True)
-        ha, _ = encode(params, adj_a, g_heavy.x_u, g_heavy.x_v)
-        hb, _ = encode(params, adj_b, g_unit.x_u, g_unit.x_v)
+        ha = encode(params, adj_a, g_heavy.x_u, g_heavy.x_v)
+        hb = encode(params, adj_b, g_unit.x_u, g_unit.x_v)
         np.testing.assert_array_equal(ha.data, hb.data)
 
 
@@ -243,8 +256,10 @@ class TestGradientIsolation:
                        d_u=3, d_v=3)
         adj = build_weighted_adjacency(g, use_weights=True)
         with Tape():
-            h_u, h_v = encode(state.online, adj, g.x_u, g.x_v)
-            t_u, t_v = encode(state.target, adj, g.x_u, g.x_v)
+            h_u = encode(state.online, adj, g.x_u, g.x_v, slice(0, 4))
+            h_v = encode(state.online, adj, g.x_u, g.x_v, slice(4, None))
+            t_u = encode(state.target, adj, g.x_u, g.x_v, slice(0, 4))
+            t_v = encode(state.target, adj, g.x_u, g.x_v, slice(4, None))
             z_u = mlp_forward(state.online, "heads.projector_u", h_u)
             loss = ad.add(ad.sum_all(ad.mul(z_u, t_u)), ad.sum_all(ad.mul(h_v, t_v)))
             grads = backward(loss)

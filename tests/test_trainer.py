@@ -64,7 +64,9 @@ class TestVariantConfig:
         ("hidden_dim", 0), ("output_dim", 0), ("input_dim", 0),
         ("decoder_hidden_dims", (16, 0)), ("unk_substitution_rate", 1.5),
         ("eval_negative_ratio", 0.0), ("decoder_monitor_fraction", 1.0),
-        ("decoder_negative_pool_factor", 0.0),
+        ("decoder_negative_pool_factor", 0.0), ("decoder_hidden_dims", ()),
+        ("lr", math.inf), ("weight_decay", math.inf), ("eval_negative_ratio", math.inf),
+        ("decoder_negative_pool_factor", math.inf),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -172,6 +174,79 @@ class TestPretrain:
         with np.errstate(all="ignore"):
             with pytest.raises(Exception, match="epoch|non-finite"):
                 pretrain(split, cfg, seed=9)
+
+    def test_nan_in_one_op_is_named_through_the_replay(self, monkeypatch):
+        """A NaN put into each PReLU output of epoch 2 passes the unchecked
+        forward, trips a later check, and the checked replay of the epoch
+        names the op; epoch 2 makes no EMA update."""
+        split = small_split(seed=6)
+        cfg = VariantConfig(pretrain_epochs=4, **SMALL)
+        epochs_done, injected = [], []
+        real_ema, real_apply = training.ema_update, ad._apply
+
+        def counting_ema(state):
+            epochs_done.append(len(epochs_done))
+            return real_ema(state)
+
+        def injecting_apply(op, out, parents, backward_fn):
+            if op == "prelu" and len(epochs_done) == 2:
+                out = out.copy()
+                out[0, 0] = np.nan
+                injected.append(getattr(ad._local, "check_finite", True))
+            return real_apply(op, out, parents, backward_fn)
+
+        monkeypatch.setattr(training, "ema_update", counting_ema)
+        monkeypatch.setattr(ad, "_apply", injecting_apply)
+        with pytest.raises(FloatingPointError, match=r"prelu \(pretraining epoch 2\)"):
+            pretrain(split, cfg, seed=7)
+        assert epochs_done == [0, 1]
+        assert injected[0] is False and injected[-1] is True
+
+    def test_default_epoch_products_have_reordered_shapes(self, monkeypatch, tmp_path):
+        """One default-shape epoch: conv1 meets only the stacked projections
+        (d_u + d_v + 2 rows), no product of all nodes has inner dimension
+        input_dim, and the last layer computes n_u rows online and n_v rows
+        for each target forward."""
+        paths = write_dataset(SyntheticSpec(seed=7), tmp_path)
+        split = chronological_split(load_graph(paths["edges"], paths["u_features"],
+                                               paths["v_features"]))
+        cfg = VariantConfig(pretrain_epochs=1)
+        g = split.train
+        n_u, n_v, n = g.n_u, g.n_v, g.n_u + g.n_v
+        width = g.x_u.shape[1] + g.x_v.shape[1] + 2
+        states, dense, sparse = [], [], []
+        real_init, real_matmul, real_sparse = (training.init_model_state, ad.matmul,
+                                               ad.sparse_dense_matmul)
+
+        def recording_init(*args):
+            states.append(real_init(*args))
+            return states[-1]
+
+        def recording_matmul(a, b):
+            dense.append((a.shape, b))
+            return real_matmul(a, b)
+
+        def recording_sparse(adj, h):
+            sparse.append((adj.shape, h.shape))
+            return real_sparse(adj, h)
+
+        monkeypatch.setattr(training, "init_model_state", recording_init)
+        monkeypatch.setattr(ad, "matmul", recording_matmul)
+        monkeypatch.setattr(ad, "sparse_dense_matmul", recording_sparse)
+        pretrain(split, cfg, seed=42)
+        (state,) = states
+
+        def left_shapes(right):
+            return [a for a, b in dense if b is right]
+
+        assert not any(a == (n, cfg.input_dim) for a, _ in dense)
+        assert (left_shapes(state.online["encoder.conv1"])
+                + left_shapes(state.target["encoder.conv1"])) == [(width, cfg.input_dim)] * 3
+        assert left_shapes(state.online["encoder.conv2"]) == [(n_u, cfg.hidden_dim)]
+        assert left_shapes(state.target["encoder.conv2"]) == [(n_v, cfg.hidden_dim)] * 2
+        assert sorted(sparse) == sorted([((n, n), (n, width))] * 3
+                                        + [((n_u, n), (n, cfg.hidden_dim))]
+                                        + [((n_v, n), (n, cfg.hidden_dim))] * 2)
 
 
 class TestExtractEmbeddings:

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from bilink import autodiff as ad
 from bilink import checkpoint
 from bilink.graph import BipartiteGraph, EdgeArray
 
@@ -39,6 +40,22 @@ def sample_negatives_oracle(split, count, rng_seed):
             taken.add((u, v))
             pairs.append((u, v))
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def encode_oracle(params, adj, x_u, x_v, dropout_p=0.0, dropout_seed=0):
+    """All stacked rows of `model.encode` in explicit-projection order:
+    project each side, stack, conv1, ReLU, dropout, then conv2 on every
+    node. Returns (h_u, h_v) arrays."""
+    def project(side, x):
+        return ad.add(ad.matmul(ad.constant(x), params[f"encoder.proj_{side}.weight"]),
+                      params[f"encoder.proj_{side}.bias"])
+
+    h = ad.concat_rows(project("u", x_u), project("v", x_v))
+    h = ad.relu(ad.sparse_dense_matmul(adj, ad.matmul(h, params["encoder.conv1"])))
+    if dropout_p > 0.0:
+        h = ad.dropout_mask(h, dropout_p, dropout_seed)
+    h = ad.sparse_dense_matmul(adj, ad.matmul(h, params["encoder.conv2"])).data
+    return h[:len(x_u)], h[len(x_u):]
 
 
 def resave_checkpoint(path, arrays, meta):
