@@ -24,6 +24,10 @@ from .graph import chronological_split
 from .synthetic import SyntheticSpec, write_dataset
 from .training import VariantConfig, evaluate_final
 
+WORKERS_HELP = ("worker processes; one task per (seed, pretraining config), each "
+                "on one BLAS thread so that workers do not oversubscribe the "
+                "cores and results do not depend on the worker count")
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
@@ -236,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="train and evaluate one variant over a seed list")
     _add_dataset_flags(p)
     p.add_argument("--seeds", default="42,43,44,45,46")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--out-dir", required=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_run)
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run all four weighting variants")
     _add_dataset_flags(p)
     p.add_argument("--seeds", default="42,43,44,45,46")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
     p.add_argument("--out-dir", required=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_ablate)

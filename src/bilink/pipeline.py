@@ -7,7 +7,10 @@ Every file is written atomically (a temporary file, then `os.replace`), so an
 interrupted write leaves the previous file intact.
 """
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -116,38 +119,98 @@ def _failure(seed: int, exc: BaseException) -> dict:
             "traceback": "".join(traceback.format_exception(exc))}
 
 
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None
+    when numpy uses another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS to one thread, then put the count back.
+
+    Yields the count the body runs with, or None (nothing pinned) when the
+    library is not found. Two training processes on two cores would
+    otherwise bring two thread pools whose idle threads spin. OpenBLAS also
+    splits large-K products differently at 1 and 2 threads, so every task
+    pins, serial or pooled: results then depend on neither `workers` nor the
+    host's core count.
+    """
+    fns = _openblas()
+    if fns is None:
+        yield None
+        return
+    get, set_ = fns
+    before = get()
+    set_(1)
+    try:
+        yield get()
+    finally:
+        set_(before)
+
+
 def _run_seed_variants(split, cfgs, seed):
-    """Every variant of one seed, one after another, sharing phase 1. Returns
-    one manifest dict or failure record per variant, in order."""
+    """Variants of one seed, one after another, sharing phase 1, on one BLAS
+    thread. Returns one manifest dict or failure record per variant, in
+    order. It pins here, in the task, so that the pin holds under any start
+    method of the pool."""
     pretrained, outcomes = {}, []
-    for cfg in cfgs:
-        try:
-            outcomes.append(run_seed(split, cfg, seed, pretrained))
-        except Exception as exc:
-            outcomes.append(_failure(seed, exc))
+    with _one_blas_thread() as threads:
+        for cfg in cfgs:
+            try:
+                result = run_seed(split, cfg, seed, pretrained)
+            except Exception as exc:
+                outcomes.append(_failure(seed, exc))
+            else:
+                result["_timing"]["blas_threads"] = threads
+                outcomes.append(result)
     return outcomes
 
 
 def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int):
     """Outcomes of every (seed, variant), one row per seed in seed order.
 
-    One task per seed, so a seed's pretrains run one after another in one
-    process; with `workers > 1` the tasks share one pool of forked workers.
+    One task per (seed, pretraining config): the variants that share a
+    pretrain run one after another in one task, and with `workers > 1` the
+    tasks share one pool of at most `workers` forked processes.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     seeds = list(seeds)
     split = chronological_split(graph)
+    tasks = []  # (row, indices of the variants sharing one pretrain)
+    for row, seed in enumerate(seeds):
+        groups = {}
+        for i, cfg in enumerate(cfgs):
+            groups.setdefault(_pretrain_key(cfg, seed), []).append(i)
+        tasks += [(row, idx) for idx in groups.values()]
+    jobs = [(split, [cfgs[i] for i in idx], seeds[row]) for row, idx in tasks]
     if workers == 1:
-        return [_run_seed_variants(split, cfgs, seed) for seed in seeds]
-    rows = []
-    with ProcessPoolExecutor(max_workers=max(1, min(workers, len(seeds)))) as pool:
-        futures = [pool.submit(_run_seed_variants, split, cfgs, seed) for seed in seeds]
-        for seed, fut in zip(seeds, futures):
-            try:
-                rows.append(fut.result())
-            except Exception as exc:  # the task never returned, e.g. a lost worker
-                rows.append([_failure(seed, exc)] * len(cfgs))
+        results = [_run_seed_variants(*job) for job in jobs]
+    else:
+        results = []
+        with ProcessPoolExecutor(max_workers=max(1, min(workers, len(jobs)))) as pool:
+            futures = [pool.submit(_run_seed_variants, *job) for job in jobs]
+            for (row, idx), fut in zip(tasks, futures):
+                try:
+                    results.append(fut.result())
+                except Exception as exc:  # the task never returned, e.g. a lost worker
+                    results.append([_failure(seeds[row], exc)] * len(idx))
+    rows = [[None] * len(cfgs) for _ in seeds]
+    for (row, idx), outcomes in zip(tasks, results):
+        for i, outcome in zip(idx, outcomes):
+            rows[row][i] = outcome
     return rows
 
 
@@ -243,11 +306,16 @@ def run_ablation(graph: BipartiteGraph, base_cfg: VariantConfig, seeds,
     out_dir = Path(out_dir)
     cfgs = [base_cfg.replace(**flags) for flags in ALL_VARIANTS]
     rows = _run_grid(graph, cfgs, seeds, workers)
-    reports = {}
-    for i, cfg in enumerate(cfgs):
-        reports[cfg.variant_label] = _write_variant(
-            out_dir / cfg.variant_label, cfg, [row[i] for row in rows], ds_hash,
-            save_checkpoints=False)
+    reports, errors = {}, []
+    for i, cfg in enumerate(cfgs):  # every variant's directory, then any error
+        try:
+            reports[cfg.variant_label] = _write_variant(
+                out_dir / cfg.variant_label, cfg, [row[i] for row in rows], ds_hash,
+                save_checkpoints=False)
+        except ValidationError as exc:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
 
     def mean_auc(report):
         if report.aggregate:

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bilink import pipeline
 from bilink.checkpoint import load_arrays, save_decoder
 from bilink.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main,
                         read_config_file)
@@ -218,6 +219,26 @@ class TestAblate:
         per_seed = [json.dumps(v["per_seed"], sort_keys=True)
                     for v in summary["variants"].values()]
         assert len(set(per_seed)) > 1
+
+    def test_failed_variant_keeps_other_variants_reports(self, dataset, tmp_path,
+                                                         monkeypatch):
+        real = pipeline.pretrain
+
+        def flaky(split, cfg, seed):
+            if cfg.weighted_pretrain:
+                raise RuntimeError("synthetic pretrain failure")
+            return real(split, cfg, seed)
+
+        monkeypatch.setattr(pipeline, "pretrain", flaky)
+        out = tmp_path / "ablate"
+        code = main(["ablate", *dataset_flags(dataset), "--seeds", "42",
+                     "--out-dir", str(out), *FAST_FLAGS])
+        assert code != EXIT_OK
+        for label in ("nwp_wb", "nwp_nwb"):
+            assert (out / label / "report.json").exists()
+            assert (out / label / "seed_42" / "manifest.json").exists()
+        for label in ("wp_wb", "wp_nwb"):
+            assert not (out / label / "report.json").exists()
 
     def test_unit_weight_dataset_rows_identical(self, tmp_path):
         data = tmp_path / "flat"

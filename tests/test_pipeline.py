@@ -214,13 +214,72 @@ class _InlinePool:
         return fut
 
 
-def test_one_pool_per_call_capped_at_seed_count(dataset, tmp_path, monkeypatch):
+def test_one_pool_per_call_capped_at_task_count(dataset, tmp_path, monkeypatch):
     graph, ds_hash = _load(dataset)
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", _InlinePool)
     _InlinePool.created = []
-    pipeline.run_ablation(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash,
-                          workers=10_000)
+    # ablate: one task per (seed, weighted_pretrain), so 2 seeds make 4 tasks
+    pipeline.run_ablation(graph, VariantConfig(**FAST), [42, 43], tmp_path / "a",
+                          ds_hash, workers=10_000)
+    assert _InlinePool.created == [4]
+    _InlinePool.created = []
+    pipeline.run_dataset(graph, VariantConfig(**FAST), [42, 43], tmp_path / "r",
+                         ds_hash, workers=10_000, save_checkpoints=False)
     assert _InlinePool.created == [2]
+
+
+def test_task_runs_on_one_blas_thread_and_restores_count(dataset, tmp_path,
+                                                         monkeypatch):
+    fns = pipeline._openblas()
+    if fns is None:
+        pytest.skip("numpy's bundled OpenBLAS not found")
+    get, set_ = fns
+    graph, ds_hash = _load(dataset)
+    real, seen = pipeline.pretrain, []
+
+    def recording(split, cfg_, seed):
+        seen.append(get())
+        return real(split, cfg_, seed)
+
+    monkeypatch.setattr(pipeline, "pretrain", recording)
+    before = get()
+    set_(2)
+    try:
+        pipeline.run_dataset(graph, VariantConfig(**FAST), [42], tmp_path, ds_hash,
+                             save_checkpoints=False)
+        after = get()
+    finally:
+        set_(before)
+    assert seen == [1]
+    assert after == 2
+    timing = json.loads((tmp_path / "seed_42" / "manifest.json").read_text())["timing"]
+    assert timing["blas_threads"] == 1
+
+
+def test_blas_threads_recorded_null_without_openblas(dataset, tmp_path, monkeypatch):
+    graph, ds_hash = _load(dataset)
+    monkeypatch.setattr(pipeline, "_openblas", lambda: None)
+    pipeline.run_dataset(graph, VariantConfig(**FAST), [42], tmp_path, ds_hash,
+                         save_checkpoints=False)
+    timing = json.loads((tmp_path / "seed_42" / "manifest.json").read_text())["timing"]
+    assert timing["blas_threads"] is None
+
+
+def test_worker_count_does_not_change_results_at_default_widths(tmp_path):
+    # Default input, hidden and output widths: products large enough that
+    # OpenBLAS would split them differently at 1 and 2 threads.
+    paths = write_dataset(SyntheticSpec(n_u=200, n_v=300, n_edges=4000, seed=7),
+                          tmp_path / "data")
+    graph, ds_hash = _load(paths)
+    cfg = VariantConfig(pretrain_epochs=2, decoder_epochs=2)
+    for workers in (1, 2):
+        pipeline.run_dataset(graph, cfg, [42, 43], tmp_path / str(workers), ds_hash,
+                             workers=workers, save_checkpoints=False)
+    for seed in (42, 43):  # manifests hold the encoder checksums
+        assert (_without_timing(tmp_path / "1" / f"seed_{seed}" / "manifest.json")
+                == _without_timing(tmp_path / "2" / f"seed_{seed}" / "manifest.json"))
+    assert ((tmp_path / "1" / "report.json").read_bytes()
+            == (tmp_path / "2" / "report.json").read_bytes())
 
 
 def test_degenerate_decoder_monitor_flagged(tmp_path):
