@@ -29,7 +29,6 @@ class GraphView:
     edge_u: np.ndarray
     edge_v: np.ndarray
     edge_w: np.ndarray
-    view_kind: str  # "augmented-1" | "augmented-2" | "corrupted"
 
     @property
     def n_edges(self) -> int:
@@ -69,14 +68,14 @@ def drop_edges_weight_aware(edge_u, edge_v, edge_w, base_keep: float, seed):
 
 
 def augmented_view(x_u, x_v, edge_u, edge_v, edge_w, *, feature_drop_p: float,
-                   base_keep: float, seed, kind: str) -> GraphView:
+                   base_keep: float, seed) -> GraphView:
     """Feature dropping plus weight-aware edge dropping, with independent
     sub-streams for each randomness site."""
     ss = as_seed_sequence(seed).spawn(3)
     xu = drop_features(x_u, feature_drop_p, ss[0])
     xv = drop_features(x_v, feature_drop_p, ss[1])
     ku, kv, kw = drop_edges_weight_aware(edge_u, edge_v, edge_w, base_keep, ss[2])
-    return GraphView(xu, xv, ku, kv, kw, kind)
+    return GraphView(xu, xv, ku, kv, kw)
 
 
 def corrupt_view(g: BipartiteGraph, n_random_edges: int, seed) -> GraphView:
@@ -92,5 +91,4 @@ def corrupt_view(g: BipartiteGraph, n_random_edges: int, seed) -> GraphView:
     perm_v = rng_v.permutation(g.n_v)
     eu = rng_e.integers(0, g.n_u, size=n_random_edges, dtype=np.int64)
     ev = rng_e.integers(0, g.n_v, size=n_random_edges, dtype=np.int64)
-    return GraphView(g.x_u[perm_u], g.x_v[perm_v], eu, ev,
-                     np.ones(n_random_edges), "corrupted")
+    return GraphView(g.x_u[perm_u], g.x_v[perm_v], eu, ev, np.ones(n_random_edges))

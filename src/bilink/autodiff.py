@@ -232,13 +232,18 @@ def prelu(a: Tensor, slope: Tensor) -> Tensor:
     return _apply("prelu", out, (a, slope), back)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)), with exp taken only of non-positive values."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    out = _stable_sigmoid(a.data)
     return _apply("sigmoid", out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -394,11 +399,6 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray,
     out = np.array([[np.sum(w * per) / m]])
 
     def back(g):
-        p = np.empty_like(s)
-        pos = s >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-s[pos]))
-        ex = np.exp(s[~pos])
-        p[~pos] = ex / (1.0 + ex)
-        return (g[0, 0] * w * (p - y) / m,)
+        return (g[0, 0] * w * (_stable_sigmoid(s) - y) / m,)
 
     return _apply("bce_with_logits", out, (logits,), back)

@@ -109,14 +109,6 @@ class TemporalSplit:
             [_pair_key(e.u, e.v, self.train.n_v) for e in eras]))
 
 
-@dataclass
-class NegativeSet:
-    """Cross-partition pairs absent from every era of a split."""
-
-    pairs: np.ndarray  # (count, 2) int64
-    provenance: str
-
-
 def _read_feature_csv(path) -> tuple:
     """Returns (ids in file order, feature matrix). Header must be id,f1,...,fd."""
     ids, rows = [], []
@@ -239,9 +231,9 @@ def complement_size(split: TemporalSplit) -> int:
     return split.train.n_u * split.train.n_v - len(split.pair_keys())
 
 
-def sample_negatives(split: TemporalSplit, count: int, rng_seed: int) -> NegativeSet:
+def sample_negatives(split: TemporalSplit, count: int, rng_seed: int) -> np.ndarray:
     """Sample `count` distinct pairs uniformly from the complement of all eras,
-    by rejection in batches of twice the draws the remaining pairs need at the
+    as a (count, 2) int64 array of (u, v) rows, by rejection in batches of twice the draws the remaining pairs need at the
     current acceptance rate; accepted pairs keep their draw order."""
     if count < 1:
         raise ValidationError(f"count must be positive, got {count}")
@@ -263,8 +255,7 @@ def sample_negatives(split: TemporalSplit, count: int, rng_seed: int) -> Negativ
         keys = np.concatenate([keys, drawn[first]])
         taken = np.union1d(taken, drawn)
     keys = keys[:count]
-    pairs = np.stack([keys // n_v, keys % n_v], axis=1)
-    return NegativeSet(pairs=pairs, provenance="excluded=train+val+test")
+    return np.stack([keys // n_v, keys % n_v], axis=1)
 
 
 def aggregate_pairs(edges: EdgeArray, n_v: int, use_weights: bool) -> tuple:

@@ -2,6 +2,10 @@
 edges, a weighted repulsive term over corrupted-view edges, and their
 balanced combination.
 
+The terms use the edge weights they are given. Unweighted pretraining is
+decided once, upstream: `graph.aggregate_pairs(..., use_weights=False)` gives
+every collapsed pair weight 1, so the views carry unit weights.
+
 Gradients flow only into the online-side inputs; target-side matrices are
 passed as plain arrays and treated as constants (stop-gradient).
 
@@ -31,14 +35,12 @@ def _check_index(idx: np.ndarray, n: int):
 
 
 def _edge_cosine_mean(online_rows: Tensor, target_matrix, edge_from, edge_to,
-                      weights, weighted: bool, sign: float) -> Tensor:
+                      weights, sign: float) -> Tensor:
     if len(edge_from) == 0:
         raise ValidationError("loss is undefined over an empty edge set")
     target = ad.constant(target_matrix.data if isinstance(target_matrix, Tensor)
                          else target_matrix)
     w = np.asarray(weights, dtype=np.float64)
-    if not weighted:
-        w = np.ones_like(w)
     total = w.sum()
     if total <= 0:
         raise ValidationError("edge weights must sum to a positive value")
@@ -54,22 +56,19 @@ def _edge_cosine_mean(online_rows: Tensor, target_matrix, edge_from, edge_to,
 
 
 def attractive_loss(pred_online: Tensor, target_matrix, edge_u, edge_v,
-                    weights, weighted: bool) -> Tensor:
+                    weights) -> Tensor:
     """Negative weighted mean cosine between online predictions at the edge
     sources and target embeddings at the edge destinations."""
     return _edge_cosine_mean(pred_online, target_matrix, edge_u, edge_v,
-                             weights, weighted, sign=-1.0)
+                             weights, sign=-1.0)
 
 
 def repulsive_loss(pred_online: Tensor, target_matrix, edge_u, edge_v,
-                   weights, weighted: bool) -> Tensor:
-    """Positive weighted mean cosine against corrupted-view targets.
-
-    Corrupted views carry weight 1 everywhere, so the weighted and
-    unweighted forms coincide there by construction.
-    """
+                   weights) -> Tensor:
+    """Positive weighted mean cosine against corrupted-view targets (weight 1
+    everywhere)."""
     return _edge_cosine_mean(pred_online, target_matrix, edge_u, edge_v,
-                             weights, weighted, sign=+1.0)
+                             weights, sign=+1.0)
 
 
 def total_pretrain_loss(attractive: Tensor, repulsive: Tensor,

@@ -166,8 +166,9 @@ def encode(params: ParamStore, adj, x_u: np.ndarray, x_v: np.ndarray,
     raw widths d_u + d_v, not with `input_dim`. Layer 2 is linear (a
     nonnegative final embedding cripples the cosine objective) and computes
     (A[rows] @ h1) @ conv2. Dropout, when nonzero, sits between the two
-    layers. The features are constants (no gradient). The adjacency must
-    have been built with the same weighting flag as the training run.
+    layers. The features are constants (no gradient). The adjacency carries
+    the run's edge weighting: built from `aggregate_pairs` output, it holds
+    unit weights when pretraining is unweighted.
     """
     n_u, d_u = x_u.shape
     d_v = x_v.shape[1]

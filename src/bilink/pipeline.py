@@ -50,31 +50,19 @@ def _pretrain_key(cfg: VariantConfig, seed: int) -> tuple:
     return seed, dataclasses.astuple(cfg.replace(weighted_bce=False))
 
 
-def run_seed(split, cfg: VariantConfig, seed: int, pretrained: dict | None = None) -> dict:
+def run_seed(split, cfg: VariantConfig, seed: int, pretrained=None) -> dict:
     """One full two-phase run for a single seed. Returns a manifest dict.
 
-    `pretrained` is an optional dict shared by runs of one seed. Phase 1 then
-    runs once per distinct pretraining config, and later runs reuse its
-    (state, trace), or re-raise its error. The encoder is frozen after phase
-    1, so reusing it changes no output.
+    `pretrained` is the (state, trace) of `pretrain(split, cfg, seed)`, shared
+    by the variants that differ only in `weighted_bce`; with None, phase 1
+    runs here. The encoder is frozen after phase 1, so sharing it changes no
+    output.
     """
     t0 = time.monotonic()
-    cache = {} if pretrained is None else pretrained
-    key = _pretrain_key(cfg, seed)
-    reused = key in cache
-    if not reused:
-        try:
-            cache[key] = pretrain(split, cfg, seed)
-        except Exception as exc:
-            cache[key] = exc, exc.__traceback__
-            raise
-    first, second = cache[key]
-    if isinstance(first, Exception):
-        raise first.with_traceback(second)  # each re-raise shows one pretrain
-    state, trace = first, second
+    state, trace = pretrain(split, cfg, seed) if pretrained is None else pretrained
     checksum_before = state_checksum(state)
 
-    emb = extract_embeddings(state, split.train, cfg, provenance="train")
+    emb = extract_embeddings(state, split.train, cfg)
     vu, vv, vw = aggregate_pairs(split.val_edges, split.train.n_v, use_weights=True)
     if len(vu) == 0:
         raise ValidationError("validation era has no pairs; cannot train decoder")
@@ -109,8 +97,7 @@ def run_seed(split, cfg: VariantConfig, seed: int, pretrained: dict | None = Non
         "eval_info": info,
         "_state": state,
         "_decoder": dec,
-        "_timing": {"elapsed_seconds": time.monotonic() - t0,
-                    "pretrain_reused": reused},
+        "_timing": {"elapsed_seconds": time.monotonic() - t0},
     }
 
 
@@ -161,19 +148,25 @@ def _one_blas_thread():
 
 
 def _run_seed_variants(split, cfgs, seed):
-    """Variants of one seed, one after another, sharing phase 1, on one BLAS
-    thread. Returns one manifest dict or failure record per variant, in
-    order. It pins here, in the task, so that the pin holds under any start
-    method of the pool."""
-    pretrained, outcomes = {}, []
+    """Variants of one seed that share one pretrain, one after another, on
+    one BLAS thread. Returns one manifest dict or failure record per variant,
+    in order. It pins here, in the task, so that the pin holds under any
+    start method of the pool."""
     with _one_blas_thread() as threads:
-        for cfg in cfgs:
+        t0 = time.monotonic()
+        try:
+            pretrained = pretrain(split, cfgs[0], seed)
+        except Exception as exc:
+            return [_failure(seed, exc)] * len(cfgs)
+        timing = {"pretrain_seconds": time.monotonic() - t0, "blas_threads": threads}
+        outcomes = []
+        for i, cfg in enumerate(cfgs):
             try:
                 result = run_seed(split, cfg, seed, pretrained)
             except Exception as exc:
                 outcomes.append(_failure(seed, exc))
             else:
-                result["_timing"]["blas_threads"] = threads
+                result["_timing"].update(timing, pretrain_reused=i > 0)
                 outcomes.append(result)
     return outcomes
 
@@ -242,10 +235,6 @@ def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes, ds_hash: str,
             ckpt.save_model_state(seed_dir / "model.npz", result["_state"], meta)
             ckpt.save_decoder(seed_dir / "decoder.npz", result["_decoder"], meta)
 
-    if failures and not results:
-        raise ValidationError(
-            f"all seeds failed: {[(f['seed'], f['error']) for f in failures]}")
-
     per_seed = [r["metrics"] for r in results]
     ok_seeds = [r["seed"] for r in results]
     if len(results) >= 2:
@@ -260,6 +249,9 @@ def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes, ds_hash: str,
         payload["failures"] = failures
     _write_json(out_dir / "report.json", payload)
     write_report_csv(out_dir / "report.csv", {cfg.variant_label: report})
+    if failures and not results:
+        raise ValidationError(
+            f"all seeds failed: {[(f['seed'], f['error']) for f in failures]}")
     return report
 
 

@@ -14,7 +14,7 @@ from . import metrics as mt
 from .augment import augmented_view, corrupt_view
 from .autodiff import Tape, backward
 from .errors import TrainingError, ValidationError
-from .graph import (BipartiteGraph, NegativeSet, TemporalSplit, aggregate_pairs,
+from .graph import (BipartiteGraph, TemporalSplit, aggregate_pairs,
                     build_weighted_adjacency, merge_graphs, normalized_adjacency,
                     sample_negatives)
 from .losses import attractive_loss, repulsive_loss, total_pretrain_loss
@@ -54,9 +54,10 @@ class VariantConfig:
     """One cell of the weighting ablation grid plus shared hyperparameters.
 
     `weighted_pretrain` gates edge weights everywhere in phase 1 (message
-    passing, edge dropping, loss); `weighted_bce` gates the per-link weights
-    of the decoder loss in phase 2. With a graph whose collapsed weights are
-    all 1, the four combinations are computationally identical.
+    passing, edge dropping, loss) at one site: `aggregate_pairs` gives every
+    collapsed pair weight 1 when it is off. `weighted_bce` gates the per-link
+    weights of the decoder loss in phase 2. With a graph whose collapsed
+    weights are all 1, the four combinations are computationally identical.
     """
 
     weighted_pretrain: bool = False
@@ -125,7 +126,6 @@ class FrozenEmbeddings:
     emb_v: np.ndarray
     known_u: np.ndarray
     known_v: np.ndarray
-    provenance: str
 
 
 def _target_rows(state: ModelState, adj, x_u, x_v) -> np.ndarray:
@@ -159,7 +159,8 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
                              cfg.input_dim, cfg.hidden_dim, cfg.output_dim, cfg.tau)
     opt_state = init_adam_state(state.online)
 
-    # Collapsed modeling edges; weights forced to 1 under unweighted pretraining.
+    # Collapsed modeling edges: phase 1's one edge-weighting site (weight 1
+    # for every pair under unweighted pretraining).
     cu, cv, cw = aggregate_pairs(g.edges, g.n_v, use_weights=cfg.weighted_pretrain)
 
     # One epoch's arrays stay bound until the next epoch rebinds them, so the
@@ -171,13 +172,11 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
         view1 = augmented_view(g.x_u, g.x_v, cu, cv, cw,
                                feature_drop_p=cfg.feature_drop_p,
                                base_keep=cfg.edge_keep_prob,
-                               seed=child_seed(seed, "view", epoch, 1),
-                               kind="augmented-1")
+                               seed=child_seed(seed, "view", epoch, 1))
         view2 = augmented_view(g.x_u, g.x_v, cu, cv, cw,
                                feature_drop_p=cfg.feature_drop_p,
                                base_keep=cfg.edge_keep_prob,
-                               seed=child_seed(seed, "view", epoch, 2),
-                               kind="augmented-2")
+                               seed=child_seed(seed, "view", epoch, 2))
         corrupted = corrupt_view(g, max(1, view1.n_edges),
                                  child_seed(seed, "corrupt", epoch))
 
@@ -200,9 +199,9 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
                         p_u = mlp_forward(state.online, "heads.predictor_u",
                                           mlp_forward(state.online, "heads.projector_u", h_u))
                         attr = attractive_loss(p_u, tgt2_v, view1.edge_u, view1.edge_v,
-                                               view1.edge_w, weighted=cfg.weighted_pretrain)
+                                               view1.edge_w)
                         rep = repulsive_loss(p_u, tgtc_v, corrupted.edge_u, corrupted.edge_v,
-                                             corrupted.edge_w, weighted=cfg.weighted_pretrain)
+                                             corrupted.edge_w)
                         total = total_pretrain_loss(attr, rep, cfg.loss_balance)
                         if not np.isfinite(total.item()):
                             raise TrainingError("non-finite pretraining loss")
@@ -234,7 +233,7 @@ def _substitute_unk(state, cfg, h_u, seed, epoch):
 
 
 def extract_embeddings(state: ModelState, graph: BipartiteGraph,
-                       cfg: VariantConfig, provenance: str) -> FrozenEmbeddings:
+                       cfg: VariantConfig) -> FrozenEmbeddings:
     """Deterministic online-encoder embeddings over a stated graph.
 
     No dropout, no gradients. A U node without any incident edge in `graph`
@@ -255,7 +254,7 @@ def extract_embeddings(state: ModelState, graph: BipartiteGraph,
     emb_v = np.where(known_v[:, None], h_v, h_v[known_v].mean(axis=0))
     emb_u.setflags(write=False)
     emb_v.setflags(write=False)
-    return FrozenEmbeddings(emb_u, emb_v, known_u, known_v, provenance)
+    return FrozenEmbeddings(emb_u, emb_v, known_u, known_v)
 
 
 def decoder_bce_examples(positives_uv: np.ndarray, pos_weights: np.ndarray,
@@ -291,7 +290,7 @@ def _decoder_scores(dec, emb, pairs):
 
 
 def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
-                  pos_weights: np.ndarray, negatives: NegativeSet,
+                  pos_weights: np.ndarray, negatives: np.ndarray,
                   cfg: VariantConfig, seed: int):
     """Phase 2: supervised decoder on frozen embeddings.
 
@@ -304,7 +303,7 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
     """
     positives_uv = np.asarray(positives_uv, dtype=np.int64)
     pos_weights = np.asarray(pos_weights, dtype=np.float64)
-    neg_pool = np.asarray(negatives.pairs, dtype=np.int64)
+    neg_pool = np.asarray(negatives, dtype=np.int64)
     n_pos, n_neg = len(positives_uv), len(neg_pool)
     if n_pos < 2 or n_neg < 2:
         raise ValidationError(
@@ -377,7 +376,7 @@ def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
     configured ratio. Returns (metrics dict, info dict).
     """
     graph_tv = merge_graphs(split.train, split.val_edges)
-    emb = extract_embeddings(state, graph_tv, cfg, provenance="train+val")
+    emb = extract_embeddings(state, graph_tv, cfg)
 
     tu, tv, _ = aggregate_pairs(split.test_edges, split.train.n_v, use_weights=False)
     if len(tu) == 0:
@@ -387,7 +386,7 @@ def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
     eval_seed = int(child_seed(seed, "eval-negatives").generate_state(1)[0])
     negatives = sample_negatives(split, n_neg, eval_seed)
 
-    pairs = np.vstack([pos_pairs, negatives.pairs])
+    pairs = np.vstack([pos_pairs, negatives])
     labels = np.concatenate([np.ones(len(pos_pairs)), np.zeros(n_neg)])
     scores = _decoder_scores(dec, emb, pairs)
     values, flags = mt.compute_all(scores, labels, k=cfg.hits_k)

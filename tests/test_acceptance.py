@@ -182,8 +182,8 @@ def _composed_loss_instance(seed):
         h_u = ad.replace_rows(h_u, np.array([0]), enc["encoder.unk_u"])
         z_u = mlp_forward(state.online, "heads.projector_u", h_u)
         p_u = mlp_forward(state.online, "heads.predictor_u", z_u)
-        attr = attractive_loss(p_u, tgt_v2, eu, ev, ew, weighted=True)
-        rep = repulsive_loss(p_u, tgt_vc, ceu, cev, np.ones(4), weighted=True)
+        attr = attractive_loss(p_u, tgt_v2, eu, ev, ew)
+        rep = repulsive_loss(p_u, tgt_vc, ceu, cev, np.ones(4))
         return total_pretrain_loss(attr, rep, 0.5)
 
     return params, loss_fn
@@ -319,8 +319,9 @@ def test_criterion_2_oracle_equivalence():
         ev = rng.integers(0, rows, n_e)
         w = rng.uniform(0.5, 20.0, n_e)
         weighted = bool(rng.random() < 0.5)
-        attr = attractive_loss(Tensor(pred), tgt, eu, ev, w, weighted).item()
-        rep = repulsive_loss(Tensor(pred), tgt, eu, ev, w, weighted).item()
+        loss_w = w if weighted else np.ones_like(w)  # as aggregate_pairs gives
+        attr = attractive_loss(Tensor(pred), tgt, eu, ev, loss_w).item()
+        rep = repulsive_loss(Tensor(pred), tgt, eu, ev, loss_w).item()
         pairs = list(zip(eu, ev))
         worst_loss = max(
             worst_loss,

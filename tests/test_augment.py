@@ -137,16 +137,16 @@ class TestAugmentedView:
         v = rng.integers(0, 30, 50)
         w = rng.uniform(1, 5, 50)
         a = augmented_view(x_u, x_v, u, v, w, feature_drop_p=0.2, base_keep=0.7,
-                           seed=11, kind="augmented-1")
+                           seed=11)
         b = augmented_view(x_u, x_v, u, v, w, feature_drop_p=0.2, base_keep=0.7,
-                           seed=11, kind="augmented-1")
+                           seed=11)
         np.testing.assert_array_equal(a.x_u, b.x_u)
         np.testing.assert_array_equal(a.edge_u, b.edge_u)
 
     def test_different_seeds_differ(self):
         x = np.ones((30, 30))
         a = augmented_view(x, x, np.arange(30), np.arange(30), np.ones(30),
-                           feature_drop_p=0.3, base_keep=0.5, seed=1, kind="augmented-1")
+                           feature_drop_p=0.3, base_keep=0.5, seed=1)
         b = augmented_view(x, x, np.arange(30), np.arange(30), np.ones(30),
-                           feature_drop_p=0.3, base_keep=0.5, seed=2, kind="augmented-2")
+                           feature_drop_p=0.3, base_keep=0.5, seed=2)
         assert not np.array_equal(a.x_u, b.x_u) or not np.array_equal(a.edge_u, b.edge_u)

@@ -238,7 +238,11 @@ class TestAblate:
             assert (out / label / "report.json").exists()
             assert (out / label / "seed_42" / "manifest.json").exists()
         for label in ("wp_wb", "wp_nwb"):
-            assert not (out / label / "report.json").exists()
+            report = json.loads((out / label / "report.json").read_text())
+            assert report["seeds"] == [] and report["aggregate"] == {}
+            assert report["failures"][0]["type"] == "RuntimeError"
+            assert "synthetic pretrain failure" in report["failures"][0]["traceback"]
+            assert "n/a" in (out / label / "report.csv").read_text()
 
     def test_unit_weight_dataset_rows_identical(self, tmp_path):
         data = tmp_path / "flat"

@@ -152,7 +152,7 @@ class TestSampleNegatives:
     def test_single_missing_pair_forced(self):
         split = self._full_split([(0, 0, 1, 1), (0, 1, 1, 2), (1, 0, 1, 3)], 2, 2)
         neg = sample_negatives(split, 1, rng_seed=7)
-        assert neg.pairs.tolist() == [[1, 1]]
+        assert neg.tolist() == [[1, 1]]
 
     def test_deterministic_replay(self):
         rng = np.random.default_rng(8)
@@ -161,8 +161,8 @@ class TestSampleNegatives:
         split = self._full_split(edges, 50, 50)
         a = sample_negatives(split, 100, rng_seed=42)
         b = sample_negatives(split, 100, rng_seed=42)
-        np.testing.assert_array_equal(a.pairs, b.pairs)
-        assert len(np.unique(a.pairs[:, 0] * 50 + a.pairs[:, 1])) == 100
+        np.testing.assert_array_equal(a, b)
+        assert len(np.unique(a[:, 0] * 50 + a[:, 1])) == 100
 
     def test_never_intersects_any_era(self):
         rng = np.random.default_rng(9)
@@ -170,7 +170,7 @@ class TestSampleNegatives:
                  for t in range(70)]
         split = self._full_split(edges, 12, 9)
         neg = sample_negatives(split, complement_size(split), rng_seed=5)
-        keys = neg.pairs[:, 0] * 9 + neg.pairs[:, 1]
+        keys = neg[:, 0] * 9 + neg[:, 1]
         assert not np.isin(keys, split.pair_keys()).any()
 
     def test_pair_keys_sorted_unique_over_eras(self):
@@ -195,7 +195,7 @@ class TestSampleNegatives:
         free = complement_size(split)
         for count in sorted({1, 2, free // 4, free // 3, free // 2} - {0}):
             for rng_seed in (0, 13):
-                got = sample_negatives(split, count, rng_seed).pairs
+                got = sample_negatives(split, count, rng_seed)
                 want = sample_negatives_oracle(split, count, rng_seed)
                 assert got.dtype == np.int64
                 np.testing.assert_array_equal(got, want)
@@ -206,7 +206,7 @@ class TestSampleNegatives:
         n_u, n_v = split.train.n_u, split.train.n_v
         free = complement_size(split)
         for count in (free // 2 + 1, (3 * free) // 4, free):
-            pairs = sample_negatives(split, count, rng_seed=seed).pairs
+            pairs = sample_negatives(split, count, rng_seed=seed)
             assert pairs.shape == (count, 2)
             assert (pairs >= 0).all()
             assert (pairs[:, 0] < n_u).all() and (pairs[:, 1] < n_v).all()
@@ -224,7 +224,7 @@ class TestSampleNegatives:
         trials = 2000
         hits = np.zeros(16)
         for seed in range(trials):
-            pairs = sample_negatives(split, 9, rng_seed=seed).pairs
+            pairs = sample_negatives(split, 9, rng_seed=seed)
             hits[pairs[:, 0] * 4 + pairs[:, 1]] += 1
         assert hits[split.pair_keys()].sum() == 0
         rate = hits[free_keys] / trials

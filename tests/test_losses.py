@@ -17,14 +17,14 @@ class TestAttractive:
         rows = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
         loss = attractive_loss(tensor(rows), rows.copy(),
                                np.array([0, 1, 2]), np.array([0, 1, 2]),
-                               np.array([1.0, 2.0, 3.0]), weighted=True)
+                               np.array([1.0, 2.0, 3.0]))
         assert loss.item() == pytest.approx(-1.0, abs=1e-12)
 
     def test_orthogonal_rows_zero(self):
         pred = np.array([[1.0, 0.0], [0.0, 2.0]])
         target = np.array([[0.0, 3.0], [5.0, 0.0]])
         loss = attractive_loss(tensor(pred), target, np.array([0, 1]),
-                               np.array([0, 1]), np.ones(2), weighted=True)
+                               np.array([0, 1]), np.ones(2))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_scalar_loop_oracle_with_skewed_weights(self):
@@ -34,28 +34,16 @@ class TestAttractive:
         eu = np.array([0, 3, 5])
         ev = np.array([2, 6, 1])
         w = np.array([1.0, 2.0, 377.0])
-        loss = attractive_loss(tensor(pred), target, eu, ev, w, weighted=True)
+        loss = attractive_loss(tensor(pred), target, eu, ev, w)
         oracle = loss_term_oracle(pred, target, list(zip(eu, ev)), w,
                                   weighted=True, sign=-1.0)
-        assert abs(loss.item() - oracle) < 1e-12
-
-    def test_unweighted_is_plain_mean(self):
-        rng = np.random.default_rng(1)
-        pred = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 3))
-        eu = np.array([0, 1, 2, 3])
-        ev = np.array([3, 2, 1, 0])
-        w = np.array([1.0, 10.0, 100.0, 1000.0])
-        loss = attractive_loss(tensor(pred), target, eu, ev, w, weighted=False)
-        oracle = loss_term_oracle(pred, target, list(zip(eu, ev)), w,
-                                  weighted=False, sign=-1.0)
         assert abs(loss.item() - oracle) < 1e-12
 
     def test_empty_edges_error(self):
         with pytest.raises(ValidationError, match="empty"):
             attractive_loss(tensor(np.ones((2, 2))), np.ones((2, 2)),
                             np.array([], dtype=int), np.array([], dtype=int),
-                            np.array([]), weighted=True)
+                            np.array([]))
 
 
     def test_out_of_range_edge_index_rejected(self):
@@ -63,20 +51,20 @@ class TestAttractive:
         for eu, ev in (([0, 3], [0, 1]), ([0, 1], [4, 0]), ([-1, 0], [0, 1])):
             with pytest.raises(ValueError, match="out of range"):
                 attractive_loss(tensor(pred), target, np.array(eu), np.array(ev),
-                                np.ones(2), weighted=True)
+                                np.ones(2))
 
 
 class TestRepulsive:
     def test_matching_rows_hit_plus_one(self):
         rows = np.array([[1.0, 1.0], [2.0, 0.5]])
         loss = repulsive_loss(tensor(rows), rows.copy(), np.array([0, 1]),
-                              np.array([0, 1]), np.ones(2), weighted=True)
+                              np.array([0, 1]), np.ones(2))
         assert loss.item() == pytest.approx(1.0, abs=1e-12)
 
     def test_antipodal_rows_hit_minus_one(self):
         rows = np.array([[1.0, 2.0], [-0.5, 3.0]])
         loss = repulsive_loss(tensor(rows), -rows, np.array([0, 1]),
-                              np.array([0, 1]), np.ones(2), weighted=True)
+                              np.array([0, 1]), np.ones(2))
         assert loss.item() == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
@@ -86,7 +74,7 @@ class TestRepulsive:
         eu = np.array([4, 0, 0, 2])
         ev = np.array([1, 5, 5, 3])
         w = np.ones(4)
-        loss = repulsive_loss(tensor(pred), target, eu, ev, w, weighted=True)
+        loss = repulsive_loss(tensor(pred), target, eu, ev, w)
         oracle = loss_term_oracle(pred, target, list(zip(eu, ev)), w,
                                   weighted=True, sign=+1.0)
         assert abs(loss.item() - oracle) < 1e-12
@@ -118,23 +106,12 @@ class TestProperties:
             eu = rng.integers(0, 6, 8)
             ev = rng.integers(0, 6, 8)
             w = rng.uniform(0.1, 5.0, 8)
-            attr = attractive_loss(tensor(pred), target, eu, ev, w, True)
-            rep = repulsive_loss(tensor(pred), target, eu, ev, w, True)
+            attr = attractive_loss(tensor(pred), target, eu, ev, w)
+            rep = repulsive_loss(tensor(pred), target, eu, ev, w)
             total = total_pretrain_loss(attr, rep, float(rng.uniform(0, 1)))
             assert -1.0 - 1e-12 <= attr.item() <= 1.0 + 1e-12
             assert -1.0 - 1e-12 <= rep.item() <= 1.0 + 1e-12
             assert -1.0 - 1e-12 <= total.item() <= 1.0 + 1e-12
-
-    def test_weighted_equals_unweighted_on_uniform_weights(self):
-        rng = np.random.default_rng(4)
-        pred = rng.normal(size=(5, 3))
-        target = rng.normal(size=(5, 3))
-        eu = rng.integers(0, 5, 7)
-        ev = rng.integers(0, 5, 7)
-        w = np.full(7, 4.0)
-        a = attractive_loss(tensor(pred), target, eu, ev, w, weighted=True)
-        b = attractive_loss(tensor(pred), target, eu, ev, w, weighted=False)
-        assert a.item() == b.item()
 
     def test_cosine_scale_invariance(self):
         rng = np.random.default_rng(5)
@@ -143,9 +120,9 @@ class TestProperties:
         eu = np.array([0, 1, 2, 3])
         ev = np.array([1, 0, 3, 2])
         w = rng.uniform(0.5, 2.0, 4)
-        base = attractive_loss(tensor(pred), target, eu, ev, w, True).item()
+        base = attractive_loss(tensor(pred), target, eu, ev, w).item()
         scaled = attractive_loss(tensor(pred * 37.5), target * 0.004,
-                                 eu, ev, w, True).item()
+                                 eu, ev, w).item()
         assert abs(base - scaled) < 1e-10
 
     def test_gradient_matches_finite_differences(self):
@@ -162,8 +139,8 @@ class TestProperties:
 
         def objective(w0):
             pred = ad.matmul(Tensor(x), w0 if isinstance(w0, Tensor) else Tensor(w0))
-            attr = attractive_loss(pred, target2, eu, ev, w, weighted=True)
-            rep = repulsive_loss(pred, targetc, ceu, cev, np.ones(2), weighted=True)
+            attr = attractive_loss(pred, target2, eu, ev, w)
+            rep = repulsive_loss(pred, targetc, ceu, cev, np.ones(2))
             return total_pretrain_loss(attr, rep, 0.5)
 
         w0 = rng.normal(size=(3, 4))
@@ -179,7 +156,7 @@ class TestProperties:
             pred = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
             target = Tensor(rng.normal(size=(3, 2)), requires_grad=False)
             loss = attractive_loss(pred, target, np.array([0, 1]),
-                                   np.array([1, 2]), np.ones(2), True)
+                                   np.array([1, 2]), np.ones(2))
             grads = backward(loss)
         assert pred in grads
         assert target not in grads
@@ -206,8 +183,9 @@ class TestIncidenceProduct:
             pred, target, eu, ev, w = self._case(seed)
             pairs = list(zip(eu, ev))
             for weighted in (True, False):
-                attr = attractive_loss(tensor(pred), target, eu, ev, w, weighted)
-                rep = repulsive_loss(tensor(pred), target, eu, ev, w, weighted)
+                loss_w = w if weighted else np.ones_like(w)
+                attr = attractive_loss(tensor(pred), target, eu, ev, loss_w)
+                rep = repulsive_loss(tensor(pred), target, eu, ev, loss_w)
                 assert abs(attr.item() - loss_term_oracle(
                     pred, target, pairs, w, weighted, -1.0)) < 1e-12
                 assert abs(rep.item() - loss_term_oracle(
@@ -217,7 +195,7 @@ class TestIncidenceProduct:
         pred, target, eu, ev, w = self._case(9)
         with Tape():
             p = tensor(pred, grad=True)
-            fast = backward(repulsive_loss(p, target, eu, ev, w, weighted=True))[p]
+            fast = backward(repulsive_loss(p, target, eu, ev, w))[p]
         with Tape():
             p = tensor(pred, grad=True)
             cos = ad.row_cosine(ad.take_rows(p, eu), ad.take_rows(Tensor(target), ev))

@@ -133,15 +133,17 @@ def _failures(path):
 def test_failed_pretrain_recorded_under_every_variant_sharing_it(
         dataset, tmp_path, monkeypatch):
     graph, ds_hash = _load(dataset)
-    real = pipeline.pretrain
+    real, calls = pipeline.pretrain, []
 
     def flaky(split, cfg_, seed):
+        calls.append((cfg_.weighted_pretrain, seed))
         if seed == 43 and cfg_.weighted_pretrain:
             raise RuntimeError("synthetic pretrain failure")
         return real(split, cfg_, seed)
 
     monkeypatch.setattr(pipeline, "pretrain", flaky)
     pipeline.run_ablation(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash)
+    assert len(calls) == 4  # 2 seeds x 2 pretraining configs
     for label in ("wp_wb", "wp_nwb"):
         (failure,) = _failures(tmp_path / label)
         assert failure["seed"] == 43

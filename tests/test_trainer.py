@@ -121,6 +121,24 @@ class TestPretrain:
         _, off = pretrain(split, VariantConfig(weighted_pretrain=False, **base), seed=5)
         assert on == off
 
+    def test_unweighted_pretraining_ignores_edge_weights(self):
+        # aggregate_pairs is the one site that drops weights, so the skewed
+        # graph and its unit-weight copy must train the same encoder
+        rng = np.random.default_rng(6)
+        events = [(int(rng.integers(0, 10)), int(rng.integers(0, 10)),
+                   float(rng.choice([1.0, 50.0])), t) for t in range(80)]
+        skewed, unit = (chronological_split(make_graph(
+            10, 10, [(u, v, w if keep else 1.0, t) for u, v, w, t in events],
+            d_u=5, d_v=6)) for keep in (True, False))
+        assert len(set(skewed.train.edges.w)) == 2
+        cfg = VariantConfig(pretrain_epochs=3, **SMALL)
+        state_s, trace_s = pretrain(skewed, cfg, seed=5)
+        state_u, trace_u = pretrain(unit, cfg, seed=5)
+        assert state_checksum(state_s) == state_checksum(state_u)
+        assert trace_s == trace_u
+        _, weighted = pretrain(skewed, cfg.replace(weighted_pretrain=True), seed=5)
+        assert weighted != trace_s
+
     def test_unk_substitution_trains_the_loss_facing_row(self):
         """With weight decay off, any UNK movement is loss-driven: the U row,
         which feeds the one-directional objective, trains."""
@@ -261,7 +279,7 @@ class TestExtractEmbeddings:
         assert 9 not in split.train.edges.u
         cfg = VariantConfig(pretrain_epochs=2, **SMALL)
         state = self._trained(split, cfg)
-        emb = extract_embeddings(state, split.train, cfg, "train")
+        emb = extract_embeddings(state, split.train, cfg)
         assert not emb.known_u[9]
         np.testing.assert_array_equal(emb.emb_u[9],
                                       state.online["encoder.unk_u"].data[0])
@@ -273,14 +291,14 @@ class TestExtractEmbeddings:
         state = self._trained(split, cfg)
         empty = split.train.with_edges(EdgeArray([], [], [], []))
         with pytest.raises(ValidationError, match="no edges"):
-            extract_embeddings(state, empty, cfg, "empty")
+            extract_embeddings(state, empty, cfg)
 
     def test_repeated_extraction_bit_identical(self):
         split = small_split(seed=12)
         cfg = VariantConfig(pretrain_epochs=2, **SMALL)
         state = self._trained(split, cfg)
-        a = extract_embeddings(state, split.train, cfg, "train")
-        b = extract_embeddings(state, split.train, cfg, "train")
+        a = extract_embeddings(state, split.train, cfg)
+        b = extract_embeddings(state, split.train, cfg)
         np.testing.assert_array_equal(a.emb_u, b.emb_u)
         np.testing.assert_array_equal(a.emb_v, b.emb_v)
 
@@ -290,19 +308,17 @@ class TestExtractEmbeddings:
         split = small_split(seed=13, m=60)
         cfg = VariantConfig(pretrain_epochs=2, **SMALL)
         state = self._trained(split, cfg)
-        emb_train = extract_embeddings(state, split.train, cfg, "train")
+        emb_train = extract_embeddings(state, split.train, cfg)
         graph_tv = merge_graphs(split.train, split.val_edges)
-        emb_tv = extract_embeddings(state, graph_tv, cfg, "train+val")
+        emb_tv = extract_embeddings(state, graph_tv, cfg)
         gained = np.unique(split.val_edges.u)
         assert any(not np.allclose(emb_train.emb_u[u], emb_tv.emb_u[u])
                    for u in gained)
-        assert emb_train.provenance == "train"
-        assert emb_tv.provenance == "train+val"
 
     def test_arrays_are_read_only(self):
         split = small_split(seed=14)
         cfg = VariantConfig(pretrain_epochs=1, **SMALL)
-        emb = extract_embeddings(self._trained(split, cfg), split.train, cfg, "train")
+        emb = extract_embeddings(self._trained(split, cfg), split.train, cfg)
         with pytest.raises(ValueError):
             emb.emb_u[0, 0] = 1.0
 
@@ -340,7 +356,7 @@ class TestTrainDecoder:
         split = small_split(seed=seed, n_u=15, n_v=15, m=150)
         cfg = cfg or VariantConfig(pretrain_epochs=3, decoder_epochs=40, **SMALL)
         state, _ = pretrain(split, cfg, seed=1)
-        emb = extract_embeddings(state, split.train, cfg, "train")
+        emb = extract_embeddings(state, split.train, cfg)
         from bilink.graph import aggregate_pairs
 
         vu, vv, vw = aggregate_pairs(split.val_edges, split.train.n_v, True)
@@ -418,8 +434,7 @@ def test_held_out_nodes_score_through_fallback_rows(tmp_path):
     result = run_seed(split, cfg, 42)
     state, dec = result["_state"], result["_decoder"]
 
-    emb = extract_embeddings(state, merge_graphs(split.train, split.val_edges), cfg,
-                             "train+val")
+    emb = extract_embeddings(state, merge_graphs(split.train, split.val_edges), cfg)
     assert not emb.known_u[held_u].any() and not emb.known_v[held_v].any()
     assert emb.known_u.sum() == split.train.n_u - len(held_u)
     assert emb.known_v.sum() == split.train.n_v - len(held_v)
@@ -479,7 +494,7 @@ class TestFullRunInvariants:
         split = small_split(seed=33, n_u=15, n_v=15, m=150)
         cfg = VariantConfig(pretrain_epochs=2, decoder_epochs=5, **SMALL)
         state, _ = pretrain(split, cfg, seed=1)
-        emb = extract_embeddings(state, split.train, cfg, "train")
+        emb = extract_embeddings(state, split.train, cfg)
         from bilink.graph import aggregate_pairs
 
         vu, vv, vw = aggregate_pairs(split.val_edges, split.train.n_v, True)
