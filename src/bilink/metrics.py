@@ -6,13 +6,13 @@ half. Hits@K ranks each positive against the shared negative pool by
 default; with fewer than K negatives every positive counts as a hit,
 which `compute_all` flags.
 Threshold metrics return 0 (flagged, never an error) on zero denominators.
+Non-finite scores are an error for every metric.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ValidationError
 
@@ -28,7 +28,22 @@ def _check(scores, labels):
             f"scores and labels differ in length: {len(scores)} vs {len(labels)}")
     if not np.isin(labels, (0, 1)).all():
         raise ValidationError("labels must be 0 or 1")
+    if not np.isfinite(scores).all():
+        raise ValidationError("scores must be finite")
     return scores, labels
+
+
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks, each group of tied scores given the mean of its
+    ranks. Values are half-integers, so they are exact."""
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    # the group at sorted positions [s, e) holds ranks s+1 .. e
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
 
 
 def roc_auc(scores, labels) -> float:
@@ -39,7 +54,7 @@ def roc_auc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("roc_auc needs at least one positive and one negative")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -96,7 +111,8 @@ def threshold_prf(scores, labels, threshold: float = 0.5) -> ThresholdReport:
     """Precision/recall/F1 with prediction = score >= threshold.
 
     Zero-denominator cases yield 0 for the affected metric and a flag
-    naming it, never an error.
+    naming it, never an error. A decoder that scores every pair positive
+    is flagged `all_predicted_positive`.
     """
     scores, labels = _check(scores, labels)
     pred = scores >= threshold
@@ -109,6 +125,8 @@ def threshold_prf(scores, labels, threshold: float = 0.5) -> ThresholdReport:
         flags.append("no_predicted_positives")
     else:
         precision = tp / (tp + fp)
+        if pred.all():
+            flags.append("all_predicted_positive")
     if tp + fn == 0:
         recall = 0.0
         flags.append("no_actual_positives")

@@ -90,6 +90,7 @@ def run_seed(split, cfg: VariantConfig, seed: int, pretrained=None) -> dict:
             "epochs_run": record.epochs_run,
             "monitor_metric": record.monitor_metric,
             "monitor_history": record.monitor_history,
+            "stopped_at_early_best": record.stopped_at_early_best,
         },
         "encoder_checksum_before_decoder": checksum_before,
         "encoder_checksum_after_decoder": checksum_after,

@@ -275,13 +275,16 @@ def decoder_bce_examples(positives_uv: np.ndarray, pos_weights: np.ndarray,
 class DecoderRecord:
     """Early-stopping record. `monitor_metric` is "hits_at_k", or "roc_auc"
     when the monitor slice holds `hits_k` negatives or fewer: there a Hits@K
-    hit means beating the weakest negative, or every epoch reads 1.0."""
+    hit means beating the weakest negative, or every epoch reads 1.0.
+    `stopped_at_early_best` says that patience ran out after a best epoch
+    of 0 or 1: the decoder likely never left its starting plateau."""
 
     best_epoch: int
     best_score: float
     epochs_run: int
     monitor_metric: str
     monitor_history: list = field(default_factory=list)
+    stopped_at_early_best: bool = False
 
 
 def _decoder_scores(dec, emb, pairs):
@@ -360,9 +363,11 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
             break
 
     dec.flat[...] = best[2]
+    patience_ran_out = epochs_run - 1 - best[1] >= cfg.patience
     record = DecoderRecord(best_epoch=best[1], best_score=best[0],
                            epochs_run=epochs_run, monitor_metric=monitor_metric,
-                           monitor_history=history)
+                           monitor_history=history,
+                           stopped_at_early_best=patience_ran_out and best[1] <= 1)
     return dec, record
 
 

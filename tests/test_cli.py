@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,21 @@ def dataset_flags(data_dir):
     return ["--edges", str(data_dir / "edges.csv"),
             "--u-features", str(data_dir / "u_features.csv"),
             "--v-features", str(data_dir / "v_features.csv")]
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackages():
+    """Every CLI call pays its imports; scipy is used only for sparse matrices."""
+    import bilink
+
+    src = str(Path(bilink.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, bilink.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'scipy.linalg') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestGenSynth:

@@ -132,6 +132,13 @@ class TestThresholdPrf:
         assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
         assert "no_predicted_positives" in r.flags
 
+    def test_all_predicted_positive_flagged(self):
+        r = threshold_prf([0.5, 0.9, 0.6], [1, 0, 0])
+        assert (r.precision, r.recall) == (pytest.approx(1 / 3), 1.0)
+        assert r.flags == ("all_predicted_positive",)
+        assert "all_predicted_positive" in compute_all([0.5, 0.9, 0.6], [1, 0, 0], k=1)[1]
+        assert threshold_prf([0.6, 0.9, 0.4], [1, 0, 0]).flags == ()
+
     def test_mixed_case_matches_confusion_matrix(self):
         scores = [0.9, 0.4, 0.6, 0.5, 0.1, 0.7, 0.3, 0.51]
         labels = [1, 1, 0, 1, 0, 1, 0, 0]
@@ -144,6 +151,14 @@ class TestThresholdPrf:
     def test_threshold_is_inclusive(self):
         r = threshold_prf([0.5], [1], threshold=0.5)
         assert r.recall == 1.0
+
+
+@pytest.mark.parametrize("metric", [roc_auc, average_precision, hits_at_k,
+                                    threshold_prf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_rejected(metric, bad):
+    with pytest.raises(ValidationError, match="finite"):
+        metric([0.9, bad, 0.2, 0.4], [1, 0, 1, 0])
 
 
 class TestAggregate:

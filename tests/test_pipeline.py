@@ -297,5 +297,6 @@ def test_degenerate_decoder_monitor_flagged(tmp_path):
     assert result["decoder"]["monitor_metric"] == "roc_auc"
     assert len(set(result["decoder"]["monitor_history"])) > 1
     assert result["decoder"]["best_epoch"] > 0
+    assert result["decoder"]["stopped_at_early_best"] is False
     healthy = pipeline.run_seed(split, cfg.replace(hits_k=2), 42)
     assert healthy["decoder"]["monitor_metric"] == "hits_at_k"

@@ -399,6 +399,20 @@ class TestTrainDecoder:
         for name, p in dec.items():
             assert np.shares_memory(p.data, dec.flat), name
 
+    @pytest.mark.parametrize("script, flagged", [
+        ([0.2, 0.9] + [0.4] * 20, True),        # best epoch 1, patience ran out
+        ([0.2, 0.3, 0.9] + [0.4] * 20, False),  # best epoch 2
+        ([0.1 * i for i in range(1, 30)], False),  # still improving at the last epoch
+    ])
+    def test_stop_after_early_best_flagged(self, monkeypatch, script, flagged):
+        split, cfg, state, emb, pos, w, neg = self._setup(seed=24)
+        scripted = iter(script)
+        for metric in ("hits_at_k", "roc_auc"):  # whichever the slice size picks
+            monkeypatch.setattr(training.mt, metric, lambda *a, **k: next(scripted))
+        cfg = cfg.replace(patience=3, decoder_epochs=8)
+        _, record = train_decoder(emb, pos, w, neg, cfg, seed=7)
+        assert record.stopped_at_early_best is flagged
+
     def test_encoder_untouched_by_decoder_training(self):
         split, cfg, state, emb, pos, w, neg = self._setup(seed=22)
         before = state_checksum(state)
