@@ -3,8 +3,9 @@
 Operations record onto the innermost active Tape (opened with a `with`
 block). Outside a tape they are plain forward computations, which is how
 evaluation-time encoding runs. A tape is single-threaded; independent tapes
-may live on separate threads. Closing the block drops the tape's record, so
-`backward` runs inside the block.
+may live on separate threads. `backward` consumes the tape's record, node by
+node, and closing the block drops whatever is left of it, so `backward` runs
+once, inside the block.
 
 Every op output is checked for non-finite values unless a `finite_checks(False)`
 block is active on the thread; a caller that turns the checks off must check
@@ -77,14 +78,16 @@ class _Node:
 class Tape:
     """Ordered record of operations; creation order is already topological.
 
-    Leaving the `with` block closes the tape and drops its nodes. A node
-    holds its output tensor, whose `_tape` points back here, so without this
-    every step's activations would live on until the cyclic GC ran.
+    `backward` pops each node once it has used it, and leaving the `with`
+    block closes the tape and drops any nodes left. A node holds its output
+    tensor, whose `_tape` points back here, so without this every step's
+    activations would live on until the cyclic GC ran.
     """
 
     def __init__(self):
         self._nodes = []
         self.closed = False
+        self.consumed = False
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -137,7 +140,8 @@ def backward(loss: Tensor) -> dict:
     """Backpropagate from a scalar loss through its recording tape.
 
     Returns {leaf tensor: gradient array} for every requires_grad leaf that
-    the loss depends on. Each tape node is visited exactly once.
+    the loss depends on. Each tape node is visited exactly once and then
+    dropped, so a tape serves one `backward`.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward needs a scalar (1x1) loss, got shape {loss.shape}")
@@ -146,10 +150,18 @@ def backward(loss: Tensor) -> dict:
     tape = loss._tape
     if tape.closed:
         raise ValueError("the loss's tape is closed; call backward inside its block")
+    if tape.consumed:
+        raise ValueError("the loss's tape was consumed by an earlier backward; "
+                         "record the loss on a new tape")
+    tape.consumed = True
 
+    # Popping each node frees its activations and closures as soon as its
+    # gradient has gone to its parents, not when the tape closes.
+    nodes = tape._nodes
     pending = {id(loss): np.ones((1, 1))}
     holders = {id(loss): loss}
-    for node in reversed(tape._nodes):
+    while nodes:
+        node = nodes.pop()
         g = pending.pop(id(node.out), None)
         if g is None:
             continue
@@ -254,8 +266,17 @@ def dropout_mask(a: Tensor, p: float, seed: int) -> Tensor:
     if p == 0.0:
         return _apply("dropout", a.data.copy(), (a,), lambda g: (g,))
     rng = np.random.default_rng(seed)
-    mask = (rng.random(a.shape) >= p) / (1.0 - p)
-    return _apply("dropout", a.data * mask, (a,), lambda g: (g * mask,))
+    # A boolean keep-mask and one scale: an eighth of a float mask's bytes
+    # held for backward, and the same products bit for bit.
+    keep = rng.random(a.shape) >= p
+    c = 1.0 / (1.0 - p)
+
+    def masked(x):
+        out = x * keep
+        out *= c
+        return out
+
+    return _apply("dropout", masked(a.data), (a,), lambda g: (masked(g),))
 
 
 def row_cosine(a: Tensor, b: Tensor) -> Tensor:

@@ -233,8 +233,9 @@ def complement_size(split: TemporalSplit) -> int:
 
 def sample_negatives(split: TemporalSplit, count: int, rng_seed: int) -> np.ndarray:
     """Sample `count` distinct pairs uniformly from the complement of all eras,
-    as a (count, 2) int64 array of (u, v) rows, by rejection in batches of twice the draws the remaining pairs need at the
-    current acceptance rate; accepted pairs keep their draw order."""
+    as a (count, 2) int64 array of (u, v) rows, by rejection in batches of
+    twice the draws the remaining pairs need at the current acceptance rate;
+    accepted pairs keep their draw order."""
     if count < 1:
         raise ValidationError(f"count must be positive, got {count}")
     n_u, n_v = split.train.n_u, split.train.n_v

@@ -8,11 +8,14 @@ interrupted write leaves the previous file intact.
 """
 
 import contextlib
+import csv
 import ctypes
 import dataclasses
 import functools
 import hashlib
 import json
+import resource
+import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -56,7 +59,8 @@ def run_seed(split, cfg: VariantConfig, seed: int, pretrained=None) -> dict:
     `pretrained` is the (state, trace) of `pretrain(split, cfg, seed)`, shared
     by the variants that differ only in `weighted_bce`; with None, phase 1
     runs here. The encoder is frozen after phase 1, so sharing it changes no
-    output.
+    output. The trained model and decoder come back under `_state` and
+    `_decoder`.
     """
     t0 = time.monotonic()
     state, trace = pretrain(split, cfg, seed) if pretrained is None else pretrained
@@ -148,11 +152,23 @@ def _one_blas_thread():
         set_(before)
 
 
-def _run_seed_variants(split, cfgs, seed):
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
+
+
+def _run_seed_variants(split, cfgs, seed, checkpoint_dirs=None):
     """Variants of one seed that share one pretrain, one after another, on
     one BLAS thread. Returns one manifest dict or failure record per variant,
     in order. It pins here, in the task, so that the pin holds under any
-    start method of the pool."""
+    start method of the pool.
+
+    With `checkpoint_dirs` (one per variant), each variant's model and
+    decoder are written to `<dir>/seed_<seed>/` as soon as it finishes. The
+    records hold no arrays either way, so a pool sends back only manifests
+    and the caller's memory does not grow with the seed count.
+    """
     with _one_blas_thread() as threads:
         t0 = time.monotonic()
         try:
@@ -164,20 +180,33 @@ def _run_seed_variants(split, cfgs, seed):
         for i, cfg in enumerate(cfgs):
             try:
                 result = run_seed(split, cfg, seed, pretrained)
+                state, dec = result.pop("_state"), result.pop("_decoder")
+                if checkpoint_dirs is not None:
+                    seed_dir = checkpoint_dirs[i] / f"seed_{seed}"
+                    seed_dir.mkdir(parents=True, exist_ok=True)
+                    meta = {"config": result["config"], "seed": seed}
+                    ckpt.save_model_state(seed_dir / "model.npz", state, meta)
+                    ckpt.save_decoder(seed_dir / "decoder.npz", dec, meta)
             except Exception as exc:
                 outcomes.append(_failure(seed, exc))
             else:
                 result["_timing"].update(timing, pretrain_reused=i > 0)
                 outcomes.append(result)
+    peak = _peak_rss_mb()
+    for outcome in outcomes:
+        if "_timing" in outcome:
+            outcome["_timing"]["process_peak_rss_mb"] = peak
     return outcomes
 
 
-def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int):
+def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
+              checkpoint_dirs=None):
     """Outcomes of every (seed, variant), one row per seed in seed order.
 
     One task per (seed, pretraining config): the variants that share a
     pretrain run one after another in one task, and with `workers > 1` the
-    tasks share one pool of at most `workers` forked processes.
+    tasks share one pool of at most `workers` forked processes. With
+    `checkpoint_dirs` (one per variant), the tasks write their checkpoints.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -189,7 +218,9 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int):
         for i, cfg in enumerate(cfgs):
             groups.setdefault(_pretrain_key(cfg, seed), []).append(i)
         tasks += [(row, idx) for idx in groups.values()]
-    jobs = [(split, [cfgs[i] for i in idx], seeds[row]) for row, idx in tasks]
+    jobs = [(split, [cfgs[i] for i in idx], seeds[row],
+             None if checkpoint_dirs is None else [checkpoint_dirs[i] for i in idx])
+            for row, idx in tasks]
     if workers == 1:
         results = [_run_seed_variants(*job) for job in jobs]
     else:
@@ -221,9 +252,9 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes, ds_hash: str,
-                   save_checkpoints: bool) -> mt.EvalReport:
-    """Per-seed manifests (and checkpoints) plus the report of one variant."""
+def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes,
+                   ds_hash: str) -> mt.EvalReport:
+    """Per-seed manifests plus the report of one variant."""
     out_dir.mkdir(parents=True, exist_ok=True)
     results = [o for o in outcomes if "error" not in o]
     failures = [o for o in outcomes if "error" in o]
@@ -231,10 +262,6 @@ def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes, ds_hash: str,
         seed_dir = out_dir / f"seed_{result['seed']}"
         seed_dir.mkdir(exist_ok=True)
         _write_json(seed_dir / "manifest.json", _manifest_json(result, ds_hash))
-        if save_checkpoints:
-            meta = {"config": result["config"], "seed": result["seed"]}
-            ckpt.save_model_state(seed_dir / "model.npz", result["_state"], meta)
-            ckpt.save_decoder(seed_dir / "decoder.npz", result["_decoder"], meta)
 
     per_seed = [r["metrics"] for r in results]
     ok_seeds = [r["seed"] for r in results]
@@ -261,17 +288,16 @@ def run_dataset(graph: BipartiteGraph, cfg: VariantConfig, seeds,
                 save_checkpoints: bool = True) -> mt.EvalReport:
     """Run every seed, write per-seed manifests/checkpoints and the
     aggregate report. Per-seed failures are recorded; other seeds proceed."""
-    rows = _run_grid(graph, [cfg], seeds, workers)
-    return _write_variant(Path(out_dir), cfg, [row[0] for row in rows], ds_hash,
-                          save_checkpoints)
+    out_dir = Path(out_dir)
+    rows = _run_grid(graph, [cfg], seeds, workers,
+                     [out_dir] if save_checkpoints else None)
+    return _write_variant(out_dir, cfg, [row[0] for row in rows], ds_hash)
 
 
 def write_report_csv(path, reports: dict) -> None:
     """One row per variant, six metric columns formatted 'mean ± std'."""
-    import csv as _csv
-
     with ckpt.atomic_write(path, newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["variant"] + list(mt.METRIC_NAMES))
         for label, report in reports.items():
             row = [label]
@@ -303,8 +329,7 @@ def run_ablation(graph: BipartiteGraph, base_cfg: VariantConfig, seeds,
     for i, cfg in enumerate(cfgs):  # every variant's directory, then any error
         try:
             reports[cfg.variant_label] = _write_variant(
-                out_dir / cfg.variant_label, cfg, [row[i] for row in rows], ds_hash,
-                save_checkpoints=False)
+                out_dir / cfg.variant_label, cfg, [row[i] for row in rows], ds_hash)
         except ValidationError as exc:
             errors.append(exc)
     if errors:

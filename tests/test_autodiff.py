@@ -103,6 +103,18 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_dropout_matches_float_mask_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        x0, g0 = rng.normal(size=(30, 7)), rng.normal(size=(30, 7))
+        mask = (np.random.default_rng(5).random(x0.shape) >= 0.3) / (1.0 - 0.3)
+        with Tape():
+            x = leaf(x0)
+            h = ad.dropout_mask(x, 0.3, seed=5)
+            grads = backward(ad.sum_all(ad.mul(h, Tensor(g0))))
+        np.testing.assert_array_equal(h.data, x0 * mask)
+        np.testing.assert_array_equal(np.signbit(h.data), np.signbit(x0 * mask))
+        np.testing.assert_array_equal(grads[x], g0 * mask)
+
 
 class TestBackward:
     def test_sum_gradient_all_ones(self):
@@ -134,11 +146,34 @@ class TestBackward:
                 loss = ad.sum_all(h)
                 del h
                 backward(loss)
+                assert ref() is None
+        finally:
+            gc.enable()
+        assert loss.item() == 24.0
+
+    def test_closing_tape_without_backward_frees_intermediates_without_gc(self):
+        gc.disable()
+        try:
+            with Tape():
+                x = leaf(np.ones((3, 4)))
+                h = ad.relu(ad.scale(x, 2.0))
+                ref = weakref.ref(h.data)
+                loss = ad.sum_all(h)
+                del h
                 assert ref() is not None
             assert ref() is None
         finally:
             gc.enable()
         assert loss.item() == 24.0
+
+    def test_second_backward_on_consumed_tape_raises(self):
+        with Tape():
+            x = leaf(np.ones((2, 2)))
+            loss = ad.sum_all(ad.mul(x, x))
+            grads = backward(loss)
+            with pytest.raises(ValueError, match="consumed"):
+                backward(loss)
+        np.testing.assert_array_equal(grads[x], np.full((2, 2), 2.0))
 
     def test_backward_after_block_exit_raises(self):
         with Tape():

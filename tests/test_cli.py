@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from bilink import pipeline
-from bilink.checkpoint import load_arrays, save_decoder
+from bilink.checkpoint import load_arrays, load_model_state, save_decoder
 from bilink.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main,
                         read_config_file)
 from bilink.errors import ValidationError
-from bilink.model import init_decoder
+from bilink.model import init_decoder, state_checksum
 from util import resave_checkpoint
 
 DATA = Path(__file__).parent / "data"
@@ -291,6 +291,33 @@ class TestEvalAndInspect:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["metrics"] == manifest["metrics"]
+
+    def test_pooled_checkpoints_equal_serial_ones(self, dataset, tmp_path, capsys):
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"workers{workers}"
+            assert main(["run", *dataset_flags(dataset), "--seeds", "42,43",
+                         "--workers", str(workers), "--out-dir", str(out),
+                         *FAST_FLAGS]) == EXIT_OK
+            runs[workers] = out
+        report = json.loads((runs[2] / "report.json").read_text())
+        for i, seed in enumerate((42, 43)):
+            serial, pooled = (runs[w] / f"seed_{seed}" for w in (1, 2))
+            model_s, _ = load_model_state(serial / "model.npz")
+            model_p, _ = load_model_state(pooled / "model.npz")
+            assert state_checksum(model_s) == state_checksum(model_p)
+            dec_s, dec_p = (load_arrays(d / "decoder.npz")[0] for d in (serial, pooled))
+            assert dec_s.keys() == dec_p.keys()
+            for name in dec_s:
+                np.testing.assert_array_equal(dec_s[name], dec_p[name])
+            capsys.readouterr()
+            assert main(["eval-only", *dataset_flags(dataset),
+                         "--model", str(pooled / "model.npz"),
+                         "--decoder", str(pooled / "decoder.npz"),
+                         "--seed", str(seed)]) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            assert report["seeds"][i] == seed
+            assert payload["metrics"] == report["per_seed"][i]
 
     def test_inspect_checkpoint_lists_shapes(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"

@@ -6,6 +6,7 @@ import pytest
 from bilink import pipeline
 from bilink.cli import EXIT_OK, EXIT_RUNTIME, main
 from bilink.graph import chronological_split
+from bilink.model import ModelState, ParamStore
 from bilink.synthetic import SyntheticSpec, write_dataset
 from bilink.training import ALL_VARIANTS, VariantConfig
 
@@ -300,3 +301,63 @@ def test_degenerate_decoder_monitor_flagged(tmp_path):
     assert result["decoder"]["stopped_at_early_best"] is False
     healthy = pipeline.run_seed(split, cfg.replace(hits_k=2), 42)
     assert healthy["decoder"]["monitor_metric"] == "hits_at_k"
+
+
+def _held_arrays(obj, path="record"):
+    """Paths of every ndarray, ParamStore or ModelState inside `obj`."""
+    if isinstance(obj, (np.ndarray, ParamStore, ModelState)):
+        return [path]
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _held_arrays(v, f"{path}[{k!r}]")]
+    if isinstance(obj, (list, tuple)):
+        return [p for i, v in enumerate(obj) for p in _held_arrays(v, f"{path}[{i}]")]
+    return []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_task_records_hold_no_arrays(dataset, tmp_path, workers):
+    graph, _ = _load(dataset)
+    cfgs = [VariantConfig(**FAST).replace(**flags) for flags in ALL_VARIANTS]
+    dirs = [tmp_path / cfg.variant_label for cfg in cfgs]
+    rows = pipeline._run_grid(graph, cfgs, [42, 43], workers)
+    rows += pipeline._run_grid(graph, cfgs, [42, 43], workers, dirs)
+    assert all("error" not in outcome for row in rows for outcome in row)
+    assert _held_arrays(rows) == []
+    # the tasks wrote every checkpoint themselves
+    for d in dirs:
+        for seed in (42, 43):
+            assert (d / f"seed_{seed}" / "model.npz").exists()
+            assert (d / f"seed_{seed}" / "decoder.npz").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_manifest_records_process_peak_rss(dataset, tmp_path, workers):
+    graph, ds_hash = _load(dataset)
+    pipeline.run_dataset(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash,
+                         workers=workers, save_checkpoints=False)
+    for seed in (42, 43):
+        timing = json.loads((tmp_path / f"seed_{seed}" / "manifest.json")
+                            .read_text())["timing"]
+        peak = timing["process_peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_checkpoint_write_recorded_others_proceed(dataset, tmp_path,
+                                                         monkeypatch, workers):
+    graph, ds_hash = _load(dataset)
+    real = pipeline.ckpt.save_decoder
+
+    def flaky(path, dec, meta):
+        if meta["seed"] == 43:
+            raise OSError("synthetic write failure")
+        return real(path, dec, meta)
+
+    monkeypatch.setattr(pipeline.ckpt, "save_decoder", flaky)
+    report = pipeline.run_dataset(graph, VariantConfig(**FAST), [42, 43], tmp_path,
+                                  ds_hash, workers=workers)
+    assert report.seeds == [42]
+    (failure,) = _failures(tmp_path)
+    assert failure["seed"] == 43 and failure["type"] == "OSError"
+    assert (tmp_path / "seed_42" / "decoder.npz").exists()
+    assert not (tmp_path / "seed_43" / "manifest.json").exists()
