@@ -39,11 +39,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
+        if arr.ndim != 2:
             raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
@@ -99,9 +95,6 @@ class Tape:
         self._nodes = []
         self.closed = True
         return False
-
-    def __len__(self):
-        return len(self._nodes)
 
     def _record(self, out, parents, backward_fn):
         out._tape = self
@@ -195,15 +188,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; a (1, n) operand broadcasts over the other's rows."""
+    """Elementwise sum; a (1, n) right operand broadcasts over `a`'s rows."""
     if a.shape == b.shape:
         return _apply("add", a.data + b.data, (a, b), lambda g: (g, g))
     if b.shape == (1, a.shape[1]):
         return _apply("add", a.data + b.data, (a, b),
                       lambda g: (g, g.sum(axis=0, keepdims=True)))
-    if a.shape == (1, b.shape[1]):
-        return _apply("add", a.data + b.data, (a, b),
-                      lambda g: (g.sum(axis=0, keepdims=True), g))
     raise ValueError(f"add shape mismatch: {_shapes(a, b)}")
 
 

@@ -41,18 +41,18 @@ _REMOVED_FIELDS = {"num_layers": 2, "final_layer_relu": False,
 def _parse_config_value(name: str, raw: str):
     field = _CONFIG_FIELDS[name]
     raw = raw.strip()
-    if field.type in ("bool", bool):
+    if field.type is bool:
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
         raise ValidationError(f"config key {name}: expected a boolean, got {raw!r}")
     try:
-        if field.type in ("int", int):
+        if field.type is int:
             return int(raw)
-        if field.type in ("float", float):
+        if field.type is float:
             return float(raw)
-        if field.type in ("tuple", tuple):
+        if field.type is tuple:
             return tuple(int(x) for x in raw.split(","))
     except ValueError as exc:
         raise ValidationError(f"config key {name}: malformed value ({exc})") from None
@@ -76,32 +76,19 @@ def read_config_file(path) -> dict:
 
 def _add_config_flags(parser):
     group = parser.add_argument_group("model configuration (override file/defaults)")
-    group.add_argument("--config", type=str, default=None,
-                       help="flat key=value config file")
-    for name, field in _CONFIG_FIELDS.items():
-        flag = "--" + name.replace("_", "-")
-        if field.type in ("bool", bool):
-            group.add_argument(flag, type=str, default=None, metavar="BOOL")
-        elif field.type in ("int", int):
-            group.add_argument(flag, type=int, default=None)
-        elif field.type in ("float", float):
-            group.add_argument(flag, type=float, default=None)
-        else:
-            group.add_argument(flag, type=str, default=None, metavar="INTS")
+    group.add_argument("--config", help="flat key=value config file")
+    for name in _CONFIG_FIELDS:  # strings, parsed by `build_config` as in a file
+        group.add_argument("--" + name.replace("_", "-"))
 
 
 def build_config(args) -> VariantConfig:
     values = {}
     if args.config:
         values.update(read_config_file(args.config))
-    for name, field in _CONFIG_FIELDS.items():
+    for name in _CONFIG_FIELDS:
         raw = getattr(args, name, None)
-        if raw is None:
-            continue
-        if isinstance(raw, str):
+        if raw is not None:
             values[name] = _parse_config_value(name, raw)
-        else:
-            values[name] = raw
     return VariantConfig(**values)
 
 
@@ -113,22 +100,15 @@ def _add_dataset_flags(parser):
 
 def _parse_seeds(raw: str) -> list:
     try:
-        seeds = [int(s) for s in raw.replace(",", " ").split()]
+        return [int(s) for s in raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ValidationError(f"--seeds: malformed seed list ({exc})") from None
-    if not seeds:
-        raise ValidationError("seed list is empty")
-    return seeds
 
 
 def cmd_gen_synth(args) -> int:
-    spec = SyntheticSpec(
-        n_u=args.n_u, n_v=args.n_v, n_edges=args.n_edges,
-        weight_skew=args.weight_skew,
-        block_structure=not args.no_blocks,
-        n_blocks=args.n_blocks, intra_prob=args.intra_prob,
-        time_span=args.time_span, seed=args.seed,
-    )
+    spec_fields = {f.name for f in dataclasses.fields(SyntheticSpec)}
+    values = {k: v for k, v in vars(args).items() if k in spec_fields and v is not None}
+    spec = SyntheticSpec(**values, block_structure=not args.no_blocks)
     paths = write_dataset(spec, args.out_dir)
     print(json.dumps(paths, indent=2))
     return EXIT_OK
@@ -198,7 +178,8 @@ def cmd_eval_only(args) -> int:
                "variant": cfg.variant_label, "metrics": metrics, "eval_info": info}
     out = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(out + "\n", encoding="utf-8")
+        with ckpt.atomic_write(args.out) as fh:
+            fh.write(out + "\n")
     print(out)
     return EXIT_OK
 
@@ -222,36 +203,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-supervised link prediction on weighted bipartite graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Unset gen-synth flags stay None and take SyntheticSpec's defaults.
     p = sub.add_parser("gen-synth", help="write a synthetic planted-block dataset")
-    p.add_argument("--n-u", type=int, default=200)
-    p.add_argument("--n-v", type=int, default=300)
-    p.add_argument("--n-edges", type=int, default=4000)
-    p.add_argument("--weight-skew", type=int, default=1,
+    p.add_argument("--n-u", type=int)
+    p.add_argument("--n-v", type=int)
+    p.add_argument("--n-edges", type=int)
+    p.add_argument("--weight-skew", type=int,
                    help="power-law weight cap; 1 means unweighted")
     p.add_argument("--no-blocks", action="store_true",
                    help="uniform random edges (no learnable structure)")
-    p.add_argument("--n-blocks", type=int, default=10)
-    p.add_argument("--intra-prob", type=float, default=0.95)
-    p.add_argument("--time-span", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-blocks", type=int)
+    p.add_argument("--intra-prob", type=float)
+    p.add_argument("--time-span", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_gen_synth)
 
-    p = sub.add_parser("run", help="train and evaluate one variant over a seed list")
-    _add_dataset_flags(p)
-    p.add_argument("--seeds", default="42,43,44,45,46")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.add_argument("--out-dir", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("ablate", help="run all four weighting variants")
-    _add_dataset_flags(p)
-    p.add_argument("--seeds", default="42,43,44,45,46")
-    p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
-    p.add_argument("--out-dir", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_ablate)
+    for name, func, help_ in (
+            ("run", cmd_run, "train and evaluate one variant over a seed list"),
+            ("ablate", cmd_ablate, "run all four weighting variants")):
+        p = sub.add_parser(name, help=help_)
+        _add_dataset_flags(p)
+        p.add_argument("--seeds", default=",".join(map(str, pipeline.DEFAULT_SEEDS)))
+        p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+        p.add_argument("--out-dir", required=True)
+        _add_config_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("eval-only", help="re-evaluate saved checkpoints on a dataset")
     _add_dataset_flags(p)

@@ -197,12 +197,9 @@ def load_graph(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
                           tuple(u_ids), tuple(v_ids))
 
 
-def chronological_split(g: BipartiteGraph,
-                        fractions=(0.8, 0.1, 0.1)) -> TemporalSplit:
-    """Sort events by timestamp (stable, ties by input order) and cut at the
-    cumulative fraction boundaries. Each era is guaranteed non-empty."""
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValidationError(f"fractions must be 3 values summing to 1, got {fractions}")
+def chronological_split(g: BipartiteGraph) -> TemporalSplit:
+    """Sort events by timestamp (stable, ties by input order) and cut them
+    80/10/10 into train, validation and test eras, each non-empty."""
     m = g.n_edges
     if m < 3:
         raise ValidationError(
@@ -211,9 +208,10 @@ def chronological_split(g: BipartiteGraph,
     if np.unique(g.edges.t).size == 1:
         warnings.warn("all edges share one timestamp; splitting by input order")
 
-    cut1 = int(m * fractions[0])
+    cut1 = int(m * 0.8)
     cut1 = min(max(cut1, 1), m - 2)
-    cut2 = int(m * (fractions[0] + fractions[1]))
+    # The validation era ends at 0.8 + 0.1, which is 0.9000000000000001 in floats.
+    cut2 = int(m * (0.8 + 0.1))
     cut2 = min(max(cut2, cut1 + 1), m - 1)
 
     def take(idx):

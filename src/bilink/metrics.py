@@ -107,15 +107,15 @@ class ThresholdReport:
     flags: tuple = ()
 
 
-def threshold_prf(scores, labels, threshold: float = 0.5) -> ThresholdReport:
-    """Precision/recall/F1 with prediction = score >= threshold.
+def threshold_prf(scores, labels) -> ThresholdReport:
+    """Precision/recall/F1 with prediction = score >= 0.5.
 
     Zero-denominator cases yield 0 for the affected metric and a flag
     naming it, never an error. A decoder that scores every pair positive
     is flagged `all_predicted_positive`.
     """
     scores, labels = _check(scores, labels)
-    pred = scores >= threshold
+    pred = scores >= 0.5
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
     fn = int(np.sum(~pred & (labels == 1)))
@@ -141,14 +141,14 @@ def threshold_prf(scores, labels, threshold: float = 0.5) -> ThresholdReport:
     return ThresholdReport(precision, recall, f1, tuple(flags))
 
 
-def compute_all(scores, labels, k: int = 50, threshold: float = 0.5) -> dict:
+def compute_all(scores, labels, k: int = 50) -> dict:
     """The full metric sextuple for one scored evaluation set, plus flags.
 
     Flags name degenerate values: the precision/recall/F1 flags of
     `threshold_prf`, and `hits_at_k_fewer_negatives_than_k` when the pool
     has fewer than k negatives, so that every positive counts as a hit.
     """
-    prf = threshold_prf(scores, labels, threshold)
+    prf = threshold_prf(scores, labels)
     out = {
         "roc_auc": roc_auc(scores, labels),
         "average_precision": average_precision(scores, labels),

@@ -100,7 +100,7 @@ def model_shapes(d_u: int, d_v: int, input_dim: int, hidden_dim: int,
     return shapes
 
 
-def decoder_shapes(embed_dim: int, hidden_dims=(256, 64)) -> dict:
+def decoder_shapes(embed_dim: int, hidden_dims) -> dict:
     """Ordered name -> shape of the MLP scoring a concatenated (u, v) pair."""
     dims = [2 * embed_dim, *hidden_dims, 1]
     shapes = {}
@@ -135,7 +135,7 @@ def init_model_state(rng, d_u: int, d_v: int, input_dim: int, hidden_dim: int,
                       make_store({n: drawn[n] for n in target}, requires_grad=False), tau)
 
 
-def init_decoder(rng, embed_dim: int, hidden_dims=(256, 64)) -> ParamStore:
+def init_decoder(rng, embed_dim: int, hidden_dims) -> ParamStore:
     shapes = decoder_shapes(embed_dim, hidden_dims)
     return make_store({name: _init_value(rng, name, shape)
                        for name, shape in shapes.items()}, requires_grad=True)

@@ -12,6 +12,9 @@ from .errors import TrainingError
 # updates; 32k-element blocks made it about 20% faster than them.
 _BLOCK = 1 << 15
 
+# Moment decay rates and the denominator's epsilon (Kingma and Ba's defaults).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
@@ -25,8 +28,7 @@ def init_adam_state(params) -> AdamState:
 
 
 def adam_step(params, grads: dict, state: AdamState, lr: float,
-              weight_decay: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+              weight_decay: float) -> None:
     """One in-place update of every parameter of a `ParamStore`.
 
     `grads` maps parameter tensors to gradients, as `backward` returns it.
@@ -51,17 +53,17 @@ def adam_step(params, grads: dict, state: AdamState, lr: float,
     g = np.concatenate(parts)
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for lo in range(0, g.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         gb, m, v, p = g[blk], state.m[blk], state.v[blk], params.flat[blk]
-        m *= beta1
-        m += (1.0 - beta1) * gb
-        v *= beta2
-        v += (1.0 - beta2) * gb * gb
+        m *= BETA1
+        m += (1.0 - BETA1) * gb
+        v *= BETA2
+        v += (1.0 - BETA2) * gb * gb
         m_hat = m / bc1
         v_hat = v / bc2
         if weight_decay:
             p *= 1.0 - lr * weight_decay
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)

@@ -29,9 +29,9 @@ from .errors import ValidationError
 from .graph import (BipartiteGraph, aggregate_pairs, chronological_split,
                     complement_size, load_graph, sample_negatives)
 from .model import state_checksum
-from .rng import child_seed
-from .training import (ALL_VARIANTS, VariantConfig, evaluate_final,
-                       extract_embeddings, pretrain, train_decoder)
+from .rng import seed_int
+from .training import (ALL_VARIANTS, VariantConfig, eval_negative_count,
+                       evaluate_final, extract_embeddings, pretrain, train_decoder)
 
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
 
@@ -44,13 +44,25 @@ def dataset_hash(paths: dict) -> str:
     return h.hexdigest()
 
 
-def _seed_int(root, *tags) -> int:
-    return int(child_seed(root, *tags).generate_state(1)[0])
-
-
 def _pretrain_key(cfg: VariantConfig, seed: int) -> tuple:
     """What phase 1 reads: the seed and the config less `weighted_bce`."""
     return seed, dataclasses.astuple(cfg.replace(weighted_bce=False))
+
+
+def _decoder_pool_size(split, cfg: VariantConfig) -> int:
+    """Phase 2's negative pool size, after checking every phase-2 count (2+
+    validation-era pairs and pool negatives, `eval_negative_count`), so that
+    a split too small for phase 2 can fail before pretraining."""
+    n_pos = len(aggregate_pairs(split.val_edges, split.train.n_v, use_weights=False)[0])
+    if n_pos < 2:
+        raise ValidationError(
+            f"decoder training needs >= 2 validation-era pairs, got {n_pos}")
+    pool_target = int(np.ceil(cfg.decoder_negative_pool_factor * n_pos))
+    pool_size = min(pool_target, complement_size(split))
+    if pool_size < 2:
+        raise ValidationError("complement too small to sample a negative pool")
+    eval_negative_count(split, cfg)
+    return pool_size
 
 
 def run_seed(split, cfg: VariantConfig, seed: int, pretrained=None) -> dict:
@@ -68,18 +80,12 @@ def run_seed(split, cfg: VariantConfig, seed: int, pretrained=None) -> dict:
 
     emb = extract_embeddings(state, split.train, cfg)
     vu, vv, vw = aggregate_pairs(split.val_edges, split.train.n_v, use_weights=True)
-    if len(vu) == 0:
-        raise ValidationError("validation era has no pairs; cannot train decoder")
     positives = np.stack([vu, vv], axis=1)
-
-    pool_target = int(np.ceil(cfg.decoder_negative_pool_factor * len(positives)))
-    pool_size = min(pool_target, complement_size(split))
-    if pool_size < 2:
-        raise ValidationError("complement too small to sample a negative pool")
-    negatives = sample_negatives(split, pool_size, _seed_int(seed, "decoder-pool"))
+    negatives = sample_negatives(split, _decoder_pool_size(split, cfg),
+                                 seed_int(seed, "decoder-pool"))
 
     dec, record = train_decoder(emb, positives, vw, negatives, cfg,
-                                _seed_int(seed, "decoder"))
+                                seed_int(seed, "decoder"))
     checksum_after = state_checksum(state)
     metrics, info = evaluate_final(state, split, dec, cfg, seed)
 
@@ -207,11 +213,18 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
     pretrain run one after another in one task, and with `workers > 1` the
     tasks share one pool of at most `workers` forked processes. With
     `checkpoint_dirs` (one per variant), the tasks write their checkpoints.
+    Seeds, workers and each config's phase-2 sizes are checked first.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     seeds = list(seeds)
+    if not seeds:
+        raise ValidationError("seed list is empty")
+    if len(set(seeds)) < len(seeds):
+        raise ValidationError(f"seed list repeats a seed: {seeds}")
     split = chronological_split(graph)
+    for cfg in cfgs:
+        _decoder_pool_size(split, cfg)
     tasks = []  # (row, indices of the variants sharing one pretrain)
     for row, seed in enumerate(seeds):
         groups = {}
@@ -225,7 +238,7 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
         results = [_run_seed_variants(*job) for job in jobs]
     else:
         results = []
-        with ProcessPoolExecutor(max_workers=max(1, min(workers, len(jobs)))) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             futures = [pool.submit(_run_seed_variants, *job) for job in jobs]
             for (row, idx), fut in zip(tasks, futures):
                 try:
@@ -284,13 +297,11 @@ def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes,
 
 
 def run_dataset(graph: BipartiteGraph, cfg: VariantConfig, seeds,
-                out_dir, ds_hash: str, workers: int = 1,
-                save_checkpoints: bool = True) -> mt.EvalReport:
+                out_dir, ds_hash: str, workers: int = 1) -> mt.EvalReport:
     """Run every seed, write per-seed manifests/checkpoints and the
     aggregate report. Per-seed failures are recorded; other seeds proceed."""
     out_dir = Path(out_dir)
-    rows = _run_grid(graph, [cfg], seeds, workers,
-                     [out_dir] if save_checkpoints else None)
+    rows = _run_grid(graph, [cfg], seeds, workers, [out_dir])
     return _write_variant(out_dir, cfg, [row[0] for row in rows], ds_hash)
 
 

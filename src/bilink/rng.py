@@ -30,6 +30,12 @@ def rng_for(root: int, *tags) -> np.random.Generator:
     return np.random.default_rng(child_seed(root, *tags))
 
 
+def seed_int(root: int, *tags) -> int:
+    """A 32-bit int seed for the (root, *tags) derivation path, for callees
+    that take a plain integer seed."""
+    return int(child_seed(root, *tags).generate_state(1)[0])
+
+
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     """Accept either a plain int seed or an existing SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):

@@ -15,13 +15,13 @@ from .augment import augmented_view, corrupt_view
 from .autodiff import Tape, backward
 from .errors import TrainingError, ValidationError
 from .graph import (BipartiteGraph, TemporalSplit, aggregate_pairs,
-                    build_weighted_adjacency, merge_graphs, normalized_adjacency,
-                    sample_negatives)
+                    build_weighted_adjacency, complement_size, merge_graphs,
+                    normalized_adjacency, sample_negatives)
 from .losses import attractive_loss, repulsive_loss, total_pretrain_loss
 from .model import (ModelState, ParamStore, decode_logits, ema_update, encode,
                     init_decoder, init_model_state, mlp_forward)
 from .optim import adam_step, init_adam_state
-from .rng import child_seed, rng_for
+from .rng import child_seed, rng_for, seed_int
 
 
 # Range of every numeric VariantConfig field, checked before any training
@@ -371,6 +371,22 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
     return dec, record
 
 
+def eval_negative_count(split: TemporalSplit, cfg: VariantConfig) -> int:
+    """How many negatives `evaluate_final` samples: `eval_negative_ratio`
+    times the distinct test-era pairs, at least 1. Raises ValidationError
+    when the test era has no pairs or the complement has too few."""
+    n_pos = len(aggregate_pairs(split.test_edges, split.train.n_v, use_weights=False)[0])
+    if n_pos == 0:
+        raise ValidationError("no test-era pairs to evaluate")
+    n_neg = max(1, int(round(cfg.eval_negative_ratio * n_pos)))
+    free = complement_size(split)
+    if n_neg > free:
+        raise ValidationError(
+            f"eval_negative_ratio {cfg.eval_negative_ratio} asks for {n_neg} test "
+            f"negatives, but the complement has only {free} pairs")
+    return n_neg
+
+
 def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
                    cfg: VariantConfig, seed: int):
     """Score test-era pairs with embeddings from the full pre-test history.
@@ -384,12 +400,9 @@ def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
     emb = extract_embeddings(state, graph_tv, cfg)
 
     tu, tv, _ = aggregate_pairs(split.test_edges, split.train.n_v, use_weights=False)
-    if len(tu) == 0:
-        raise ValidationError("no test-era pairs to evaluate")
     pos_pairs = np.stack([tu, tv], axis=1)
-    n_neg = max(1, int(round(cfg.eval_negative_ratio * len(pos_pairs))))
-    eval_seed = int(child_seed(seed, "eval-negatives").generate_state(1)[0])
-    negatives = sample_negatives(split, n_neg, eval_seed)
+    n_neg = eval_negative_count(split, cfg)
+    negatives = sample_negatives(split, n_neg, seed_int(seed, "eval-negatives"))
 
     pairs = np.vstack([pos_pairs, negatives])
     labels = np.concatenate([np.ones(len(pos_pairs)), np.zeros(n_neg)])

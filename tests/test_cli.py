@@ -13,6 +13,7 @@ from bilink.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main,
                         read_config_file)
 from bilink.errors import ValidationError
 from bilink.model import init_decoder, state_checksum
+from bilink.synthetic import SyntheticSpec, write_dataset
 from util import resave_checkpoint
 
 DATA = Path(__file__).parent / "data"
@@ -72,6 +73,13 @@ class TestGenSynth:
         assert code == EXIT_VALIDATION
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_defaults_come_from_synthetic_spec(self, tmp_path):
+        assert main(["gen-synth", "--out-dir", str(tmp_path / "cli")]) == EXIT_OK
+        write_dataset(SyntheticSpec(), tmp_path / "spec")
+        for name in ("edges.csv", "u_features.csv", "v_features.csv"):
+            assert ((tmp_path / "cli" / name).read_bytes()
+                    == (tmp_path / "spec" / name).read_bytes())
 
     def test_infeasible_count_exits_validation(self, tmp_path, capsys):
         code = main(["gen-synth", "--n-u", "3", "--n-v", "3", "--n-edges", "100",
@@ -160,6 +168,10 @@ class TestConfigValidation:
         ("run", ["--weight-decay", "inf"]),
         ("run", ["--eval-negative-ratio", "inf"]),
         ("run", ["--decoder-negative-pool-factor", "inf"]),
+        ("run", ["--hidden-dim", "abc"]),
+        ("ablate", ["--lr", "abc"]),
+        ("run", ["--weighted-pretrain", "maybe"]),
+        ("run", ["--eval-negative-ratio", "1000"]),
     ])
     def test_bad_value_exits_before_training(self, dataset, tmp_path, capsys,
                                              command, flags):
@@ -168,6 +180,36 @@ class TestConfigValidation:
                      "--out-dir", str(out), *FAST_FLAGS, *flags])
         assert code == EXIT_VALIDATION
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("seeds", ["42,42", ""])
+    def test_empty_or_repeated_seed_list_exits_before_training(
+            self, dataset, tmp_path, capsys, command, seeds):
+        out = tmp_path / "out"
+        code = main([command, *dataset_flags(dataset), "--seeds", seeds,
+                     "--out-dir", str(out), *FAST_FLAGS])
+        assert code == EXIT_VALIDATION
+        assert "seed list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_split_too_small_for_decoder_exits_before_pretraining(
+            self, tmp_path, capsys, monkeypatch, command):
+        data = tmp_path / "tiny"  # 12 events: a validation era of one pair
+        assert main(["gen-synth", "--n-u", "5", "--n-v", "5", "--n-edges", "12",
+                     "--n-blocks", "2", "--out-dir", str(data)]) == EXIT_OK
+
+        def no_pretrain(*args):
+            raise AssertionError("pretrain called")
+
+        monkeypatch.setattr(pipeline, "pretrain", no_pretrain)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main([command, *dataset_flags(data), "--seeds", "42",
+                     "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "needs >= 2 validation-era pairs, got 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_config_file_int_exits_before_training(self, dataset, tmp_path,
@@ -370,6 +412,15 @@ class TestCheckpointFiles:
         payload = json.loads(capsys.readouterr().out)
         assert payload["dataset_hash"] == PARENT_EVAL["dataset_hash"]
         assert payload["metrics"] == PARENT_EVAL["metrics"]
+
+    def test_eval_only_out_file_equals_printed_json(self, parent_data, tmp_path, capsys):
+        out = tmp_path / "eval.json"
+        assert main(["eval-only", *dataset_flags(parent_data),
+                     "--model", str(DATA / "parent_model.npz"),
+                     "--decoder", str(DATA / "parent_decoder.npz"),
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
 
     def test_missing_key_exits_validation(self, parent_data, tmp_path, capsys):
         model = self._resaved(tmp_path, DATA / "parent_model.npz",

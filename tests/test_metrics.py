@@ -149,7 +149,7 @@ class TestThresholdPrf:
         assert r.f1 == pytest.approx(f1)
 
     def test_threshold_is_inclusive(self):
-        r = threshold_prf([0.5], [1], threshold=0.5)
+        r = threshold_prf([0.5], [1])
         assert r.recall == 1.0
 
 

@@ -5,8 +5,10 @@ import pytest
 
 from bilink import pipeline
 from bilink.cli import EXIT_OK, EXIT_RUNTIME, main
+from bilink.errors import ValidationError
 from bilink.graph import chronological_split
 from bilink.model import ModelState, ParamStore
+from bilink.rng import seed_int
 from bilink.synthetic import SyntheticSpec, write_dataset
 from bilink.training import ALL_VARIANTS, VariantConfig
 
@@ -30,9 +32,9 @@ def test_worker_pool_matches_sequential(dataset, tmp_path):
     graph, ds_hash = _load(dataset)
     cfg = VariantConfig(**FAST)
     seq = pipeline.run_dataset(graph, cfg, [42, 43], tmp_path / "seq", ds_hash,
-                               workers=1, save_checkpoints=False)
+                               workers=1)
     par = pipeline.run_dataset(graph, cfg, [42, 43], tmp_path / "par", ds_hash,
-                               workers=2, save_checkpoints=False)
+                               workers=2)
     assert seq.per_seed == par.per_seed
     assert ((tmp_path / "seq" / "report.json").read_bytes()
             == (tmp_path / "par" / "report.json").read_bytes())
@@ -56,6 +58,17 @@ def test_failed_seed_recorded_others_proceed(dataset, tmp_path, monkeypatch):
     assert "synthetic failure" in report["failures"][0]["error"]
     assert len(report["per_seed"]) == 2
     assert not (tmp_path / "seed_43").exists()
+
+
+@pytest.mark.parametrize("seeds", [[], [42, 42]])
+def test_empty_or_repeated_seed_list_rejected(dataset, tmp_path, seeds):
+    graph, ds_hash = _load(dataset)
+    cfg = VariantConfig(**FAST)
+    with pytest.raises(ValidationError, match="seed list"):
+        pipeline.run_dataset(graph, cfg, seeds, tmp_path / "run", ds_hash)
+    with pytest.raises(ValidationError, match="seed list"):
+        pipeline.run_ablation(graph, cfg, seeds, tmp_path / "ablate", ds_hash)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dataset_hash_tracks_contents(dataset, tmp_path):
@@ -98,8 +111,7 @@ def test_ablation_matches_separate_runs(dataset, tmp_path, workers):
     for flags in ALL_VARIANTS:
         cfg = base.replace(**flags)
         alone = tmp_path / "alone" / cfg.variant_label
-        pipeline.run_dataset(graph, cfg, [42, 43], alone, ds_hash,
-                             save_checkpoints=False)
+        pipeline.run_dataset(graph, cfg, [42, 43], alone, ds_hash)
         shared = tmp_path / "grid" / cfg.variant_label
         for name in ("report.json", "report.csv"):
             assert (shared / name).read_bytes() == (alone / name).read_bytes()
@@ -160,7 +172,7 @@ def test_failed_pretrain_recorded_under_every_variant_sharing_it(
 def test_failed_decoder_recorded_under_its_own_variant(dataset, tmp_path, monkeypatch):
     graph, ds_hash = _load(dataset)
     real = pipeline.train_decoder
-    decoder_seed_43 = pipeline._seed_int(43, "decoder")
+    decoder_seed_43 = seed_int(43, "decoder")
 
     def flaky(emb, positives, weights, negatives, cfg_, seed):
         if cfg_.variant_label == "wp_wb" and seed == decoder_seed_43:
@@ -187,7 +199,7 @@ def test_failure_record_from_pool_worker(dataset, tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "pretrain", flaky)
     pipeline.run_dataset(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash,
-                         workers=2, save_checkpoints=False)
+                         workers=2)
     (failure,) = _failures(tmp_path)
     assert failure["seed"] == 43
     assert failure["type"] == "RuntimeError"
@@ -227,7 +239,7 @@ def test_one_pool_per_call_capped_at_task_count(dataset, tmp_path, monkeypatch):
     assert _InlinePool.created == [4]
     _InlinePool.created = []
     pipeline.run_dataset(graph, VariantConfig(**FAST), [42, 43], tmp_path / "r",
-                         ds_hash, workers=10_000, save_checkpoints=False)
+                         ds_hash, workers=10_000)
     assert _InlinePool.created == [2]
 
 
@@ -248,8 +260,7 @@ def test_task_runs_on_one_blas_thread_and_restores_count(dataset, tmp_path,
     before = get()
     set_(2)
     try:
-        pipeline.run_dataset(graph, VariantConfig(**FAST), [42], tmp_path, ds_hash,
-                             save_checkpoints=False)
+        pipeline.run_dataset(graph, VariantConfig(**FAST), [42], tmp_path, ds_hash)
         after = get()
     finally:
         set_(before)
@@ -262,8 +273,7 @@ def test_task_runs_on_one_blas_thread_and_restores_count(dataset, tmp_path,
 def test_blas_threads_recorded_null_without_openblas(dataset, tmp_path, monkeypatch):
     graph, ds_hash = _load(dataset)
     monkeypatch.setattr(pipeline, "_openblas", lambda: None)
-    pipeline.run_dataset(graph, VariantConfig(**FAST), [42], tmp_path, ds_hash,
-                         save_checkpoints=False)
+    pipeline.run_dataset(graph, VariantConfig(**FAST), [42], tmp_path, ds_hash)
     timing = json.loads((tmp_path / "seed_42" / "manifest.json").read_text())["timing"]
     assert timing["blas_threads"] is None
 
@@ -277,7 +287,7 @@ def test_worker_count_does_not_change_results_at_default_widths(tmp_path):
     cfg = VariantConfig(pretrain_epochs=2, decoder_epochs=2)
     for workers in (1, 2):
         pipeline.run_dataset(graph, cfg, [42, 43], tmp_path / str(workers), ds_hash,
-                             workers=workers, save_checkpoints=False)
+                             workers=workers)
     for seed in (42, 43):  # manifests hold the encoder checksums
         assert (_without_timing(tmp_path / "1" / f"seed_{seed}" / "manifest.json")
                 == _without_timing(tmp_path / "2" / f"seed_{seed}" / "manifest.json"))
@@ -334,7 +344,7 @@ def test_task_records_hold_no_arrays(dataset, tmp_path, workers):
 def test_manifest_records_process_peak_rss(dataset, tmp_path, workers):
     graph, ds_hash = _load(dataset)
     pipeline.run_dataset(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash,
-                         workers=workers, save_checkpoints=False)
+                         workers=workers)
     for seed in (42, 43):
         timing = json.loads((tmp_path / f"seed_{seed}" / "manifest.json")
                             .read_text())["timing"]
