@@ -7,12 +7,18 @@ may live on separate threads. `backward` consumes the tape's record, node by
 node, and closing the block drops whatever is left of it, so `backward` runs
 once, inside the block.
 
+A tape holds what backward reads and nothing more: each op's closure keeps
+the arrays its gradient needs, and the record names op outputs by integer
+keys rather than holding them. An activation that no closure reads is freed
+as soon as the caller drops it.
+
 Every op output is checked for non-finite values unless a `finite_checks(False)`
 block is active on the thread; a caller that turns the checks off must check
 what it consumes (a loss, gradients) and can replay with them on to name the
 op.
 """
 
+import itertools
 import threading
 from contextlib import contextmanager
 
@@ -35,7 +41,7 @@ def active_tape():
 class Tensor:
     """Dense 2-D value, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "_tape")
+    __slots__ = ("data", "requires_grad", "_tape", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -43,7 +49,8 @@ class Tensor:
             raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
-        self._tape = None
+        self._tape = None  # the tape that recorded this tensor, if any
+        self._key = None  # its output key on that tape
 
     @property
     def shape(self):
@@ -63,10 +70,19 @@ def constant(data) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "parents", "backward_fn")
+    """One recorded op: its output's key, one link per parent and the
+    closure mapping the output's gradient to the parents' gradients.
 
-    def __init__(self, out, parents, backward_fn):
-        self.out = out
+    A parent link is the parent's key when this tape recorded it, the
+    parent tensor when it is a leaf that requires grad (a parameter, or a
+    tensor recorded on another tape, which this tape treats as a leaf), and
+    None for a constant. So a node holds no op output of its own tape.
+    """
+
+    __slots__ = ("key", "parents", "backward_fn")
+
+    def __init__(self, key, parents, backward_fn):
+        self.key = key
         self.parents = parents
         self.backward_fn = backward_fn
 
@@ -74,14 +90,16 @@ class _Node:
 class Tape:
     """Ordered record of operations; creation order is already topological.
 
-    `backward` pops each node once it has used it, and leaving the `with`
-    block closes the tape and drops any nodes left. A node holds its output
-    tensor, whose `_tape` points back here, so without this every step's
-    activations would live on until the cyclic GC ran.
+    The record holds keys, leaves and closures (see `_Node`), never op
+    outputs, so while the tape is open an activation lives only as long as
+    the caller or a closure that reads it holds it. `backward` pops each
+    node once it has used it, freeing its closure, and leaving the `with`
+    block drops any nodes left.
     """
 
     def __init__(self):
         self._nodes = []
+        self._keys = itertools.count()
         self.closed = False
         self.consumed = False
 
@@ -98,7 +116,10 @@ class Tape:
 
     def _record(self, out, parents, backward_fn):
         out._tape = self
-        self._nodes.append(_Node(out, parents, backward_fn))
+        out._key = next(self._keys)
+        links = tuple(p._key if p._tape is self else p if p.requires_grad else None
+                      for p in parents)
+        self._nodes.append(_Node(out._key, links, backward_fn))
 
 
 def _check_finite(arr: np.ndarray, op: str):
@@ -133,8 +154,10 @@ def backward(loss: Tensor) -> dict:
     """Backpropagate from a scalar loss through its recording tape.
 
     Returns {leaf tensor: gradient array} for every requires_grad leaf that
-    the loss depends on. Each tape node is visited exactly once and then
-    dropped, so a tape serves one `backward`.
+    the loss depends on; a tensor recorded on another tape counts as a
+    leaf. Gradients of this tape's outputs are routed by key and never
+    returned. Each tape node is visited exactly once and then dropped, so a
+    tape serves one `backward`.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward needs a scalar (1x1) loss, got shape {loss.shape}")
@@ -148,29 +171,25 @@ def backward(loss: Tensor) -> dict:
                          "record the loss on a new tape")
     tape.consumed = True
 
-    # Popping each node frees its activations and closures as soon as its
-    # gradient has gone to its parents, not when the tape closes.
+    # Popping each node frees its closure, and the arrays only it reads, as
+    # soon as its gradient has gone to its parents.
     nodes = tape._nodes
-    pending = {id(loss): np.ones((1, 1))}
-    holders = {id(loss): loss}
+    pending = {loss._key: np.ones((1, 1))}
+    leaves = {}
     while nodes:
         node = nodes.pop()
-        g = pending.pop(id(node.out), None)
+        g = pending.pop(node.key, None)
         if g is None:
             continue
-        holders.pop(id(node.out), None)
         for parent, pg in zip(node.parents, node.backward_fn(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None:
                 continue
-            key = id(parent)
-            if key in pending:
-                pending[key] = pending[key] + pg
+            grads = pending if type(parent) is int else leaves
+            if parent in grads:
+                grads[parent] = grads[parent] + pg
             else:
-                pending[key] = pg
-                holders[key] = parent
-
-    return {holders[key]: g for key, g in pending.items()
-            if holders[key].requires_grad}
+                grads[parent] = pg
+    return leaves
 
 
 def _shapes(*tensors):
@@ -182,9 +201,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {_shapes(a, b)}")
     ad, bd = a.data, b.data
     # A constant operand (features, frozen embeddings) gets no product.
+    grad_a, grad_b = a.requires_grad, b.requires_grad
     return _apply("matmul", ad @ bd, (a, b),
-                  lambda g: (g @ bd.T if a.requires_grad else None,
-                             ad.T @ g if b.requires_grad else None))
+                  lambda g: (g @ bd.T if grad_a else None,
+                             ad.T @ g if grad_b else None))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -226,7 +246,7 @@ def prelu(a: Tensor, slope: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0) + s * neg_part
 
     def back(g):
-        neg = a.data < 0
+        neg = neg_part < 0  # where a < 0, without holding a
         ga = g * (neg * s + ~neg)
         gs = np.array([[np.sum(g * neg_part)]])
         return ga, gs

@@ -59,6 +59,15 @@ def _parse_config_value(name: str, raw: str):
     raise ValidationError(f"config key {name} has unsupported type {field.type}")
 
 
+def _parse_flag(name: str, raw, kind):
+    """A typed command-line value; argparse would exit on a malformed one
+    rather than let `main` map it to EXIT_VALIDATION."""
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValidationError(f"{name}: expected {kind.__name__}, got {raw!r}") from None
+
+
 def read_config_file(path) -> dict:
     values = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -106,8 +115,9 @@ def _parse_seeds(raw: str) -> list:
 
 
 def cmd_gen_synth(args) -> int:
-    spec_fields = {f.name for f in dataclasses.fields(SyntheticSpec)}
-    values = {k: v for k, v in vars(args).items() if k in spec_fields and v is not None}
+    spec_types = {f.name: f.type for f in dataclasses.fields(SyntheticSpec)}
+    values = {k: _parse_flag(k, v, spec_types[k]) for k, v in vars(args).items()
+              if k in spec_types and v is not None}
     spec = SyntheticSpec(**values, block_structure=not args.no_blocks)
     paths = write_dataset(spec, args.out_dir)
     print(json.dumps(paths, indent=2))
@@ -116,10 +126,11 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = build_config(args)
+    workers = _parse_flag("workers", args.workers, int)
     graph, ds_hash = pipeline.load_dataset(args.edges, args.u_features, args.v_features)
     seeds = _parse_seeds(args.seeds)
     report = pipeline.run_dataset(graph, cfg, seeds, args.out_dir, ds_hash,
-                                  workers=args.workers)
+                                  workers=workers)
     for seed, values in zip(report.seeds, report.per_seed):
         print(f"seed {seed}: " + "  ".join(f"{k}={v:.4f}" for k, v in sorted(values.items())))
     for name, cell in sorted(report.aggregate.items()):
@@ -130,10 +141,11 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = build_config(args)
+    workers = _parse_flag("workers", args.workers, int)
     graph, ds_hash = pipeline.load_dataset(args.edges, args.u_features, args.v_features)
     seeds = _parse_seeds(args.seeds)
     summary = pipeline.run_ablation(graph, cfg, seeds, args.out_dir, ds_hash,
-                                    workers=args.workers)
+                                    workers=workers)
     for label, auc in sorted(summary["mean_roc_auc"].items()):
         print(f"{label}: mean roc_auc {auc:.4f}")
     print(f"max pairwise roc_auc gap: {summary['max_pairwise_roc_auc_gap']:.4f}")
@@ -167,14 +179,15 @@ def _check_widths(state, dec, graph) -> None:
 
 
 def cmd_eval_only(args) -> int:
+    seed = _parse_flag("seed", args.seed, int)
     state, meta = ckpt.load_model_state(args.model)
     dec, _ = ckpt.load_decoder(args.decoder)
     cfg = _recorded_config(args.model, meta)
     graph, ds_hash = pipeline.load_dataset(args.edges, args.u_features, args.v_features)
     _check_widths(state, dec, graph)
     split = chronological_split(graph)
-    metrics, info = evaluate_final(state, split, dec, cfg, args.seed)
-    payload = {"dataset_hash": ds_hash, "seed": args.seed,
+    metrics, info = evaluate_final(state, split, dec, cfg, seed)
+    payload = {"dataset_hash": ds_hash, "seed": seed,
                "variant": cfg.variant_label, "metrics": metrics, "eval_info": info}
     out = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
@@ -203,19 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-supervised link prediction on weighted bipartite graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Unset gen-synth flags stay None and take SyntheticSpec's defaults.
+    # Typed values stay strings here and are parsed by `_parse_flag` in the
+    # command. Unset gen-synth flags stay None and take SyntheticSpec's
+    # defaults.
     p = sub.add_parser("gen-synth", help="write a synthetic planted-block dataset")
-    p.add_argument("--n-u", type=int)
-    p.add_argument("--n-v", type=int)
-    p.add_argument("--n-edges", type=int)
-    p.add_argument("--weight-skew", type=int,
-                   help="power-law weight cap; 1 means unweighted")
+    p.add_argument("--n-u")
+    p.add_argument("--n-v")
+    p.add_argument("--n-edges")
+    p.add_argument("--weight-skew", help="power-law weight cap; 1 means unweighted")
     p.add_argument("--no-blocks", action="store_true",
                    help="uniform random edges (no learnable structure)")
-    p.add_argument("--n-blocks", type=int)
-    p.add_argument("--intra-prob", type=float)
-    p.add_argument("--time-span", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--n-blocks")
+    p.add_argument("--intra-prob")
+    p.add_argument("--time-span")
+    p.add_argument("--seed")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_gen_synth)
 
@@ -225,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         _add_dataset_flags(p)
         p.add_argument("--seeds", default=",".join(map(str, pipeline.DEFAULT_SEEDS)))
-        p.add_argument("--workers", type=int, default=1, help=WORKERS_HELP)
+        p.add_argument("--workers", default="1", help=WORKERS_HELP)
         p.add_argument("--out-dir", required=True)
         _add_config_flags(p)
         p.set_defaults(func=func)
@@ -234,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_flags(p)
     p.add_argument("--model", required=True, help="model checkpoint (.npz)")
     p.add_argument("--decoder", required=True, help="decoder checkpoint (.npz)")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", default="42")
     p.add_argument("--out", default=None, help="optional JSON output path")
     p.set_defaults(func=cmd_eval_only)
 

@@ -156,15 +156,44 @@ class TestBackward:
         try:
             with Tape():
                 x = leaf(np.ones((3, 4)))
-                h = ad.relu(ad.scale(x, 2.0))
+                h = ad.scale(x, 2.0)
                 ref = weakref.ref(h.data)
-                loss = ad.sum_all(h)
+                loss = ad.sum_all(ad.mul(h, h))
                 del h
-                assert ref() is not None
+                assert ref() is not None  # mul's backward reads its inputs
             assert ref() is None
         finally:
             gc.enable()
-        assert loss.item() == 24.0
+        assert loss.item() == 48.0
+
+    @pytest.mark.parametrize("consumer", [
+        ad.relu, lambda h: ad.dropout_mask(h, 0.5, seed=3)], ids=["relu", "dropout"])
+    def test_activation_no_backward_reads_is_freed_while_tape_is_open(self, consumer):
+        gc.disable()
+        try:
+            with Tape():
+                x = leaf(np.ones((3, 4)))
+                h = ad.scale(x, 2.0)
+                ref = weakref.ref(h.data)
+                out = consumer(h)
+                del h
+                assert ref() is None
+                grads = backward(ad.sum_all(out))
+        finally:
+            gc.enable()
+        np.testing.assert_array_equal(grads[x], out.data)  # x is ones, out is linear in x
+
+    def test_tensor_from_outer_tape_is_a_leaf_of_inner_backward(self):
+        with Tape():
+            x = leaf([[1.0, -2.0]])
+            h = ad.scale(x, 3.0)
+            with Tape():
+                inner = backward(ad.sum_all(ad.mul(h, h)))
+            assert list(inner) == [h]
+            np.testing.assert_array_equal(inner[h], [[6.0, -12.0]])
+            outer = backward(ad.sum_all(h))
+        assert list(outer) == [x]
+        np.testing.assert_array_equal(outer[x], [[3.0, 3.0]])
 
     def test_second_backward_on_consumed_tape_raises(self):
         with Tape():
@@ -215,6 +244,16 @@ class TestBackward:
 
 class TestGradCheck:
     """Central finite differences vs backward for every op (spec tolerance)."""
+
+    def test_intermediate_consumed_by_two_ops(self):
+        rng = np.random.default_rng(11)
+        b0, c0 = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
+
+        def build(x):
+            h = ad.matmul(x, Tensor(b0))  # not a leaf; read by mul and sigmoid
+            return ad.add(ad.sum_all(ad.mul(h, Tensor(c0))), ad.sum_all(ad.sigmoid(h)))
+
+        run_grad_check(build, rng.normal(size=(4, 3)))
 
     def test_matmul_chain(self):
         rng = np.random.default_rng(1)

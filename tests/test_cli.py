@@ -235,6 +235,43 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+def assert_one_error_line(capsys, name):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and name in err[0], err
+
+
+class TestMalformedTypedFlag:
+    """A flag argparse would type itself exits EXIT_VALIDATION with one line."""
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_run_and_ablate_workers(self, dataset, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = main([command, *dataset_flags(dataset), "--seeds", "42",
+                     "--workers", "abc", "--out-dir", str(out), *FAST_FLAGS])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, "workers")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n-u", "--n-v", "--n-edges", "--weight-skew",
+                                      "--n-blocks", "--intra-prob", "--time-span",
+                                      "--seed"])
+    def test_gen_synth(self, tmp_path, capsys, flag):
+        code = main(["gen-synth", flag, "abc", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, flag[2:].replace("-", "_"))
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_only_seed(self, dataset, tmp_path, capsys):
+        out = tmp_path / "eval.json"
+        code = main(["eval-only", *dataset_flags(dataset),
+                     "--model", str(DATA / "parent_model.npz"),
+                     "--decoder", str(DATA / "parent_decoder.npz"),
+                     "--seed", "4.2", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, "seed")
+        assert not out.exists()
+
+
 class TestConfigPrecedence:
     def test_flags_beat_file_beat_defaults(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
