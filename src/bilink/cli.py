@@ -5,7 +5,8 @@ seed list), ablate (all four weighting variants), eval-only (re-score a
 dataset from saved checkpoints) and inspect-checkpoint.
 
 Configuration precedence: command-line flags > config file > defaults. The
-config file is flat `key = value` text using VariantConfig field names.
+config file is flat `key = value` text, one line per VariantConfig field.
+Every typed value, flag or file, is read by `_parse_value`.
 """
 
 import argparse
@@ -22,7 +23,8 @@ from . import pipeline
 from .errors import ValidationError
 from .graph import chronological_split
 from .synthetic import SyntheticSpec, write_dataset
-from .training import VariantConfig, evaluate_final
+from .training import (DECODER_MONITOR_FRACTION, DECODER_NEGATIVE_POOL_FACTOR,
+                       VariantConfig, evaluate_final)
 
 WORKERS_HELP = ("worker processes; one task per (seed, pretraining config), each "
                 "on one BLAS thread so that workers do not oversubscribe the "
@@ -32,44 +34,44 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(VariantConfig)}
+_CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(VariantConfig)}
 # Fields older checkpoints may record, with the only behaviour still built.
 _REMOVED_FIELDS = {"num_layers": 2, "final_layer_relu": False,
-                   "loss_on_raw_embeddings": False, "symmetrize_pretrain_loss": False}
+                   "loss_on_raw_embeddings": False, "symmetrize_pretrain_loss": False,
+                   "decoder_monitor_fraction": DECODER_MONITOR_FRACTION,
+                   "decoder_negative_pool_factor": DECODER_NEGATIVE_POOL_FACTOR}
+# gen-synth's typed flags: SyntheticSpec fields, with help where the name
+# does not say enough.
+_SYNTH_FLAGS = {"n_u": None, "n_v": None, "n_edges": None,
+                "weight_skew": "power-law weight cap; 1 means unweighted",
+                "n_blocks": None, "intra_prob": None, "time_span": None, "seed": None}
+_SPEC_TYPES = {f.name: f.type for f in dataclasses.fields(SyntheticSpec)}
+
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number",
+             tuple: "comma-separated integers"}
 
 
-def _parse_config_value(name: str, raw: str):
-    field = _CONFIG_FIELDS[name]
+def _parse_value(name: str, raw: str, kind):
+    """One typed value from the command line or a config file: bool, int,
+    float, or a tuple of comma-separated ints (an empty string gives (), an
+    empty item is an error). Typed flags reach here as strings, because
+    argparse would exit on a malformed one rather than let `main` map it to
+    EXIT_VALIDATION."""
     raw = raw.strip()
-    if field.type is bool:
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ValidationError(f"config key {name}: expected a boolean, got {raw!r}")
     try:
-        if field.type is int:
-            return int(raw)
-        if field.type is float:
-            return float(raw)
-        if field.type is tuple:
-            return tuple(int(x) for x in raw.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"config key {name}: malformed value ({exc})") from None
-    raise ValidationError(f"config key {name} has unsupported type {field.type}")
-
-
-def _parse_flag(name: str, raw, kind):
-    """A typed command-line value; argparse would exit on a malformed one
-    rather than let `main` map it to EXIT_VALIDATION."""
-    try:
+        if kind is bool:
+            return _BOOLS[raw.lower()]
+        if kind is tuple:
+            return tuple(int(x) for x in raw.split(",")) if raw else ()
         return kind(raw)
-    except ValueError:
-        raise ValidationError(f"{name}: expected {kind.__name__}, got {raw!r}") from None
+    except (KeyError, ValueError):
+        raise ValidationError(f"{name}: expected {_EXPECTED[kind]}, got {raw!r}") from None
 
 
 def read_config_file(path) -> dict:
-    values = {}
+    values, first_line = {}, {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -77,16 +79,20 @@ def read_config_file(path) -> dict:
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_TYPES:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _parse_config_value(key, raw)
+        if key in first_line:
+            raise ValidationError(f"{path}:{lineno}: config key {key!r} is already "
+                                  f"set at line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = _parse_value(f"{path}:{lineno}: {key}", raw, _CONFIG_TYPES[key])
     return values
 
 
 def _add_config_flags(parser):
     group = parser.add_argument_group("model configuration (override file/defaults)")
     group.add_argument("--config", help="flat key=value config file")
-    for name in _CONFIG_FIELDS:  # strings, parsed by `build_config` as in a file
+    for name in _CONFIG_TYPES:  # strings, parsed by `build_config` as in a file
         group.add_argument("--" + name.replace("_", "-"))
 
 
@@ -94,10 +100,10 @@ def build_config(args) -> VariantConfig:
     values = {}
     if args.config:
         values.update(read_config_file(args.config))
-    for name in _CONFIG_FIELDS:
+    for name, kind in _CONFIG_TYPES.items():
         raw = getattr(args, name, None)
         if raw is not None:
-            values[name] = _parse_config_value(name, raw)
+            values[name] = _parse_value(name, raw, kind)
     return VariantConfig(**values)
 
 
@@ -107,17 +113,9 @@ def _add_dataset_flags(parser):
     parser.add_argument("--v-features", required=True, help="V feature CSV (id,f1,...)")
 
 
-def _parse_seeds(raw: str) -> list:
-    try:
-        return [int(s) for s in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ValidationError(f"--seeds: malformed seed list ({exc})") from None
-
-
 def cmd_gen_synth(args) -> int:
-    spec_types = {f.name: f.type for f in dataclasses.fields(SyntheticSpec)}
-    values = {k: _parse_flag(k, v, spec_types[k]) for k, v in vars(args).items()
-              if k in spec_types and v is not None}
+    values = {name: _parse_value(name, getattr(args, name), _SPEC_TYPES[name])
+              for name in _SYNTH_FLAGS if getattr(args, name) is not None}
     spec = SyntheticSpec(**values, block_structure=not args.no_blocks)
     paths = write_dataset(spec, args.out_dir)
     print(json.dumps(paths, indent=2))
@@ -126,9 +124,9 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = build_config(args)
-    workers = _parse_flag("workers", args.workers, int)
+    workers = _parse_value("workers", args.workers, int)
+    seeds = _parse_value("seeds", args.seeds, tuple)
     graph, ds_hash = pipeline.load_dataset(args.edges, args.u_features, args.v_features)
-    seeds = _parse_seeds(args.seeds)
     report = pipeline.run_dataset(graph, cfg, seeds, args.out_dir, ds_hash,
                                   workers=workers)
     for seed, values in zip(report.seeds, report.per_seed):
@@ -141,9 +139,9 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = build_config(args)
-    workers = _parse_flag("workers", args.workers, int)
+    workers = _parse_value("workers", args.workers, int)
+    seeds = _parse_value("seeds", args.seeds, tuple)
     graph, ds_hash = pipeline.load_dataset(args.edges, args.u_features, args.v_features)
-    seeds = _parse_seeds(args.seeds)
     summary = pipeline.run_ablation(graph, cfg, seeds, args.out_dir, ds_hash,
                                     workers=workers)
     for label, auc in sorted(summary["mean_roc_auc"].items()):
@@ -160,7 +158,7 @@ def _recorded_config(path, meta: dict) -> VariantConfig:
             raise ValidationError(
                 f"{path}: recorded config sets removed field {name} = "
                 f"{recorded[name]!r}; only {fixed!r} is supported")
-    return VariantConfig(**{k: v for k, v in recorded.items() if k in _CONFIG_FIELDS})
+    return VariantConfig(**{k: v for k, v in recorded.items() if k in _CONFIG_TYPES})
 
 
 def _check_widths(state, dec, graph) -> None:
@@ -179,7 +177,7 @@ def _check_widths(state, dec, graph) -> None:
 
 
 def cmd_eval_only(args) -> int:
-    seed = _parse_flag("seed", args.seed, int)
+    seed = _parse_value("seed", args.seed, int)
     state, meta = ckpt.load_model_state(args.model)
     dec, _ = ckpt.load_decoder(args.decoder)
     cfg = _recorded_config(args.model, meta)
@@ -216,20 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Self-supervised link prediction on weighted bipartite graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Typed values stay strings here and are parsed by `_parse_flag` in the
+    # Typed values stay strings here and are parsed by `_parse_value` in the
     # command. Unset gen-synth flags stay None and take SyntheticSpec's
     # defaults.
     p = sub.add_parser("gen-synth", help="write a synthetic planted-block dataset")
-    p.add_argument("--n-u")
-    p.add_argument("--n-v")
-    p.add_argument("--n-edges")
-    p.add_argument("--weight-skew", help="power-law weight cap; 1 means unweighted")
+    for name, help_ in _SYNTH_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), help=help_)
     p.add_argument("--no-blocks", action="store_true",
                    help="uniform random edges (no learnable structure)")
-    p.add_argument("--n-blocks")
-    p.add_argument("--intra-prob")
-    p.add_argument("--time-span")
-    p.add_argument("--seed")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_gen_synth)
 

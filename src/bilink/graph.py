@@ -109,38 +109,48 @@ class TemporalSplit:
             [_pair_key(e.u, e.v, self.train.n_v) for e in eras]))
 
 
+def _csv_rows(path, header_ok, header_text):
+    """Yields (line number of its last line, row) for each non-blank data row
+    of a CSV file whose stripped header satisfies `header_ok`; every row must
+    have as many columns as the header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not header_ok([h.strip() for h in header]):
+            raise ValidationError(f"{path}: expected header {header_text}")
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValidationError(f"{path}:{reader.line_num}: expected {width} "
+                                      f"columns, got {len(row)}")
+            yield reader.line_num, row
+
+
 def _read_feature_csv(path) -> tuple:
     """Returns (ids in file order, feature matrix). Header must be id,f1,...,fd."""
     ids, rows = [], []
     seen = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2 or header[0].strip() != "id":
-            raise ValidationError(f"{path}: expected header id,f1,...,fd")
-        dim = len(header) - 1
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise ValidationError(
-                    f"{path}:{lineno}: expected {dim + 1} columns, got {len(row)}")
-            raw_id = row[0]
-            if raw_id in seen:
-                raise ValidationError(
-                    f"{path}:{lineno}: duplicate id {raw_id!r} (first at line {seen[raw_id]})")
-            seen[raw_id] = lineno
-            try:
-                values = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed feature value ({exc})")
-            ids.append(raw_id)
-            rows.append(values)
+    for lineno, row in _csv_rows(path, lambda h: len(h) >= 2 and h[0] == "id",
+                                 "id,f1,...,fd"):
+        raw_id = row[0]
+        if raw_id in seen:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate id {raw_id!r} (first at line {seen[raw_id]})")
+        seen[raw_id] = lineno
+        try:
+            values = [float(x) for x in row[1:]]
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed feature value ({exc})")
+        ids.append(raw_id)
+        rows.append(values)
     if not ids:
         raise ValidationError(f"{path}: no feature rows")
     x = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise ValidationError(f"{path}: non-finite feature values")
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if len(bad):
+        raise ValidationError(f"{path}:{seen[ids[bad[0]]]}: non-finite feature value")
     return ids, x
 
 
@@ -157,38 +167,27 @@ def load_graph(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
     v_index = {raw: i for i, raw in enumerate(v_ids)}
 
     eu, ev, ew, et = [], [], [], []
-    with open(edge_file, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != EDGE_HEADER:
+    for lineno, (raw_u, raw_v, raw_w, raw_t) in _csv_rows(
+            edge_file, lambda h: h == EDGE_HEADER, ",".join(EDGE_HEADER)):
+        if raw_u not in u_index:
             raise ValidationError(
-                f"{edge_file}: expected header {','.join(EDGE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValidationError(
-                    f"{edge_file}:{lineno}: expected 4 columns, got {len(row)}")
-            raw_u, raw_v, raw_w, raw_t = row
-            if raw_u not in u_index:
-                raise ValidationError(
-                    f"{edge_file}:{lineno}: u_id {raw_u!r} has no feature row")
-            if raw_v not in v_index:
-                raise ValidationError(
-                    f"{edge_file}:{lineno}: v_id {raw_v!r} has no feature row")
-            try:
-                w = float(raw_w)
-                t = int(raw_t)
-            except ValueError as exc:
-                raise ValidationError(f"{edge_file}:{lineno}: malformed row ({exc})")
-            if not (math.isfinite(w) and w > 0):
-                raise ValidationError(
-                    f"{edge_file}:{lineno}: edge weight must be positive and "
-                    f"finite, got {raw_w}")
-            eu.append(u_index[raw_u])
-            ev.append(v_index[raw_v])
-            ew.append(w)
-            et.append(t)
+                f"{edge_file}:{lineno}: u_id {raw_u!r} has no feature row")
+        if raw_v not in v_index:
+            raise ValidationError(
+                f"{edge_file}:{lineno}: v_id {raw_v!r} has no feature row")
+        try:
+            w = float(raw_w)
+            t = int(raw_t)
+        except ValueError as exc:
+            raise ValidationError(f"{edge_file}:{lineno}: malformed row ({exc})")
+        if not (math.isfinite(w) and w > 0):
+            raise ValidationError(
+                f"{edge_file}:{lineno}: edge weight must be positive and "
+                f"finite, got {raw_w}")
+        eu.append(u_index[raw_u])
+        ev.append(v_index[raw_v])
+        ew.append(w)
+        et.append(t)
     if not eu:
         raise ValidationError(f"{edge_file}: no edges")
 

@@ -30,8 +30,9 @@ from .graph import (BipartiteGraph, aggregate_pairs, chronological_split,
                     complement_size, load_graph, sample_negatives)
 from .model import state_checksum
 from .rng import seed_int
-from .training import (ALL_VARIANTS, VariantConfig, eval_negative_count,
-                       evaluate_final, extract_embeddings, pretrain, train_decoder)
+from .training import (ALL_VARIANTS, DECODER_NEGATIVE_POOL_FACTOR, VariantConfig,
+                       eval_negative_count, evaluate_final, extract_embeddings,
+                       pretrain, train_decoder)
 
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
 
@@ -50,14 +51,16 @@ def _pretrain_key(cfg: VariantConfig, seed: int) -> tuple:
 
 
 def _decoder_pool_size(split, cfg: VariantConfig) -> int:
-    """Phase 2's negative pool size, after checking every phase-2 count (2+
-    validation-era pairs and pool negatives, `eval_negative_count`), so that
-    a split too small for phase 2 can fail before pretraining."""
+    """Phase 2's negative pool size: `DECODER_NEGATIVE_POOL_FACTOR` (5) times
+    the distinct validation-era pairs, capped by the complement. Checks every
+    phase-2 count first (2+ validation-era pairs and pool negatives,
+    `eval_negative_count`), so that a split too small for phase 2 can fail
+    before pretraining."""
     n_pos = len(aggregate_pairs(split.val_edges, split.train.n_v, use_weights=False)[0])
     if n_pos < 2:
         raise ValidationError(
             f"decoder training needs >= 2 validation-era pairs, got {n_pos}")
-    pool_target = int(np.ceil(cfg.decoder_negative_pool_factor * n_pos))
+    pool_target = int(np.ceil(DECODER_NEGATIVE_POOL_FACTOR * n_pos))
     pool_size = min(pool_target, complement_size(split))
     if pool_size < 2:
         raise ValidationError("complement too small to sample a negative pool")

@@ -24,6 +24,11 @@ from .optim import adam_step, init_adam_state
 from .rng import child_seed, rng_for, seed_int
 
 
+# The evaluation protocol's two fixed decoder values: the monitor slice
+# (`train_decoder`) and the negative pool (`pipeline._decoder_pool_size`).
+DECODER_MONITOR_FRACTION = 0.1
+DECODER_NEGATIVE_POOL_FACTOR = 5.0
+
 # Range of every numeric VariantConfig field, checked before any training
 # so that a bad value fails fast instead of mid-run or silently.
 _FIELD_RULES = {
@@ -33,11 +38,9 @@ _FIELD_RULES = {
     "feature_drop_p": (lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
     "edge_keep_prob": (lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
     "unk_substitution_rate": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
-    "decoder_monitor_fraction": (lambda x: 0.0 < x < 1.0, "in (0, 1)"),
     "lr": (lambda x: 0 < x < math.inf, "finite and > 0"),
     "weight_decay": (lambda x: 0 <= x < math.inf, "finite and >= 0"),
     "eval_negative_ratio": (lambda x: 0 < x < math.inf, "finite and > 0"),
-    "decoder_negative_pool_factor": (lambda x: 0 < x < math.inf, "finite and > 0"),
     "pretrain_epochs": (lambda x: x >= 0, ">= 0"),
     "patience": (lambda x: x >= 0, ">= 0"),
     "decoder_epochs": (lambda x: x >= 1, ">= 1"),
@@ -81,8 +84,6 @@ class VariantConfig:
     unk_substitution_rate: float = 0.01
     hits_k: int = 50
     eval_negative_ratio: float = 1.0
-    decoder_monitor_fraction: float = 0.1
-    decoder_negative_pool_factor: float = 5.0
 
     def __post_init__(self):
         if isinstance(self.decoder_hidden_dims, list):
@@ -303,12 +304,13 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
                   cfg: VariantConfig, seed: int):
     """Phase 2: supervised decoder on frozen embeddings.
 
-    A monitor slice (10% of positives plus 10% of the negative pool, but at
-    least `hits_k` negatives while one stays for training) is held out; the
-    rest trains in shuffled minibatches with fresh 1:1 negatives drawn from
-    the pool each epoch. Early stopping restores the parameters from the
-    best monitor epoch: by Hits@K if the slice holds more than `hits_k`
-    negatives, else by ROC-AUC.
+    A monitor slice (`DECODER_MONITOR_FRACTION`, 10%, of the positives and
+    of the negative pool, but at least one positive and `hits_k` negatives
+    while one of each stays for training) is held out; the rest trains in
+    shuffled minibatches with fresh 1:1 negatives drawn from the pool each
+    epoch. Early stopping restores the parameters from the best monitor
+    epoch: by Hits@K if the slice holds more than `hits_k` negatives, else
+    by ROC-AUC.
     """
     positives_uv = np.asarray(positives_uv, dtype=np.int64)
     pos_weights = np.asarray(pos_weights, dtype=np.float64)
@@ -321,8 +323,8 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
     rng = rng_for(seed, "decoder-monitor")
     pos_perm = rng.permutation(n_pos)
     neg_perm = rng.permutation(n_neg)
-    n_hold_pos = min(max(1, int(round(cfg.decoder_monitor_fraction * n_pos))), n_pos - 1)
-    n_hold_neg = min(max(int(round(cfg.decoder_monitor_fraction * n_neg)), cfg.hits_k),
+    n_hold_pos = min(max(1, int(round(DECODER_MONITOR_FRACTION * n_pos))), n_pos - 1)
+    n_hold_neg = min(max(int(round(DECODER_MONITOR_FRACTION * n_neg)), cfg.hits_k),
                      n_neg - 1)
     hold_pos = pos_perm[:n_hold_pos]
     train_pos = pos_perm[n_hold_pos:]

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,11 +11,12 @@ import pytest
 
 from bilink import pipeline
 from bilink.checkpoint import load_arrays, load_model_state, save_decoder
-from bilink.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main,
-                        read_config_file)
+from bilink.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_config,
+                        build_parser, main, read_config_file)
 from bilink.errors import ValidationError
 from bilink.model import init_decoder, state_checksum
 from bilink.synthetic import SyntheticSpec, write_dataset
+from bilink.training import VariantConfig
 from util import resave_checkpoint
 
 DATA = Path(__file__).parent / "data"
@@ -53,6 +56,33 @@ def test_cli_import_loads_no_heavy_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+CONFIG_FIELDS = (
+    "weighted_pretrain", "weighted_bce", "loss_balance", "tau", "hidden_dim",
+    "output_dim", "dropout", "lr", "weight_decay", "batch_size", "pretrain_epochs",
+    "decoder_epochs", "patience", "feature_drop_p", "edge_keep_prob", "input_dim",
+    "decoder_hidden_dims", "unk_substitution_rate", "hits_k", "eval_negative_ratio")
+
+
+def test_cli_surface_is_pinned():
+    """Every option string and config field: a new knob needs an edit here."""
+    assert tuple(f.name for f in dataclasses.fields(VariantConfig)) == CONFIG_FIELDS
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+           for name, p in sub.choices.items()}
+    dataset = {"--edges", "--u-features", "--v-features"}
+    grid = (dataset | {"--seeds", "--workers", "--out-dir", "--config"}
+            | {"--" + name.replace("_", "-") for name in CONFIG_FIELDS})
+    assert got == {
+        "gen-synth": {"--n-u", "--n-v", "--n-edges", "--weight-skew", "--no-blocks",
+                      "--n-blocks", "--intra-prob", "--time-span", "--seed", "--out-dir"},
+        "run": grid, "ablate": grid,
+        "eval-only": dataset | {"--model", "--decoder", "--seed", "--out"},
+        "inspect-checkpoint": set()}
+    assert {name: len(opts) for name, opts in got.items()} == {
+        "gen-synth": 10, "run": 27, "ablate": 27, "eval-only": 7, "inspect-checkpoint": 0}
 
 
 class TestGenSynth:
@@ -167,11 +197,14 @@ class TestConfigValidation:
         ("run", ["--lr", "inf"]),
         ("run", ["--weight-decay", "inf"]),
         ("run", ["--eval-negative-ratio", "inf"]),
-        ("run", ["--decoder-negative-pool-factor", "inf"]),
+        ("ablate", ["--seeds", "42,"]),
         ("run", ["--hidden-dim", "abc"]),
         ("ablate", ["--lr", "abc"]),
         ("run", ["--weighted-pretrain", "maybe"]),
         ("run", ["--eval-negative-ratio", "1000"]),
+        ("run", ["--seeds", ",42"]),
+        ("run", ["--seeds", "42,,43"]),
+        ("run", ["--seeds", "42 43"]),
     ])
     def test_bad_value_exits_before_training(self, dataset, tmp_path, capsys,
                                              command, flags):
@@ -276,8 +309,6 @@ class TestConfigPrecedence:
     def test_flags_beat_file_beat_defaults(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("tau = 0.5\nhidden_dim = 64\nweighted_pretrain = true\n")
-        from bilink.cli import build_config, build_parser
-
         args = build_parser().parse_args(
             ["run", "--edges", "e", "--u-features", "u", "--v-features", "v",
              "--out-dir", "o", "--config", str(cfg_file), "--tau", "0.25"])
@@ -297,6 +328,26 @@ class TestConfigPrecedence:
         f = tmp_path / "c.cfg"
         f.write_text("# comment\n\nlr = 0.01  # trailing\n")
         assert read_config_file(f) == {"lr": 0.01}
+
+    def test_repeated_key_rejected(self, tmp_path):
+        f = tmp_path / "twice.cfg"
+        f.write_text("hidden_dim = 64\nlr = 0.01\nhidden_dim = 32\n")
+        with pytest.raises(ValidationError, match="twice.cfg:3: config key 'hidden_dim' "
+                                                  "is already set at line 1"):
+            read_config_file(f)
+
+    @pytest.mark.parametrize("key,raw", [("weighted_bce", "yes"), ("hidden_dim", "64"),
+                                         ("tau", "0.5"), ("decoder_hidden_dims", "8, 4")])
+    def test_flag_parses_like_config_value(self, tmp_path, key, raw):
+        cfg_file = tmp_path / "one.cfg"
+        cfg_file.write_text(f"{key} = {raw}\n")
+        base = ["run", "--edges", "e", "--u-features", "u", "--v-features", "v",
+                "--out-dir", "o"]
+        parser = build_parser()
+        from_flag = build_config(parser.parse_args(
+            base + ["--" + key.replace("_", "-"), raw]))
+        from_file = build_config(parser.parse_args(base + ["--config", str(cfg_file)]))
+        assert from_flag == from_file != VariantConfig()
 
 
 class TestAblate:
@@ -488,7 +539,8 @@ class TestCheckpointFiles:
 
     @pytest.mark.parametrize("field,value", [
         ("num_layers", 3), ("final_layer_relu", True),
-        ("loss_on_raw_embeddings", True), ("symmetrize_pretrain_loss", True)])
+        ("loss_on_raw_embeddings", True), ("symmetrize_pretrain_loss", True),
+        ("decoder_monitor_fraction", 0.2), ("decoder_negative_pool_factor", 2.0)])
     def test_removed_switch_set_exits_validation(self, parent_data, tmp_path, capsys,
                                                  field, value):
         model = self._resaved(tmp_path, DATA / "parent_model.npz",

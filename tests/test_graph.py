@@ -68,6 +68,12 @@ class TestLoadGraph:
                                                   "positive and finite"):
             load_graph(*paths)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, raw):
+        paths = write_dataset(tmp_path, ["a,x,1,10"], ["a,0,0", f"b,0,{raw}"], ["x,0,0"])
+        with pytest.raises(ValidationError, match="u.csv:3: non-finite feature value"):
+            load_graph(*paths)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_in_memory_weight_rejected(self, bad):
         with pytest.raises(ValidationError, match="positive and finite.*event 1"):
@@ -77,6 +83,12 @@ class TestLoadGraph:
         paths = write_dataset(tmp_path, ["a,x,1,10", "a,x,oops,20"],
                               ["a,0,0"], ["x,0,0"])
         with pytest.raises(ValidationError, match=":3"):
+            load_graph(*paths)
+
+    def test_line_numbers_count_lines_inside_quoted_fields(self, tmp_path):
+        paths = write_dataset(tmp_path, ["c,x,1,10"], ['"a\nb",0,0', "c,0,oops"],
+                              ["x,0,0"])
+        with pytest.raises(ValidationError, match="u.csv:4: malformed feature value"):
             load_graph(*paths)
 
     def test_unknown_edge_id_rejected(self, tmp_path):

@@ -63,10 +63,9 @@ class TestVariantConfig:
         ("pretrain_epochs", -1), ("decoder_epochs", 0), ("patience", -1),
         ("hidden_dim", 0), ("output_dim", 0), ("input_dim", 0),
         ("decoder_hidden_dims", (16, 0)), ("unk_substitution_rate", 1.5),
-        ("eval_negative_ratio", 0.0), ("decoder_monitor_fraction", 1.0),
-        ("decoder_negative_pool_factor", 0.0), ("decoder_hidden_dims", ()),
-        ("lr", math.inf), ("weight_decay", math.inf), ("eval_negative_ratio", math.inf),
-        ("decoder_negative_pool_factor", math.inf),
+        ("eval_negative_ratio", 0.0),
+        ("lr", math.inf), ("weight_decay", math.inf), ("decoder_hidden_dims", ()),
+        ("eval_negative_ratio", math.inf),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
