@@ -12,6 +12,12 @@ the arrays its gradient needs, and the record names op outputs by integer
 keys rather than holding them. An activation that no closure reads is freed
 as soon as the caller drops it.
 
+`backward` returns nothing: it adds each leaf's gradient into the leaf's
+`.grad`. A parameter's `.grad` is its view of its store's flat gradient
+buffer, which the optimizer zeroes after each step. Any other leaf, such as a
+test tensor or a tensor recorded on another tape, gets its own array on first
+use, and it accumulates across `backward` calls until the caller resets it.
+
 Every op output is checked for non-finite values unless a `finite_checks(False)`
 block is active on the thread; a caller that turns the checks off must check
 what it consumes (a loss, gradients) and can replay with them on to name the
@@ -41,7 +47,7 @@ def active_tape():
 class Tensor:
     """Dense 2-D value, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "_tape", "_key")
+    __slots__ = ("data", "requires_grad", "grad", "_tape", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -49,6 +55,7 @@ class Tensor:
             raise ValueError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = requires_grad
+        self.grad = None
         self._tape = None  # the tape that recorded this tensor, if any
         self._key = None  # its output key on that tape
 
@@ -150,14 +157,14 @@ def _apply(op: str, out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor
     return out
 
 
-def backward(loss: Tensor) -> dict:
+def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss through its recording tape.
 
-    Returns {leaf tensor: gradient array} for every requires_grad leaf that
-    the loss depends on; a tensor recorded on another tape counts as a
-    leaf. Gradients of this tape's outputs are routed by key and never
-    returned. Each tape node is visited exactly once and then dropped, so a
-    tape serves one `backward`.
+    Adds the gradient of every requires_grad leaf that the loss depends on
+    into that leaf's `.grad` (module docstring); a tensor recorded on another
+    tape counts as a leaf. Gradients of this tape's outputs are routed by key
+    and kept nowhere. Each tape node is visited exactly once and then
+    dropped, so a tape serves one `backward`.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward needs a scalar (1x1) loss, got shape {loss.shape}")
@@ -175,7 +182,6 @@ def backward(loss: Tensor) -> dict:
     # soon as its gradient has gone to its parents.
     nodes = tape._nodes
     pending = {loss._key: np.ones((1, 1))}
-    leaves = {}
     while nodes:
         node = nodes.pop()
         g = pending.pop(node.key, None)
@@ -184,12 +190,15 @@ def backward(loss: Tensor) -> dict:
         for parent, pg in zip(node.parents, node.backward_fn(g)):
             if pg is None or parent is None:
                 continue
-            grads = pending if type(parent) is int else leaves
-            if parent in grads:
-                grads[parent] = grads[parent] + pg
+            if type(parent) is int:
+                pending[parent] = pending[parent] + pg if parent in pending else pg
+            elif pg.shape != parent.shape:  # an in-place add would broadcast it
+                raise ValueError(f"gradient shape {pg.shape} does not match "
+                                 f"its leaf's shape {parent.shape}")
+            elif parent.grad is None:
+                parent.grad = pg.copy()
             else:
-                grads[parent] = pg
-    return leaves
+                parent.grad += pg
 
 
 def _shapes(*tensors):

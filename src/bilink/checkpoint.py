@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, reading
 from .model import (ModelState, ParamStore, decoder_shapes, encoder_shapes,
                     make_store, model_shapes, online_named_params,
                     target_named_params)
@@ -54,14 +54,18 @@ def save_arrays(path, arrays: dict, meta: dict) -> None:
 
 
 def load_arrays(path):
-    with np.load(path) as archive:
-        if _META_KEY not in archive:
-            raise ValidationError(f"{path}: not a checkpoint (missing metadata)")
-        meta = json.loads(archive[_META_KEY].tobytes().decode("utf-8"))
-        if meta.get("format_version") not in (1, FORMAT_VERSION):
-            raise ValidationError(
-                f"{path}: unsupported checkpoint version {meta.get('format_version')}")
-        arrays = {name: archive[name] for name in archive.files if name != _META_KEY}
+    with reading(path):
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValidationError(f"{path}: not a checkpoint (not an npz archive)")
+        with archive:
+            if _META_KEY not in archive:
+                raise ValidationError(f"{path}: not a checkpoint (missing metadata)")
+            meta = json.loads(archive[_META_KEY].tobytes().decode("utf-8"))
+            version = meta.get("format_version") if isinstance(meta, dict) else None
+            if version not in (1, FORMAT_VERSION):
+                raise ValidationError(f"{path}: unsupported checkpoint version {version}")
+            arrays = {name: archive[name] for name in archive.files if name != _META_KEY}
     return arrays, meta
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import pipeline
-from .errors import ValidationError
+from .errors import ValidationError, reading
 from .graph import chronological_split
 from .synthetic import SyntheticSpec, write_dataset
 from .training import (DECODER_MONITOR_FRACTION, DECODER_NEGATIVE_POOL_FACTOR,
@@ -56,9 +56,8 @@ _EXPECTED = {bool: "a boolean", int: "an integer", float: "a number",
 def _parse_value(name: str, raw: str, kind):
     """One typed value from the command line or a config file: bool, int,
     float, or a tuple of comma-separated ints (an empty string gives (), an
-    empty item is an error). Typed flags reach here as strings, because
-    argparse would exit on a malformed one rather than let `main` map it to
-    EXIT_VALIDATION."""
+    empty item is an error). Typed flags reach here as strings, so that a
+    flag and a config-file value are read by the same rule."""
     raw = raw.strip()
     try:
         if kind is bool:
@@ -71,8 +70,10 @@ def _parse_value(name: str, raw: str, kind):
 
 
 def read_config_file(path) -> dict:
+    with reading(path):
+        text = Path(path).read_text(encoding="utf-8")
     values, first_line = {}, {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -208,8 +209,20 @@ def cmd_inspect_checkpoint(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes no abbreviated flag, and raises a usage error (an unknown or
+    missing flag) as a ValidationError for `main` to report like any other
+    bad input. Subparsers are built from the same class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bilink",
         description="Self-supervised link prediction on weighted bipartite graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -252,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

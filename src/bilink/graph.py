@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ValidationError
+from .errors import ValidationError, reading
 
 EDGE_HEADER = ["u_id", "v_id", "weight", "timestamp"]
 
@@ -113,7 +113,7 @@ def _csv_rows(path, header_ok, header_text):
     """Yields (line number of its last line, row) for each non-blank data row
     of a CSV file whose stripped header satisfies `header_ok`; every row must
     have as many columns as the header."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not header_ok([h.strip() for h in header]):

@@ -29,26 +29,29 @@ class ParamStore(dict):
 
     Every tensor's `.data` is a view into `flat` (laid out in `shapes`
     order), so the optimizer, the EMA update and snapshots work on the whole
-    buffer at once. Write a parameter in place (`p.data[...] = x`);
-    rebinding `.data` leaves the buffer. Build one with `make_store`.
+    buffer at once. A store that requires grad holds its gradients the same
+    way, in `grad`, which `backward` adds into and `adam_step` zeroes. Write
+    a parameter or a gradient in place (`p.data[...] = x`); rebinding leaves
+    the buffer. Build one with `make_store`.
     """
 
     def __init__(self, flat: np.ndarray, shapes: dict, requires_grad: bool):
         super().__init__()
         self.flat = flat
-        self.requires_grad = requires_grad
+        self.grad = np.zeros_like(flat) if requires_grad else None
         start = 0
         for name, shape in shapes.items():
-            size = int(np.prod(shape))
-            self[name] = Tensor(flat[start:start + size].reshape(shape),
-                                requires_grad=requires_grad)
-            start += size
+            end = start + int(np.prod(shape))
+            self[name] = t = Tensor(flat[start:end].reshape(shape), requires_grad)
+            if requires_grad:
+                t.grad = self.grad[start:end].reshape(shape)
+            start = end
 
     def __reduce__(self):
         # Pickle (e.g. from a pool worker) sends the buffer once and
-        # rebuilds the views over it.
+        # rebuilds the views over it, with a fresh zero gradient buffer.
         return ParamStore, (self.flat, {name: t.shape for name, t in self.items()},
-                            self.requires_grad)
+                            self.grad is not None)
 
 
 def make_store(arrays: dict, requires_grad: bool) -> ParamStore:

@@ -1,4 +1,6 @@
-"""Adam with decoupled weight decay over one parameter store's flat buffer."""
+"""Adam with decoupled weight decay over one parameter store's flat buffers:
+`backward` adds into `grad`, and each step reads it beside `flat` and zeroes it.
+"""
 
 from dataclasses import dataclass
 
@@ -27,43 +29,37 @@ def init_adam_state(params) -> AdamState:
     return AdamState(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_step(params, grads: dict, state: AdamState, lr: float,
-              weight_decay: float) -> None:
-    """One in-place update of every parameter of a `ParamStore`.
+def adam_step(params, state: AdamState, lr: float, weight_decay: float) -> None:
+    """One in-place update of every parameter of a `ParamStore` from its
+    `grad` buffer, which is zeroed on return, whether the step ran or not.
 
-    `grads` maps parameter tensors to gradients, as `backward` returns it.
     Weight decay is applied directly to the parameter (decoupled from the
-    moment estimates). A parameter absent from `grads` is treated as having
-    a zero gradient; it still experiences weight decay.
+    moment estimates), so a parameter that received no gradient still
+    decays. A non-finite gradient raises TrainingError, naming the first
+    parameter that holds one, before anything is written.
     """
-    if state.m.shape != params.flat.shape:
-        raise ValueError("optimizer state does not match parameter set")
-    parts = []
-    for name, p in params.items():
-        g = grads.get(p)
-        if g is None:
-            g = np.zeros_like(p.data)
-        elif not np.isfinite(g).all():
+    g = params.grad
+    try:
+        if state.m.shape != params.flat.shape:
+            raise ValueError("optimizer state does not match parameter set")
+        if not np.isfinite(g).all():
+            name = next(n for n, p in params.items() if not np.isfinite(p.grad).all())
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if g.shape != p.data.shape:
-            raise ValueError(
-                f"gradient shape {g.shape} does not match parameter {name!r} "
-                f"shape {p.data.shape}")
-        parts.append(g.ravel())
-    g = np.concatenate(parts)
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - BETA1 ** t
-    bc2 = 1.0 - BETA2 ** t
-    for lo in range(0, g.size, _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        gb, m, v, p = g[blk], state.m[blk], state.v[blk], params.flat[blk]
-        m *= BETA1
-        m += (1.0 - BETA1) * gb
-        v *= BETA2
-        v += (1.0 - BETA2) * gb * gb
-        m_hat = m / bc1
-        v_hat = v / bc2
-        if weight_decay:
-            p *= 1.0 - lr * weight_decay
-        p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+        state.step += 1
+        t = state.step
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        for lo in range(0, g.size, _BLOCK):
+            blk = slice(lo, lo + _BLOCK)
+            gb, m, v, p = g[blk], state.m[blk], state.v[blk], params.flat[blk]
+            m *= BETA1
+            m += (1.0 - BETA1) * gb
+            v *= BETA2
+            v += (1.0 - BETA2) * gb * gb
+            m_hat = m / bc1
+            v_hat = v / bc2
+            if weight_decay:
+                p *= 1.0 - lr * weight_decay
+            p -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+    finally:
+        g.fill(0.0)

@@ -168,11 +168,12 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
     # epoch rebinds them, so the allocator keeps their pages rather than
     # returning them and faulting them in again: with glibc on x86-64 Linux,
     # a default-size epoch that freed everything on return took about 4,400
-    # page faults instead of 900. The step's activations and gradients are
-    # freed as soon as nothing reads them (see `autodiff`). That took the
-    # default-size peak RSS from about 77 to 70 MB for about 200 more minor
-    # faults per epoch (mean 80-150 -> 300-380), with no measurable change
-    # in epoch time.
+    # page faults instead of 900. The step's activations and op-output
+    # gradients are freed as soon as nothing reads them (see `autodiff`): that
+    # took the default-size peak RSS from about 77 to 70 MB for about 200 more
+    # minor faults per epoch (mean 80-150 -> 300-380), with no measurable
+    # change in epoch time. Parameter gradients go to `state.online.grad`,
+    # which lives as long as the store and which `adam_step` zeroes.
     trace = []
     for epoch in range(cfg.pretrain_epochs):
         view1 = augmented_view(g.x_u, g.x_v, cu, cv, cw,
@@ -211,10 +212,10 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
                         total = total_pretrain_loss(attr, rep, cfg.loss_balance)
                         if not np.isfinite(total.item()):
                             raise TrainingError("non-finite pretraining loss")
-                        # Checks the gradients before it writes anything;
-                        # they are freed when it returns.
-                        adam_step(state.online, backward(total), opt_state,
-                                  cfg.lr, cfg.weight_decay)
+                        # Checks the gradients before it writes anything,
+                        # and zeroes them either way.
+                        backward(total)
+                        adam_step(state.online, opt_state, cfg.lr, cfg.weight_decay)
                 break
             except (FloatingPointError, TrainingError) as exc:
                 if checked:
@@ -358,7 +359,8 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
                 logits = decode_logits(dec, emb.emb_u, emb.emb_v, pairs[batch])
                 loss = ad.bce_with_logits(logits, labels[batch, None],
                                           weights[batch, None])
-                adam_step(dec, backward(loss), opt_state, cfg.lr, cfg.weight_decay)
+                backward(loss)
+                adam_step(dec, opt_state, cfg.lr, cfg.weight_decay)
 
         scores = _decoder_scores(dec, emb, monitor_pairs)
         score = (mt.hits_at_k(scores, monitor_labels, k=cfg.hits_k)

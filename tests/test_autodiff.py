@@ -19,9 +19,9 @@ def run_grad_check(build, x0, eps=1e-5, tol=1e-4):
     with Tape():
         x = leaf(x0.copy())
         loss = build(x)
-        grads = backward(loss)
+        backward(loss)
     numeric = finite_difference_grad(lambda a: build(Tensor(a)).item(), x0.copy(), eps)
-    assert max_grad_error(grads[x], numeric) < tol
+    assert max_grad_error(x.grad, numeric) < tol
 
 
 class TestForward:
@@ -30,8 +30,8 @@ class TestForward:
             x = leaf([[-1.0, 2.0]])
             y = ad.relu(x)
             assert y.data.tolist() == [[0.0, 2.0]]
-            grads = backward(ad.sum_all(y))
-        assert grads[x].tolist() == [[0.0, 1.0]]
+            backward(ad.sum_all(y))
+        assert x.grad.tolist() == [[0.0, 1.0]]
 
     def test_row_cosine_identity(self):
         rng = np.random.default_rng(0)
@@ -87,9 +87,9 @@ class TestForward:
             parts = [leaf(np.full((k, 2), float(k))) for k in (1, 2, 3)]
             stacked = ad.concat_rows(*parts)
             assert stacked.shape == (6, 2)
-            grads = backward(ad.sum_all(ad.mul(stacked, stacked)))
+            backward(ad.sum_all(ad.mul(stacked, stacked)))
         for k, p in zip((1, 2, 3), parts):
-            np.testing.assert_array_equal(grads[p], np.full((k, 2), 2.0 * k))
+            np.testing.assert_array_equal(p.grad, np.full((k, 2), 2.0 * k))
 
     def test_dropout_p0_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
@@ -110,24 +110,24 @@ class TestForward:
         with Tape():
             x = leaf(x0)
             h = ad.dropout_mask(x, 0.3, seed=5)
-            grads = backward(ad.sum_all(ad.mul(h, Tensor(g0))))
+            backward(ad.sum_all(ad.mul(h, Tensor(g0))))
         np.testing.assert_array_equal(h.data, x0 * mask)
         np.testing.assert_array_equal(np.signbit(h.data), np.signbit(x0 * mask))
-        np.testing.assert_array_equal(grads[x], g0 * mask)
+        np.testing.assert_array_equal(x.grad, g0 * mask)
 
 
 class TestBackward:
     def test_sum_gradient_all_ones(self):
         with Tape():
             x = leaf(np.arange(4.0).reshape(2, 2))
-            grads = backward(ad.sum_all(x))
-        np.testing.assert_array_equal(grads[x], np.ones((2, 2)))
+            backward(ad.sum_all(x))
+        np.testing.assert_array_equal(x.grad, np.ones((2, 2)))
 
     def test_zero_scale_gives_zero_gradient(self):
         with Tape():
             x = leaf(np.ones((2, 2)))
-            grads = backward(ad.sum_all(ad.scale(x, 0.0)))
-        np.testing.assert_array_equal(grads[x], np.zeros((2, 2)))
+            backward(ad.sum_all(ad.scale(x, 0.0)))
+        np.testing.assert_array_equal(x.grad, np.zeros((2, 2)))
 
     def test_non_scalar_loss_rejected(self):
         with Tape():
@@ -178,31 +178,31 @@ class TestBackward:
                 out = consumer(h)
                 del h
                 assert ref() is None
-                grads = backward(ad.sum_all(out))
+                backward(ad.sum_all(out))
         finally:
             gc.enable()
-        np.testing.assert_array_equal(grads[x], out.data)  # x is ones, out is linear in x
+        np.testing.assert_array_equal(x.grad, out.data)  # x is ones, out is linear in x
 
     def test_tensor_from_outer_tape_is_a_leaf_of_inner_backward(self):
         with Tape():
             x = leaf([[1.0, -2.0]])
             h = ad.scale(x, 3.0)
             with Tape():
-                inner = backward(ad.sum_all(ad.mul(h, h)))
-            assert list(inner) == [h]
-            np.testing.assert_array_equal(inner[h], [[6.0, -12.0]])
-            outer = backward(ad.sum_all(h))
-        assert list(outer) == [x]
-        np.testing.assert_array_equal(outer[x], [[3.0, 3.0]])
+                backward(ad.sum_all(ad.mul(h, h)))
+            assert x.grad is None
+            np.testing.assert_array_equal(h.grad, [[6.0, -12.0]])
+            backward(ad.sum_all(h))
+        np.testing.assert_array_equal(h.grad, [[6.0, -12.0]])  # routed by key
+        np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
 
     def test_second_backward_on_consumed_tape_raises(self):
         with Tape():
             x = leaf(np.ones((2, 2)))
             loss = ad.sum_all(ad.mul(x, x))
-            grads = backward(loss)
+            backward(loss)
             with pytest.raises(ValueError, match="consumed"):
                 backward(loss)
-        np.testing.assert_array_equal(grads[x], np.full((2, 2), 2.0))
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 2.0))
 
     def test_backward_after_block_exit_raises(self):
         with Tape():
@@ -215,8 +215,15 @@ class TestBackward:
         with Tape():
             x = leaf([[3.0]])
             loss = ad.sum_all(ad.mul(x, x))
-            grads = backward(loss)
-        np.testing.assert_allclose(grads[x], [[6.0]])
+            backward(loss)
+        np.testing.assert_allclose(x.grad, [[6.0]])
+
+    def test_free_leaf_accumulates_across_backward_calls(self):
+        x = leaf([[3.0]])
+        for _ in range(2):
+            with Tape():
+                backward(ad.sum_all(ad.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, [[12.0]])
 
     def test_no_tape_means_no_gradient_path(self):
         x = leaf(np.ones((1, 1)))
@@ -233,8 +240,8 @@ class TestBackward:
                 w = leaf(rng.normal(size=(3, 2)))
                 h = ad.dropout_mask(ad.relu(ad.matmul(x, w)), 0.25, seed=7)
                 loss = ad.sum_all(ad.mul(h, h))
-                grads = backward(loss)
-                return loss.item(), grads[w].copy()
+                backward(loss)
+                return loss.item(), w.grad.copy()
 
         l1, g1 = run()
         l2, g2 = run()
@@ -323,11 +330,11 @@ class TestGradCheck:
 
         with Tape():
             x = leaf(x0.copy())
-            grads = backward(build(x))
+            backward(build(x))
         numeric = finite_difference_grad(lambda a: build(Tensor(a)).item(), x0.copy())
         live = [0, 1, 3]
-        assert max_grad_error(grads[x][live], numeric[live]) < 1e-4
-        np.testing.assert_array_equal(grads[x][2], np.zeros(3))
+        assert max_grad_error(x.grad[live], numeric[live]) < 1e-4
+        np.testing.assert_array_equal(x.grad[2], np.zeros(3))
 
     def test_take_and_replace_and_concat(self):
         rng = np.random.default_rng(9)

@@ -11,7 +11,7 @@ import pytest
 
 from bilink import pipeline
 from bilink.checkpoint import load_arrays, load_model_state, save_decoder
-from bilink.cli import (EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_config,
+from bilink.cli import (EXIT_OK, EXIT_VALIDATION, build_config,
                         build_parser, main, read_config_file)
 from bilink.errors import ValidationError
 from bilink.model import init_decoder, state_checksum
@@ -179,8 +179,7 @@ class TestRun:
         code = main(["run", "--edges", "/nonexistent.csv",
                      "--u-features", "/nope.csv", "--v-features", "/nope2.csv",
                      "--out-dir", str(tmp_path)])
-        assert code != EXIT_OK
-        assert code in (EXIT_VALIDATION, EXIT_RUNTIME)
+        assert code == EXIT_VALIDATION
 
 
 class TestConfigValidation:
@@ -303,6 +302,99 @@ class TestMalformedTypedFlag:
         assert code == EXIT_VALIDATION
         assert_one_error_line(capsys, "seed")
         assert not out.exists()
+
+
+def _required(command, out):
+    """`command`'s required arguments, with its output path `out`."""
+    data = dataset_flags(Path("d"))
+    return {"gen-synth": ["--out-dir", out],
+            "run": [*data, "--out-dir", out],
+            "ablate": [*data, "--out-dir", out],
+            "eval-only": [*data, "--model", "m.npz", "--decoder", "d.npz", "--out", out],
+            "inspect-checkpoint": ["m.npz"]}[command]
+
+
+# One abbreviation of a real flag per subcommand.
+_ABBREVIATED = {"gen-synth": ["--n-e", "50"], "run": ["--hidden", "8"],
+                "ablate": ["--hidden", "8"], "eval-only": ["--mod", "m.npz"],
+                "inspect-checkpoint": ["--he"]}
+
+
+class TestBadInvocation:
+    """Unknown and abbreviated flags exit EXIT_VALIDATION with one line,
+    before any file is read or written."""
+
+    @pytest.mark.parametrize("command", list(_ABBREVIATED))
+    @pytest.mark.parametrize("kind", ["unknown", "abbreviated"])
+    def test_flag_exits_validation(self, tmp_path, capsys, command, kind):
+        flags = ["--bogus", "1"] if kind == "unknown" else _ABBREVIATED[command]
+        out = tmp_path / "out"
+        assert main([command, *_required(command, str(out)), *flags]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"unrecognized arguments: {flags[0]}")
+        assert not out.exists()
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--hidden-dim" in capsys.readouterr().out
+
+
+class TestUnreadableInput:
+    """A missing, unreadable or malformed input file exits EXIT_VALIDATION
+    with one line naming it."""
+
+    @pytest.fixture
+    def bad_files(self, tmp_path):
+        text = tmp_path / "text.npz"
+        text.write_text("not an archive\n")
+        npy = tmp_path / "array.npz"
+        with open(npy, "wb") as fh:
+            np.save(fh, np.ones(3))
+        binary = tmp_path / "binary.csv"
+        binary.write_bytes(b"\xff\xfe\x00id,f1\n")
+        files = {"missing": tmp_path / "missing.file", "text": text, "npy": npy,
+                 "binary": binary, "dir": tmp_path}
+        for name, meta in (("list_meta", b"[]"), ("broken_meta", b"{")):
+            files[name] = tmp_path / f"{name}.npz"
+            np.savez(files[name], __meta__=np.frombuffer(meta, dtype=np.uint8))
+        return files
+
+    @pytest.mark.parametrize("which", ["missing", "binary", "dir"])
+    @pytest.mark.parametrize("flag", ["--edges", "--u-features", "--v-features"])
+    def test_dataset_csv(self, dataset, bad_files, tmp_path, capsys, which, flag):
+        argv = dataset_flags(dataset)
+        argv[argv.index(flag) + 1] = str(bad_files[which])
+        out = tmp_path / "out"
+        assert main(["run", *argv, "--seeds", "42", "--out-dir", str(out),
+                     *FAST_FLAGS]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, str(bad_files[which]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["missing", "binary", "dir"])
+    def test_config_file(self, dataset, bad_files, tmp_path, capsys, which):
+        out = tmp_path / "out"
+        assert main(["ablate", *dataset_flags(dataset), "--seeds", "42",
+                     "--config", str(bad_files[which]),
+                     "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, str(bad_files[which]))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["missing", "text", "npy", "dir", "list_meta",
+                                       "broken_meta"])
+    @pytest.mark.parametrize("flag", ["--model", "--decoder"])
+    def test_eval_only_checkpoint(self, dataset, bad_files, capsys, which, flag):
+        argv = ["--model", str(DATA / "parent_model.npz"),
+                "--decoder", str(DATA / "parent_decoder.npz")]
+        argv[argv.index(flag) + 1] = str(bad_files[which])
+        assert main(["eval-only", *dataset_flags(dataset), *argv]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, str(bad_files[which]))
+
+    @pytest.mark.parametrize("which", ["missing", "text", "npy", "dir", "list_meta",
+                                       "broken_meta"])
+    def test_inspect_checkpoint(self, bad_files, capsys, which):
+        assert main(["inspect-checkpoint", str(bad_files[which])]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, str(bad_files[which]))
 
 
 class TestConfigPrecedence:

@@ -146,9 +146,9 @@ class TestProperties:
         w0 = rng.normal(size=(3, 4))
         with Tape():
             param = Tensor(w0.copy(), requires_grad=True)
-            grads = backward(objective(param))
+            backward(objective(param))
         numeric = finite_difference_grad(lambda a: objective(a).item(), w0.copy())
-        assert max_grad_error(grads[param], numeric) < 1e-4
+        assert max_grad_error(param.grad, numeric) < 1e-4
 
     def test_target_side_receives_no_gradient(self):
         rng = np.random.default_rng(7)
@@ -157,9 +157,9 @@ class TestProperties:
             target = Tensor(rng.normal(size=(3, 2)), requires_grad=False)
             loss = attractive_loss(pred, target, np.array([0, 1]),
                                    np.array([1, 2]), np.ones(2))
-            grads = backward(loss)
-        assert pred in grads
-        assert target not in grads
+            backward(loss)
+        assert pred.grad is not None
+        assert target.grad is None
 
 
 class TestIncidenceProduct:
@@ -195,12 +195,14 @@ class TestIncidenceProduct:
         pred, target, eu, ev, w = self._case(9)
         with Tape():
             p = tensor(pred, grad=True)
-            fast = backward(repulsive_loss(p, target, eu, ev, w))[p]
+            backward(repulsive_loss(p, target, eu, ev, w))
+            fast = p.grad
         with Tape():
             p = tensor(pred, grad=True)
             cos = ad.row_cosine(ad.take_rows(p, eu), ad.take_rows(Tensor(target), ev))
             gather = ad.scale(ad.sum_all(ad.mul(cos, Tensor(w.reshape(-1, 1)))),
                               1.0 / w.sum())
-            slow = backward(gather)[p]
+            backward(gather)
+            slow = p.grad
         np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(fast[4], np.zeros(5))  # zero-norm row

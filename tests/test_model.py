@@ -262,11 +262,10 @@ class TestGradientIsolation:
             t_v = encode(state.target, adj, g.x_u, g.x_v, slice(4, None))
             z_u = mlp_forward(state.online, "heads.projector_u", h_u)
             loss = ad.add(ad.sum_all(ad.mul(z_u, t_u)), ad.sum_all(ad.mul(h_v, t_v)))
-            grads = backward(loss)
-        target_tensors = {id(t) for t in state.target.values()}
-        assert all(id(t) not in target_tensors for t in grads)
-        online_tensors = {id(t) for t in state.online.values()}
-        assert any(id(t) in online_tensors for t in grads)
+            backward(loss)
+        assert state.target.grad is None
+        assert all(t.grad is None for t in state.target.values())
+        assert state.online.grad.any()
 
     def test_checksum_stable_and_sensitive(self):
         rng = np.random.default_rng(17)
@@ -299,10 +298,10 @@ class TestParamStore:
         state = self._state()
         rng = np.random.default_rng(19)
         opt = init_adam_state(state.online)
-        grads = {p: rng.normal(size=p.shape) for p in state.online.values()}
+        state.online.grad[...] = rng.normal(size=state.online.grad.shape)
         before = [(name, p, p.data.copy()) for store in (state.online, state.target)
                   for name, p in store.items()]
-        adam_step(state.online, grads, opt, lr=0.1, weight_decay=1e-3)
+        adam_step(state.online, opt, lr=0.1, weight_decay=1e-3)
         ema_update(state)
         assert_in_buffer(state.online)
         assert_in_buffer(state.target)
@@ -321,9 +320,22 @@ class TestParamStore:
         assert sum(int(np.prod(shape)) for shape in v1.values()) == 368_900
 
     def test_pickle_round_trip_keeps_one_buffer(self):
+        """Gradients are never sent: the copy gets a fresh zero buffer, and
+        its tensors' `.grad` views point into it."""
         state = self._state()
+        state.online.grad[...] = 1.0
         copy = pickle.loads(pickle.dumps(state))
         assert state_checksum(copy) == state_checksum(state)
         assert_in_buffer(copy.online)
         assert_in_buffer(copy.target)
         assert not copy.target["encoder.conv1"].requires_grad
+        assert copy.target.grad is None
+        assert copy.online.grad.shape == copy.online.flat.shape
+        assert not copy.online.grad.any()
+        for name, t in copy.online.items():
+            assert np.shares_memory(t.grad, copy.online.grad), name
+        # a default-size store sends its parameter bytes and no gradient bytes
+        online = init_model_state(np.random.default_rng(0), 12, 12, input_dim=256,
+                                  hidden_dim=256, output_dim=128, tau=0.99).online
+        online.grad[...] = 1.0
+        assert len(pickle.dumps(online)) < online.flat.nbytes + 4096

@@ -81,8 +81,12 @@ def test_dataset_hash_tracks_contents(dataset, tmp_path):
     assert h3 != h1
 
 
-def test_runtime_failure_exit_code(capsys):
-    code = main(["inspect-checkpoint", "/no/such/file.npz"])
+def test_runtime_failure_exit_code(tmp_path, capsys):
+    """An output that cannot be written is a runtime failure; an input that
+    cannot be read is a validation error (`test_cli.py`)."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["gen-synth", "--out-dir", str(blocker / "out")])
     assert code == EXIT_RUNTIME
     assert "runtime failure" in capsys.readouterr().err
 
