@@ -103,12 +103,18 @@ def _keyed(side: str, shapes: dict) -> dict:
 
 
 def load_model_state(path):
-    """Returns (ModelState, meta). Every target shape must equal its online
-    shape, and the layer shapes must chain."""
+    """Returns (ModelState, meta). `tau` must be a number in [0, 1], every
+    target shape must equal its online shape, and the layer shapes must
+    chain."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "model_state":
         raise ValidationError(f"{path}: checkpoint kind is {meta.get('kind')!r}, "
                               "expected 'model_state'")
+    tau = meta.get("tau")
+    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 <= tau <= 1:
+        raise ValidationError(f"{path}: checkpoint tau must be a number in [0, 1], "
+                              f"got {tau!r}")
+
     def width(name, axis):
         return _dim(path, arrays, f"online.encoder.{name}", axis)
 
@@ -126,7 +132,7 @@ def load_model_state(path):
                           requires_grad=True),
         target=make_store({name: arrays[f"target.{name}"] for name in target},
                           requires_grad=False),
-        tau=float(meta["tau"]),
+        tau=float(tau),
     )
     return state, meta
 

@@ -152,14 +152,33 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
+def _json_has_kind(value, kind) -> bool:
+    """Whether a JSON value fits a VariantConfig field type: an int is also
+    a float, a bool is neither, and a tuple is a list of ints."""
+    if kind is tuple:
+        return isinstance(value, list) and all(_json_has_kind(x, int) for x in value)
+    allowed = (int, float) if kind is float else kind
+    return isinstance(value, allowed) and isinstance(value, bool) == (kind is bool)
+
+
 def _recorded_config(path, meta: dict) -> VariantConfig:
     recorded = meta.get("config", {})
+    if not isinstance(recorded, dict):
+        raise ValidationError(f"{path}: recorded config is not a JSON object")
     for name, fixed in _REMOVED_FIELDS.items():
         if recorded.get(name, fixed) != fixed:
             raise ValidationError(
                 f"{path}: recorded config sets removed field {name} = "
                 f"{recorded[name]!r}; only {fixed!r} is supported")
-    return VariantConfig(**{k: v for k, v in recorded.items() if k in _CONFIG_TYPES})
+    values = {k: v for k, v in recorded.items() if k in _CONFIG_TYPES}
+    for name, value in values.items():
+        if not _json_has_kind(value, _CONFIG_TYPES[name]):
+            raise ValidationError(
+                f"{path}: recorded config {name} = {value!r} has the wrong type")
+    try:
+        return VariantConfig(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: recorded config: {exc}") from None
 
 
 def _check_widths(state, dec, graph) -> None:

@@ -6,8 +6,10 @@ holds per-partition linear projections of the raw features to a shared
 width. Layer 1 is linear up to its ReLU, so it propagates the raw features
 first, A_norm @ z @ W1 = (A_norm @ X) @ (P @ W1), with X the block-diagonal
 [x_u | x_v | 1_U | 1_V] and P the stacked projection weights and biases.
-Layer 2 computes only the rows a caller reads. A learned U UNK row stands in
-for U nodes the encoder has never seen.
+Layer 2 computes only the rows a caller reads. A_norm carries a self-loop
+on every node, so a node without edges, one unseen in training included, is
+embedded from its own features. A learned U UNK row is a training-time mask
+token (`training._substitute_unk`); no embedding reads it.
 
 Each network's parameters live in one `ParamStore`, read by name: the
 online network (encoder, U UNK row, U projector and predictor), its EMA

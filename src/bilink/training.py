@@ -116,17 +116,11 @@ ALL_VARIANTS = (
 
 @dataclass
 class FrozenEmbeddings:
-    """Online-encoder outputs for a stated graph, one row per node.
-
-    A node with no incident edge in the source graph (`known_*` False)
-    holds the fallback row: the learned UNK row for U, the mean of the known
-    V rows for V. Arrays are read-only.
-    """
+    """Online-encoder outputs for a stated graph, one read-only row per node,
+    whether or not the node has an edge in that graph."""
 
     emb_u: np.ndarray
     emb_v: np.ndarray
-    known_u: np.ndarray
-    known_v: np.ndarray
 
 
 def _target_rows(state: ModelState, adj, x_u, x_v) -> np.ndarray:
@@ -228,8 +222,8 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
 
 
 def _substitute_unk(state, cfg, h_u, seed, epoch):
-    """Swap a small random U subset's embeddings for the U UNK row so the
-    fallback row receives training signal from the U-side objective."""
+    """Swap a small random U subset's embeddings for the learned U UNK row,
+    a training-time mask token; no embedding reads the row after training."""
     rate = cfg.unk_substitution_rate
     if rate <= 0:
         return h_u
@@ -244,25 +238,14 @@ def extract_embeddings(state: ModelState, graph: BipartiteGraph,
                        cfg: VariantConfig) -> FrozenEmbeddings:
     """Deterministic online-encoder embeddings over a stated graph.
 
-    No dropout, no gradients. A U node without any incident edge in `graph`
-    takes the learned UNK row; a V node without one takes the mean of the V
-    rows that have one.
+    No dropout, no gradients. Every node takes the encoder's own row: the
+    adjacency's self-loop embeds a node without any incident edge in
+    `graph`, an unseen node included, from its own features.
     """
-    if graph.n_edges == 0:
-        raise ValidationError("cannot extract embeddings from a graph with no edges")
     adj = build_weighted_adjacency(graph, cfg.weighted_pretrain)
     h = encode(state.online, adj, graph.x_u, graph.x_v).data
-    h_u, h_v = h[:graph.n_u], h[graph.n_u:]
-    known_u = np.zeros(graph.n_u, dtype=bool)
-    known_v = np.zeros(graph.n_v, dtype=bool)
-    known_u[graph.edges.u] = True
-    known_v[graph.edges.v] = True
-
-    emb_u = np.where(known_u[:, None], h_u, state.online["encoder.unk_u"].data)
-    emb_v = np.where(known_v[:, None], h_v, h_v[known_v].mean(axis=0))
-    emb_u.setflags(write=False)
-    emb_v.setflags(write=False)
-    return FrozenEmbeddings(emb_u, emb_v, known_u, known_v)
+    h.setflags(write=False)
+    return FrozenEmbeddings(h[:graph.n_u], h[graph.n_u:])
 
 
 def decoder_bce_examples(positives_uv: np.ndarray, pos_weights: np.ndarray,
@@ -403,7 +386,9 @@ def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
     Embeddings are recomputed on train+val with the frozen encoder; test
     positives are the distinct test-era pairs, and negatives are freshly
     sampled (seed-derived) from the complement of all eras at the
-    configured ratio. Returns (metrics dict, info dict).
+    configured ratio. Returns (metrics dict, info dict); the info counts the
+    test positives and, of those, the ones whose U or V node has no train or
+    val event (`n_test_positives_new_u`, `n_test_positives_new_v`).
     """
     graph_tv = merge_graphs(split.train, split.val_edges)
     emb = extract_embeddings(state, graph_tv, cfg)
@@ -418,6 +403,8 @@ def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
     scores = _decoder_scores(dec, emb, pairs)
     values, flags = mt.compute_all(scores, labels, k=cfg.hits_k)
     info = {"n_test_positives": int(len(pos_pairs)),
+            "n_test_positives_new_u": int((~np.isin(tu, graph_tv.edges.u)).sum()),
+            "n_test_positives_new_v": int((~np.isin(tv, graph_tv.edges.v)).sum()),
             "n_test_negatives": int(n_neg),
             "flags": flags}
     return values, info

@@ -592,6 +592,8 @@ class TestCheckpointFiles:
         payload = json.loads(capsys.readouterr().out)
         assert payload["dataset_hash"] == PARENT_EVAL["dataset_hash"]
         assert payload["metrics"] == PARENT_EVAL["metrics"]
+        assert payload["eval_info"]["n_test_positives_new_u"] == 0
+        assert payload["eval_info"]["n_test_positives_new_v"] == 0
 
     def test_eval_only_out_file_equals_printed_json(self, parent_data, tmp_path, capsys):
         out = tmp_path / "eval.json"
@@ -601,6 +603,31 @@ class TestCheckpointFiles:
                      "--out", str(out)]) == EXIT_OK
         assert out.read_text() == capsys.readouterr().out
         assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda m: m.pop("tau"), "checkpoint tau must be a number in [0, 1], got None"),
+        (lambda m: m.update(tau="0.99"), "checkpoint tau must be a number in [0, 1], got '0.99'"),
+        (lambda m: m.update(tau=float("nan")), "checkpoint tau must be a number in [0, 1], got nan"),
+        (lambda m: m.update(tau=1.5), "checkpoint tau must be a number in [0, 1], got 1.5"),
+        (lambda m: m.update(config=[1, 2]), "recorded config is not a JSON object"),
+        (lambda m: m["config"].update(hidden_dim="abc"),
+         "recorded config hidden_dim = 'abc' has the wrong type"),
+        (lambda m: m["config"].update(decoder_hidden_dims=[3, 2.5]),
+         "recorded config decoder_hidden_dims = [3, 2.5] has the wrong type"),
+        (lambda m: m["config"].update(tau=2.0),
+         "recorded config: tau must be in [0, 1], got 2.0"),
+    ], ids=["no-tau", "string-tau", "nan-tau", "tau-above-1", "config-list",
+            "string-width", "float-in-widths", "config-tau-above-1"])
+    def test_malformed_metadata_exits_validation(self, parent_data, tmp_path, capsys,
+                                                 edit, problem):
+        arrays, meta = load_arrays(DATA / "parent_model.npz")
+        edit(meta)
+        model = tmp_path / "parent_model.npz"
+        resave_checkpoint(model, arrays, meta)
+        capsys.readouterr()
+        assert self._eval(parent_data, model=model) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {model}: {problem}\n"
 
     def test_missing_key_exits_validation(self, parent_data, tmp_path, capsys):
         model = self._resaved(tmp_path, DATA / "parent_model.npz",

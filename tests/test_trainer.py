@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from bilink import autodiff as ad
+from bilink import metrics as mt
 from bilink import training
 from bilink.autodiff import Tensor
 from bilink.errors import ValidationError
-from bilink.graph import (EdgeArray, TemporalSplit, chronological_split, load_graph,
-                          merge_graphs, normalized_adjacency, sample_negatives)
-from bilink.model import ModelState, state_checksum
+from bilink.graph import (EdgeArray, TemporalSplit, aggregate_pairs, chronological_split,
+                          load_graph, merge_graphs, normalized_adjacency,
+                          sample_negatives)
+from bilink.model import ModelState, init_decoder, state_checksum
 from bilink.pipeline import run_seed
 from bilink.synthetic import SyntheticSpec, write_dataset
 from bilink.training import (VariantConfig, decoder_bce_examples, evaluate_final,
@@ -270,27 +272,44 @@ class TestExtractEmbeddings:
     def _trained(self, split, cfg):
         return pretrain(split, cfg, seed=11)[0]
 
-    def test_nodes_without_train_edges_get_unk_row(self):
-        # node u=9 never appears in the train era
+    @staticmethod
+    def _own_feature_rows(state, graph):
+        """Every node's embedding when it has no edge, by hand from the
+        store: relu([x_u | x_v | 1_U | 1_V] @ P @ conv1) @ conv2 per row,
+        with P the stacked projection weights and biases."""
+        p = {name: t.data for name, t in state.online.items()}
+        proj = np.vstack([p["encoder.proj_u.weight"], p["encoder.proj_v.weight"],
+                          p["encoder.proj_u.bias"], p["encoder.proj_v.bias"]])
+        rows = [np.concatenate([x, np.zeros(graph.x_v.shape[1]), [1.0, 0.0]])
+                for x in graph.x_u]
+        rows += [np.concatenate([np.zeros(graph.x_u.shape[1]), x, [0.0, 1.0]])
+                 for x in graph.x_v]
+        h = np.maximum(np.array(rows) @ proj @ p["encoder.conv1"], 0.0) @ p["encoder.conv2"]
+        return h[:graph.n_u], h[graph.n_u:]
+
+    def test_nodes_without_train_edges_embed_from_own_features(self):
+        # nodes u=9 and v=9 never appear in the train era
         edges = [(i % 8, i % 9, 1.0, i) for i in range(40)]
         edges.append((9, 9, 1.0, 1000))  # only in the test era
         split = chronological_split(make_graph(10, 10, edges, d_u=5, d_v=6))
-        assert 9 not in split.train.edges.u
+        assert 9 not in split.train.edges.u and 9 not in split.train.edges.v
         cfg = VariantConfig(pretrain_epochs=2, **SMALL)
         state = self._trained(split, cfg)
         emb = extract_embeddings(state, split.train, cfg)
-        assert not emb.known_u[9]
-        np.testing.assert_array_equal(emb.emb_u[9],
-                                      state.online["encoder.unk_u"].data[0])
+        own_u, own_v = self._own_feature_rows(state, split.train)
+        np.testing.assert_allclose(emb.emb_u[9], own_u[9], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(emb.emb_v[9], own_v[9], rtol=1e-12, atol=1e-12)
+        assert not np.allclose(emb.emb_u[0], own_u[0])  # u=0 has edges
 
-    def test_graph_without_edges_rejected(self):
-        # every V row would take the mean of no known rows
+    def test_graph_without_edges_embeds_every_node_from_own_features(self):
         split = small_split(seed=10)
         cfg = VariantConfig(pretrain_epochs=1, **SMALL)
         state = self._trained(split, cfg)
         empty = split.train.with_edges(EdgeArray([], [], [], []))
-        with pytest.raises(ValidationError, match="no edges"):
-            extract_embeddings(state, empty, cfg)
+        emb = extract_embeddings(state, empty, cfg)
+        own_u, own_v = self._own_feature_rows(state, empty)
+        np.testing.assert_allclose(emb.emb_u, own_u, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(emb.emb_v, own_v, rtol=1e-12, atol=1e-12)
 
     def test_repeated_extraction_bit_identical(self):
         split = small_split(seed=12)
@@ -425,17 +444,20 @@ class TestTrainDecoder:
 
 
 @pytest.mark.slow
-def test_held_out_nodes_score_through_fallback_rows(tmp_path):
-    """Inductive case: U and V nodes with no train or val event. Held-out V
-    rows are the mean of the known V rows, held-out U rows the learned UNK
-    row, and the run still scores above the no-signal control band."""
+def test_held_out_nodes_score_through_the_encoder(tmp_path):
+    """Inductive case: 20 U and 20 V test-era nodes with no train or val
+    event. Their rows come from the encoder, so the decoder ranks the test
+    pairs that touch them, against complement pairs that also touch them,
+    well above chance, and well above the old constant rows (the learned
+    UNK row for every unseen U node, the mean known V row for every unseen
+    V node) put into the same decoder."""
     paths = write_dataset(SyntheticSpec(seed=7), tmp_path)
     split = chronological_split(load_graph(paths["edges"], paths["u_features"],
                                            paths["v_features"]))
     test = split.test_edges
     rng = np.random.default_rng(0)
-    held_u = rng.choice(np.unique(test.u), size=5, replace=False)
-    held_v = rng.choice(np.unique(test.v), size=5, replace=False)
+    held_u = rng.choice(np.unique(test.u), size=20, replace=False)
+    held_v = rng.choice(np.unique(test.v), size=20, replace=False)
 
     def without_held_out(e):
         keep = ~np.isin(e.u, held_u) & ~np.isin(e.v, held_v)
@@ -446,23 +468,37 @@ def test_held_out_nodes_score_through_fallback_rows(tmp_path):
     cfg = VariantConfig()
     result = run_seed(split, cfg, 42)
     state, dec = result["_state"], result["_decoder"]
+    n_u, n_v = split.train.n_u, split.train.n_v
 
-    emb = extract_embeddings(state, merge_graphs(split.train, split.val_edges), cfg)
-    assert not emb.known_u[held_u].any() and not emb.known_v[held_v].any()
-    assert emb.known_u.sum() == split.train.n_u - len(held_u)
-    assert emb.known_v.sum() == split.train.n_v - len(held_v)
-    unk_u = state.online["encoder.unk_u"].data[0]
-    for u in held_u:
-        np.testing.assert_array_equal(emb.emb_u[u], unk_u)
-    mean_v = emb.emb_v[emb.known_v].mean(axis=0)
-    for v in held_v:
-        np.testing.assert_array_equal(emb.emb_v[v], mean_v)
+    tu, tv, _ = aggregate_pairs(test, n_v, use_weights=False)
+    assert result["eval_info"]["n_test_positives_new_u"] == np.isin(tu, held_u).sum() > 0
+    assert result["eval_info"]["n_test_positives_new_v"] == np.isin(tv, held_v).sum() > 0
 
-    touching = np.isin(test.u, held_u) | np.isin(test.v, held_v)
-    pairs = np.stack([test.u[touching], test.v[touching]], axis=1)
-    assert np.isin(held_u, pairs[:, 0]).all() and np.isin(held_v, pairs[:, 1]).all()
+    touches = np.isin(tu, held_u) | np.isin(tv, held_v)
+    positives = np.stack([tu[touches], tv[touches]], axis=1)
+    grid_u, grid_v = np.divmod(np.arange(n_u * n_v), n_v)
+    free = ((np.isin(grid_u, held_u) | np.isin(grid_v, held_v))
+            & ~np.isin(grid_u * n_v + grid_v, tu * n_v + tv))
+    pick = rng.choice(np.flatnonzero(free), size=3 * len(positives), replace=False)
+    pairs = np.vstack([positives, np.stack([grid_u[pick], grid_v[pick]], axis=1)])
+    labels = np.concatenate([np.ones(len(positives)), np.zeros(len(pick))])
+
+    graph_tv = merge_graphs(split.train, split.val_edges)
+    emb = extract_embeddings(state, graph_tv, cfg)
+    known_u = np.isin(np.arange(n_u), graph_tv.edges.u)
+    known_v = np.isin(np.arange(n_v), graph_tv.edges.v)
+    assert not known_u[held_u].any() and known_u.sum() == n_u - len(held_u)
+    assert not known_v[held_v].any() and known_v.sum() == n_v - len(held_v)
+    constant_rows = training.FrozenEmbeddings(
+        np.where(known_u[:, None], emb.emb_u, state.online["encoder.unk_u"].data),
+        np.where(known_v[:, None], emb.emb_v, emb.emb_v[known_v].mean(axis=0)))
+
     scores = training._decoder_scores(dec, emb, pairs)
     assert np.isfinite(scores).all() and ((scores > 0) & (scores < 1)).all()
+    auc = mt.roc_auc(scores, labels)
+    auc_constant = mt.roc_auc(training._decoder_scores(dec, constant_rows, pairs), labels)
+    print(f"held-out pairs: roc_auc {auc:.4f}, with constant rows {auc_constant:.4f}")
+    assert auc >= 0.65 and auc >= auc_constant + 0.1
     assert result["metrics"]["roc_auc"] > 0.55
 
 
@@ -520,3 +556,19 @@ class TestFullRunInvariants:
         _, info2 = evaluate_final(state, split, dec,
                                   cfg.replace(eval_negative_ratio=2.0), seed=42)
         assert info2["n_test_negatives"] == 2 * info2["n_test_positives"]
+
+    def test_evaluate_final_counts_pairs_of_new_nodes(self):
+        # u=9 and v=9 have events only in the test era
+        edges = [(i % 8, i % 9, 1.0, i) for i in range(60)]
+        edges += [(9, 0, 1.0, 100), (9, 9, 1.0, 101), (1, 9, 1.0, 102)]
+        split = chronological_split(make_graph(10, 10, edges, d_u=5, d_v=6))
+        cfg = VariantConfig(pretrain_epochs=1, **SMALL)
+        state, _ = pretrain(split, cfg, seed=1)
+        dec = init_decoder(np.random.default_rng(0), cfg.output_dim, cfg.decoder_hidden_dims)
+        _, info = evaluate_final(state, split, dec, cfg, seed=42)
+        seen_u = set(split.train.edges.u.tolist()) | set(split.val_edges.u.tolist())
+        seen_v = set(split.train.edges.v.tolist()) | set(split.val_edges.v.tolist())
+        test_pairs = set(zip(split.test_edges.u.tolist(), split.test_edges.v.tolist()))
+        assert info["n_test_positives"] == len(test_pairs)
+        assert info["n_test_positives_new_u"] == sum(u not in seen_u for u, _ in test_pairs) == 2
+        assert info["n_test_positives_new_v"] == sum(v not in seen_v for _, v in test_pairs) == 2
