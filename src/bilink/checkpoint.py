@@ -5,7 +5,8 @@ float64 values round-trip bit-exactly) plus a JSON metadata entry.
 Version 2 model files hold the online network and the target encoder.
 Version 1 files still load: their target was a full copy of the online
 network, which also held a V UNK row and two V heads that no loss trained;
-those keys are checked and then dropped.
+those keys are checked and then dropped. Keys and shapes alone fix the
+layout: older files' top-level `tau` and decoder `n_layers` are not read.
 """
 
 import contextlib
@@ -72,10 +73,7 @@ def load_arrays(path):
 def save_model_state(path, state: ModelState, extra_meta: dict | None = None) -> None:
     arrays = {name: t.data for name, t in
               {**online_named_params(state), **target_named_params(state)}.items()}
-    meta = {"kind": "model_state", "tau": state.tau}
-    if extra_meta:
-        meta.update(extra_meta)
-    save_arrays(path, arrays, meta)
+    save_arrays(path, arrays, {"kind": "model_state", **(extra_meta or {})})
 
 
 def _dim(path, arrays: dict, name: str, axis: int) -> int:
@@ -103,17 +101,12 @@ def _keyed(side: str, shapes: dict) -> dict:
 
 
 def load_model_state(path):
-    """Returns (ModelState, meta). `tau` must be a number in [0, 1], every
-    target shape must equal its online shape, and the layer shapes must
-    chain."""
+    """Returns (ModelState, meta). Every target shape must equal its online
+    shape, and the layer shapes must chain."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "model_state":
         raise ValidationError(f"{path}: checkpoint kind is {meta.get('kind')!r}, "
                               "expected 'model_state'")
-    tau = meta.get("tau")
-    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0 <= tau <= 1:
-        raise ValidationError(f"{path}: checkpoint tau must be a number in [0, 1], "
-                              f"got {tau!r}")
 
     def width(name, axis):
         return _dim(path, arrays, f"online.encoder.{name}", axis)
@@ -127,34 +120,27 @@ def load_model_state(path):
         _check_layout(path, arrays, {**_keyed("online", v1), **_keyed("target", v1)})
         arrays = {name: arrays[name] for name in expected}
     _check_layout(path, arrays, expected)
-    state = ModelState(
+    return ModelState(
         online=make_store({name: arrays[f"online.{name}"] for name in online},
                           requires_grad=True),
         target=make_store({name: arrays[f"target.{name}"] for name in target},
-                          requires_grad=False),
-        tau=float(tau),
-    )
-    return state, meta
+                          requires_grad=False)), meta
 
 
 def save_decoder(path, dec: ParamStore, extra_meta: dict | None = None) -> None:
     arrays = {name: t.data for name, t in dec.items()}
-    meta = {"kind": "decoder", "n_layers": len(dec) // 2}
-    if extra_meta:
-        meta.update(extra_meta)
-    save_arrays(path, arrays, meta)
+    save_arrays(path, arrays, {"kind": "decoder", **(extra_meta or {})})
 
 
 def load_decoder(path):
-    """Returns (decoder ParamStore, meta); the layer shapes must chain down
-    to one output column."""
+    """Returns (decoder ParamStore, meta). The `decoder.layer{i}.weight`
+    keys fix the depth, and the layer shapes must chain down to one output
+    column."""
     arrays, meta = load_arrays(path)
     if meta.get("kind") != "decoder":
         raise ValidationError(f"{path}: checkpoint kind is {meta.get('kind')!r}, "
                               "expected 'decoder'")
-    n_layers = meta.get("n_layers")
-    if not isinstance(n_layers, int) or n_layers < 1:
-        raise ValidationError(f"{path}: bad decoder layer count {n_layers!r}")
+    n_layers = sum(name.endswith(".weight") for name in arrays)
     hidden = [_dim(path, arrays, f"decoder.layer{i}.weight", 1) for i in range(1, n_layers)]
     shapes = decoder_shapes(_dim(path, arrays, "decoder.layer1.weight", 0) // 2, hidden)
     _check_layout(path, arrays, shapes)

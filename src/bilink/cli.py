@@ -6,7 +6,8 @@ dataset from saved checkpoints) and inspect-checkpoint.
 
 Configuration precedence: command-line flags > config file > defaults. The
 config file is flat `key = value` text, one line per VariantConfig field.
-Every typed value, flag or file, is read by `_parse_value`.
+Every typed value, flag or file, is read by `_parse_value`. `VariantConfig`
+then checks each config value's type and range, whatever its source.
 """
 
 import argparse
@@ -24,7 +25,7 @@ from .errors import ValidationError, reading
 from .graph import chronological_split
 from .synthetic import SyntheticSpec, write_dataset
 from .training import (DECODER_MONITOR_FRACTION, DECODER_NEGATIVE_POOL_FACTOR,
-                       VariantConfig, evaluate_final)
+                       TYPE_NAMES, VariantConfig, evaluate_final)
 
 WORKERS_HELP = ("worker processes; one task per (seed, pretraining config), each "
                 "on one BLAS thread so that workers do not oversubscribe the "
@@ -39,7 +40,8 @@ _CONFIG_TYPES = {f.name: f.type for f in dataclasses.fields(VariantConfig)}
 _REMOVED_FIELDS = {"num_layers": 2, "final_layer_relu": False,
                    "loss_on_raw_embeddings": False, "symmetrize_pretrain_loss": False,
                    "decoder_monitor_fraction": DECODER_MONITOR_FRACTION,
-                   "decoder_negative_pool_factor": DECODER_NEGATIVE_POOL_FACTOR}
+                   "decoder_negative_pool_factor": DECODER_NEGATIVE_POOL_FACTOR,
+                   "eval_negative_ratio": 1.0}
 # gen-synth's typed flags: SyntheticSpec fields, with help where the name
 # does not say enough.
 _SYNTH_FLAGS = {"n_u": None, "n_v": None, "n_edges": None,
@@ -49,8 +51,6 @@ _SPEC_TYPES = {f.name: f.type for f in dataclasses.fields(SyntheticSpec)}
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
-_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number",
-             tuple: "comma-separated integers"}
 
 
 def _parse_value(name: str, raw: str, kind):
@@ -66,7 +66,7 @@ def _parse_value(name: str, raw: str, kind):
             return tuple(int(x) for x in raw.split(",")) if raw else ()
         return kind(raw)
     except (KeyError, ValueError):
-        raise ValidationError(f"{name}: expected {_EXPECTED[kind]}, got {raw!r}") from None
+        raise ValidationError(f"{name}: expected {TYPE_NAMES[kind]}, got {raw!r}") from None
 
 
 def read_config_file(path) -> dict:
@@ -152,15 +152,6 @@ def cmd_ablate(args) -> int:
     return EXIT_OK
 
 
-def _json_has_kind(value, kind) -> bool:
-    """Whether a JSON value fits a VariantConfig field type: an int is also
-    a float, a bool is neither, and a tuple is a list of ints."""
-    if kind is tuple:
-        return isinstance(value, list) and all(_json_has_kind(x, int) for x in value)
-    allowed = (int, float) if kind is float else kind
-    return isinstance(value, allowed) and isinstance(value, bool) == (kind is bool)
-
-
 def _recorded_config(path, meta: dict) -> VariantConfig:
     recorded = meta.get("config", {})
     if not isinstance(recorded, dict):
@@ -171,10 +162,6 @@ def _recorded_config(path, meta: dict) -> VariantConfig:
                 f"{path}: recorded config sets removed field {name} = "
                 f"{recorded[name]!r}; only {fixed!r} is supported")
     values = {k: v for k, v in recorded.items() if k in _CONFIG_TYPES}
-    for name, value in values.items():
-        if not _json_has_kind(value, _CONFIG_TYPES[name]):
-            raise ValidationError(
-                f"{path}: recorded config {name} = {value!r} has the wrong type")
     try:
         return VariantConfig(**values)
     except ValidationError as exc:

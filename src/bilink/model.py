@@ -65,9 +65,11 @@ def make_store(arrays: dict, requires_grad: bool) -> ParamStore:
 
 @dataclass
 class ModelState:
+    """The online network and its EMA target; the EMA rate is the run's
+    `VariantConfig.tau`, passed to `ema_update`."""
+
     online: ParamStore
     target: ParamStore
-    tau: float
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -127,7 +129,7 @@ def _init_value(rng, name: str, shape: tuple) -> np.ndarray:
 
 
 def init_model_state(rng, d_u: int, d_v: int, input_dim: int, hidden_dim: int,
-                     output_dim: int, tau: float) -> ModelState:
+                     output_dim: int) -> ModelState:
     """Online network and its target: a detached copy of the online encoder
     (equal values, no grads). Values are drawn over the version-1 layout in
     its order and its V entries dropped, so a seed gives each parameter its
@@ -137,7 +139,7 @@ def init_model_state(rng, d_u: int, d_v: int, input_dim: int, hidden_dim: int,
              for name, shape in model_shapes(*dims, sides=("u", "v")).items()}
     online, target = model_shapes(*dims), encoder_shapes(*dims)
     return ModelState(make_store({n: drawn[n] for n in online}, requires_grad=True),
-                      make_store({n: drawn[n] for n in target}, requires_grad=False), tau)
+                      make_store({n: drawn[n] for n in target}, requires_grad=False))
 
 
 def init_decoder(rng, embed_dim: int, hidden_dims) -> ParamStore:
@@ -197,10 +199,10 @@ def mlp_forward(params: ParamStore, prefix: str, h: Tensor) -> Tensor:
     return affine(params, f"{prefix}.layer2", hidden)
 
 
-def ema_update(state: ModelState) -> ModelState:
+def ema_update(state: ModelState, tau: float) -> ModelState:
     """target <- tau * target + (1 - tau) * online encoder, the prefix of the
-    online buffer. Mutates the target buffer in place and returns the state."""
-    tau = state.tau
+    online buffer, with `tau` the run's `VariantConfig.tau`. Mutates the
+    target buffer in place and returns the state."""
     state.target.flat *= tau
     state.target.flat += (1.0 - tau) * state.online.flat[:state.target.flat.size]
     return state

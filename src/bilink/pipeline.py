@@ -50,12 +50,12 @@ def _pretrain_key(cfg: VariantConfig, seed: int) -> tuple:
     return seed, dataclasses.astuple(cfg.replace(weighted_bce=False))
 
 
-def _decoder_pool_size(split, cfg: VariantConfig) -> int:
+def _decoder_pool_size(split) -> int:
     """Phase 2's negative pool size: `DECODER_NEGATIVE_POOL_FACTOR` (5) times
     the distinct validation-era pairs, capped by the complement. Checks every
     phase-2 count first (2+ validation-era pairs and pool negatives,
     `eval_negative_count`), so that a split too small for phase 2 can fail
-    before pretraining."""
+    before pretraining. The counts depend on the split alone."""
     n_pos = len(aggregate_pairs(split.val_edges, split.train.n_v, use_weights=False)[0])
     if n_pos < 2:
         raise ValidationError(
@@ -64,7 +64,7 @@ def _decoder_pool_size(split, cfg: VariantConfig) -> int:
     pool_size = min(pool_target, complement_size(split))
     if pool_size < 2:
         raise ValidationError("complement too small to sample a negative pool")
-    eval_negative_count(split, cfg)
+    eval_negative_count(split)
     return pool_size
 
 
@@ -84,7 +84,7 @@ def run_seed(split, cfg: VariantConfig, seed: int, pretrained=None) -> dict:
     emb = extract_embeddings(state, split.train, cfg)
     vu, vv, vw = aggregate_pairs(split.val_edges, split.train.n_v, use_weights=True)
     positives = np.stack([vu, vv], axis=1)
-    negatives = sample_negatives(split, _decoder_pool_size(split, cfg),
+    negatives = sample_negatives(split, _decoder_pool_size(split),
                                  seed_int(seed, "decoder-pool"))
 
     dec, record = train_decoder(emb, positives, vw, negatives, cfg,
@@ -216,7 +216,7 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
     pretrain run one after another in one task, and with `workers > 1` the
     tasks share one pool of at most `workers` forked processes. With
     `checkpoint_dirs` (one per variant), the tasks write their checkpoints.
-    Seeds, workers and each config's phase-2 sizes are checked first.
+    Seeds, workers and the phase-2 sizes are checked first.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -225,9 +225,11 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
         raise ValidationError("seed list is empty")
     if len(set(seeds)) < len(seeds):
         raise ValidationError(f"seed list repeats a seed: {seeds}")
+    # `rng.child_seed` keeps 32 bits of a seed: one outside them aliases one inside.
+    if not all(0 <= s < 2 ** 32 for s in seeds):
+        raise ValidationError(f"seed list needs seeds in [0, 2**32), got {seeds}")
     split = chronological_split(graph)
-    for cfg in cfgs:
-        _decoder_pool_size(split, cfg)
+    _decoder_pool_size(split)
     tasks = []  # (row, indices of the variants sharing one pretrain)
     for row, seed in enumerate(seeds):
         groups = {}

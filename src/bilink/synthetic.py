@@ -40,8 +40,9 @@ class SyntheticSpec:
                 ("n_blocks", self.n_blocks >= 1, ">= 1"),
                 ("time_span", self.time_span >= 1, ">= 1"),
                 ("intra_prob", 0 <= self.intra_prob <= 1, "in [0, 1]"),
-                ("feature_noise", self.feature_noise >= 0, ">= 0"),
-                ("noise_dims", self.noise_dims >= 0, ">= 0")):
+                ("feature_noise", 0 <= self.feature_noise < np.inf, "finite and >= 0"),
+                ("noise_dims", self.noise_dims >= 0, ">= 0"),
+                ("seed", self.seed >= 0, ">= 0")):
             if not ok:
                 raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)}")
         if self.n_edges > self.n_u * self.n_v:

@@ -5,6 +5,7 @@ and the final inductive evaluation on the test era.
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,13 +25,19 @@ from .optim import adam_step, init_adam_state
 from .rng import child_seed, rng_for, seed_int
 
 
-# The evaluation protocol's two fixed decoder values: the monitor slice
-# (`train_decoder`) and the negative pool (`pipeline._decoder_pool_size`).
+# The evaluation protocol's fixed values: the decoder's monitor slice
+# (`train_decoder`) and negative pool (`pipeline._decoder_pool_size`), and
+# one test negative per distinct test-era pair (`eval_negative_count`).
 DECODER_MONITOR_FRACTION = 0.1
 DECODER_NEGATIVE_POOL_FACTOR = 5.0
 
-# Range of every numeric VariantConfig field, checked before any training
-# so that a bad value fails fast instead of mid-run or silently.
+# VariantConfig's field types as error messages name them (`cli` shares it).
+TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+              tuple: "comma-separated integers"}
+
+# Range of every numeric VariantConfig field (and of each decoder width),
+# checked after its type before any training, so that a bad value fails fast
+# instead of mid-run or silently.
 _FIELD_RULES = {
     "loss_balance": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
     "tau": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
@@ -40,7 +47,6 @@ _FIELD_RULES = {
     "unk_substitution_rate": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
     "lr": (lambda x: 0 < x < math.inf, "finite and > 0"),
     "weight_decay": (lambda x: 0 <= x < math.inf, "finite and >= 0"),
-    "eval_negative_ratio": (lambda x: 0 < x < math.inf, "finite and > 0"),
     "pretrain_epochs": (lambda x: x >= 0, ">= 0"),
     "patience": (lambda x: x >= 0, ">= 0"),
     "decoder_epochs": (lambda x: x >= 1, ">= 1"),
@@ -49,7 +55,20 @@ _FIELD_RULES = {
     "input_dim": (lambda x: x >= 1, ">= 1"),
     "hidden_dim": (lambda x: x >= 1, ">= 1"),
     "output_dim": (lambda x: x >= 1, ">= 1"),
+    "decoder_hidden_dims": (lambda x: len(x) > 0 and min(x) >= 1,
+                            "one or more widths >= 1"),
 }
+
+
+def _fits(value, kind) -> bool:
+    """Whether `value` fits a VariantConfig field of type `kind`: a bool is
+    neither an int nor a float, an int (numpy integers included) is also a
+    float, and a tuple is a list or a tuple of ints."""
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(x, int) for x in value)
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    return isinstance(value, {bool: bool, int: numbers.Integral, float: numbers.Real}[kind])
 
 
 @dataclass
@@ -83,18 +102,20 @@ class VariantConfig:
     decoder_hidden_dims: tuple = (256, 64)
     unk_substitution_rate: float = 0.01
     hits_k: int = 50
-    eval_negative_ratio: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.decoder_hidden_dims, list):
-            self.decoder_hidden_dims = tuple(self.decoder_hidden_dims)
+        """One type and range check for flags, files, checkpoints and callers.
+        A numpy scalar is stored as a Python one, so the config stays JSON."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, f.type):
+                raise ValidationError(f"{f.name} must be {TYPE_NAMES[f.type]}, got {value!r}")
+            setattr(self, f.name, tuple(map(int, value)) if f.type is tuple
+                    else value.item() if isinstance(value, np.generic) else value)
         for name, (ok, rule) in _FIELD_RULES.items():
             value = getattr(self, name)
             if not ok(value):
                 raise ValidationError(f"{name} must be {rule}, got {value!r}")
-        if not self.decoder_hidden_dims or not all(d >= 1 for d in self.decoder_hidden_dims):
-            raise ValidationError("decoder_hidden_dims must be one or more widths >= 1, "
-                                  f"got {self.decoder_hidden_dims}")
 
     @property
     def variant_label(self) -> str:
@@ -138,7 +159,8 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
 
     Per epoch: two augmented views and one corrupted view, online forward on
     view 1, target forwards on view 2 and the corrupted view, one optimizer
-    step, one EMA update. Returns (ModelState, per-epoch loss trace).
+    step, one EMA update at `cfg.tau`. Returns (ModelState, per-epoch loss
+    trace).
 
     An epoch's forwards run without the per-op finiteness checks; the loss
     and the gradients are checked instead, before any parameter changes.
@@ -151,7 +173,7 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
         raise ValidationError("cannot pretrain on an empty train graph")
 
     state = init_model_state(rng_for(seed, "init"), g.x_u.shape[1], g.x_v.shape[1],
-                             cfg.input_dim, cfg.hidden_dim, cfg.output_dim, cfg.tau)
+                             cfg.input_dim, cfg.hidden_dim, cfg.output_dim)
     opt_state = init_adam_state(state.online)
 
     # Collapsed modeling edges: phase 1's one edge-weighting site (weight 1
@@ -215,7 +237,7 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
                 if checked:
                     raise type(exc)(f"{exc} (pretraining epoch {epoch})") from exc
 
-        ema_update(state)
+        ema_update(state, cfg.tau)
         trace.append({"epoch": epoch, "total": total.item(),
                       "attractive": attr.item(), "repulsive": rep.item()})
     return state, trace
@@ -363,19 +385,18 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
     return dec, record
 
 
-def eval_negative_count(split: TemporalSplit, cfg: VariantConfig) -> int:
-    """How many negatives `evaluate_final` samples: `eval_negative_ratio`
-    times the distinct test-era pairs, at least 1. Raises ValidationError
-    when the test era has no pairs or the complement has too few."""
-    n_pos = len(aggregate_pairs(split.test_edges, split.train.n_v, use_weights=False)[0])
-    if n_pos == 0:
+def eval_negative_count(split: TemporalSplit) -> int:
+    """How many negatives `evaluate_final` samples: one per distinct test-era
+    pair, a fixed protocol value. Raises ValidationError when the test era
+    has no pairs or the complement has too few."""
+    n_neg = len(aggregate_pairs(split.test_edges, split.train.n_v, use_weights=False)[0])
+    if n_neg == 0:
         raise ValidationError("no test-era pairs to evaluate")
-    n_neg = max(1, int(round(cfg.eval_negative_ratio * n_pos)))
     free = complement_size(split)
     if n_neg > free:
         raise ValidationError(
-            f"eval_negative_ratio {cfg.eval_negative_ratio} asks for {n_neg} test "
-            f"negatives, but the complement has only {free} pairs")
+            f"{n_neg} test-era pairs need as many test negatives, but the "
+            f"complement has only {free} pairs")
     return n_neg
 
 
@@ -385,8 +406,8 @@ def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
 
     Embeddings are recomputed on train+val with the frozen encoder; test
     positives are the distinct test-era pairs, and negatives are freshly
-    sampled (seed-derived) from the complement of all eras at the
-    configured ratio. Returns (metrics dict, info dict); the info counts the
+    sampled (seed-derived) from the complement of all eras, one per test
+    positive. Returns (metrics dict, info dict); the info counts the
     test positives and, of those, the ones whose U or V node has no train or
     val event (`n_test_positives_new_u`, `n_test_positives_new_v`).
     """
@@ -395,7 +416,7 @@ def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
 
     tu, tv, _ = aggregate_pairs(split.test_edges, split.train.n_v, use_weights=False)
     pos_pairs = np.stack([tu, tv], axis=1)
-    n_neg = eval_negative_count(split, cfg)
+    n_neg = eval_negative_count(split)
     negatives = sample_negatives(split, n_neg, seed_int(seed, "eval-negatives"))
 
     pairs = np.vstack([pos_pairs, negatives])

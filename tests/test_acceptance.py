@@ -167,8 +167,7 @@ def _composed_loss_instance(seed):
     cev = rng.integers(0, n_v, size=4)
     tgt_v2 = rng.normal(size=(n_v, d))
     tgt_vc = rng.normal(size=(n_v, d))
-    state = init_model_state(rng, d, d, input_dim=3, hidden_dim=3,
-                             output_dim=d, tau=0.99)
+    state = init_model_state(rng, d, d, input_dim=3, hidden_dim=3, output_dim=d)
     params = online_named_params(state)
     # evaluate at a generic point: exact-zero biases put dead relu rows
     # exactly on the zero-norm cosine plateau, where the function jumps
@@ -282,14 +281,13 @@ def test_criterion_2_oracle_equivalence():
 
         # EMA update vs elementwise loop
         tau = float(rng.random())
-        state = init_model_state(rng, 2, 2, input_dim=2, hidden_dim=2,
-                                 output_dim=2, tau=tau)
+        state = init_model_state(rng, 2, 2, input_dim=2, hidden_dim=2, output_dim=2)
         online = online_named_params(state)
         target = target_named_params(state)
         expected = {k2: tau * t.data + (1 - tau)
                     * online[k2.replace("target.", "online.", 1)].data
                     for k2, t in target.items()}
-        ema_update(state)
+        ema_update(state, tau)
         for k2, t in target.items():
             worst_lin = max(worst_lin, float(np.max(np.abs(t.data - expected[k2]))))
 

@@ -50,13 +50,11 @@ def test_arrays_round_trip_bit_exact(tmp_path):
 
 def test_model_state_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    state = init_model_state(rng, 4, 5, input_dim=6, hidden_dim=7,
-                             output_dim=4, tau=0.97)
+    state = init_model_state(rng, 4, 5, input_dim=6, hidden_dim=7, output_dim=4)
     path = tmp_path / "model.npz"
     save_model_state(path, state, {"seed": 42})
     loaded, meta = load_model_state(path)
-    assert meta["seed"] == 42
-    assert loaded.tau == 0.97
+    assert meta == {"kind": "model_state", "seed": 42, "format_version": 2}
     assert state_checksum(loaded) == state_checksum(state)
     assert list(loaded.online) == list(state.online)
     assert list(loaded.target) == list(state.target)
@@ -72,7 +70,7 @@ def test_decoder_round_trip(tmp_path):
     path = tmp_path / "decoder.npz"
     save_decoder(path, dec)
     loaded, meta = load_decoder(path)
-    assert meta["n_layers"] == 3
+    assert meta == {"kind": "decoder", "format_version": 2}
     assert list(loaded) == list(dec)
     assert loaded.flat.tobytes() == dec.flat.tobytes()
     assert_in_buffer(loaded)
@@ -115,7 +113,7 @@ def test_parent_checkpoints_load_unchanged(tmp_path):
     assert state_checksum(again) == state_checksum(loaded)
 
     dec, meta = load_decoder(DATA / "parent_decoder.npz")
-    assert meta["n_layers"] == 3
+    assert meta["n_layers"] == 3 == len(dec) // 2  # written by older code, not read
     assert list(dec) == list(PARENT_DECODER_SHA256)
     for name, (shape, digest) in PARENT_DECODER_SHA256.items():
         assert dec[name].shape == shape
@@ -160,7 +158,9 @@ def test_v2_file_with_a_version_1_key_rejected(tmp_path):
 
 @pytest.mark.parametrize("edit,match", [
     (lambda a: a.pop("decoder.layer2.bias"), "missing"),
-    (lambda a: a.update({"decoder.layer4.weight": np.ones((1, 1))}), "unknown"),
+    (lambda a: a.update({"decoder.layer4.bias": np.ones((1, 1))}), "unknown"),
+    (lambda a: a.update({"decoder.layer4.weight": np.ones((1, 1))}),
+     r"missing \['decoder.layer4.bias'\]"),
     (lambda a: a.update({"decoder.layer2.weight": np.ones((4, 2))}),
      "decoder.layer2.weight has shape"),
     (lambda a: a.update({"decoder.layer3.weight": np.ones((2, 2)),
@@ -173,6 +173,21 @@ def test_bad_decoder_layout_rejected(tmp_path, edit, match):
     path = _resaved(tmp_path, DATA / "parent_decoder.npz", edit)
     with pytest.raises(ValidationError, match=match):
         load_decoder(path)
+
+
+@pytest.mark.parametrize("n_layers", [None, "abc", 0, 7])
+def test_decoder_depth_comes_from_keys(tmp_path, n_layers):
+    """The layer keys fix the depth; a decoder's metadata `n_layers`, which
+    older code wrote, is not read."""
+    arrays, meta = load_arrays(DATA / "parent_decoder.npz")
+    meta["n_layers"] = n_layers
+    if n_layers is None:
+        del meta["n_layers"]
+    path = tmp_path / "decoder.npz"
+    resave_checkpoint(path, arrays, meta)
+    dec, _ = load_decoder(path)
+    assert list(dec) == list(PARENT_DECODER_SHA256)
+    assert dec.flat.tobytes() == load_decoder(DATA / "parent_decoder.npz")[0].flat.tobytes()
 
 
 def test_kind_mismatch_rejected(tmp_path):

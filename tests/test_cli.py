@@ -62,7 +62,7 @@ CONFIG_FIELDS = (
     "weighted_pretrain", "weighted_bce", "loss_balance", "tau", "hidden_dim",
     "output_dim", "dropout", "lr", "weight_decay", "batch_size", "pretrain_epochs",
     "decoder_epochs", "patience", "feature_drop_p", "edge_keep_prob", "input_dim",
-    "decoder_hidden_dims", "unk_substitution_rate", "hits_k", "eval_negative_ratio")
+    "decoder_hidden_dims", "unk_substitution_rate", "hits_k")
 
 
 def test_cli_surface_is_pinned():
@@ -82,7 +82,7 @@ def test_cli_surface_is_pinned():
         "eval-only": dataset | {"--model", "--decoder", "--seed", "--out"},
         "inspect-checkpoint": set()}
     assert {name: len(opts) for name, opts in got.items()} == {
-        "gen-synth": 10, "run": 27, "ablate": 27, "eval-only": 7, "inspect-checkpoint": 0}
+        "gen-synth": 10, "run": 26, "ablate": 26, "eval-only": 7, "inspect-checkpoint": 0}
 
 
 class TestGenSynth:
@@ -97,7 +97,7 @@ class TestGenSynth:
         assert len(lines) == 51
 
     @pytest.mark.parametrize("flags", [["--time-span", "0"], ["--n-blocks", "0"],
-                                       ["--intra-prob", "1.5"]])
+                                       ["--intra-prob", "1.5"], ["--seed", "-1"]])
     def test_bad_spec_exits_validation(self, tmp_path, capsys, flags):
         code = main(["gen-synth", *flags, "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
@@ -195,12 +195,12 @@ class TestConfigValidation:
         ("run", ["--decoder-hidden-dims", ","]),
         ("run", ["--lr", "inf"]),
         ("run", ["--weight-decay", "inf"]),
-        ("run", ["--eval-negative-ratio", "inf"]),
+        ("run", ["--tau", "nan"]),
         ("ablate", ["--seeds", "42,"]),
         ("run", ["--hidden-dim", "abc"]),
         ("ablate", ["--lr", "abc"]),
         ("run", ["--weighted-pretrain", "maybe"]),
-        ("run", ["--eval-negative-ratio", "1000"]),
+        ("run", ["--hidden-dim", "2.5"]),
         ("run", ["--seeds", ",42"]),
         ("run", ["--seeds", "42,,43"]),
         ("run", ["--seeds", "42 43"]),
@@ -215,7 +215,7 @@ class TestConfigValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
-    @pytest.mark.parametrize("seeds", ["42,42", ""])
+    @pytest.mark.parametrize("seeds", ["42,42", "", "42,4294967338", "-1"])
     def test_empty_or_repeated_seed_list_exits_before_training(
             self, dataset, tmp_path, capsys, command, seeds):
         out = tmp_path / "out"
@@ -331,6 +331,14 @@ class TestBadInvocation:
         out = tmp_path / "out"
         assert main([command, *_required(command, str(out)), *flags]) == EXIT_VALIDATION
         assert_one_error_line(capsys, f"unrecognized arguments: {flags[0]}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_removed_option_is_an_unknown_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, *_required(command, str(out)),
+                     "--eval-negative-ratio", "2"]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, "unrecognized arguments: --eval-negative-ratio 2")
         assert not out.exists()
 
     def test_help_still_exits_zero(self, capsys):
@@ -604,20 +612,32 @@ class TestCheckpointFiles:
         assert out.read_text() == capsys.readouterr().out
         assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("tau"), lambda m: m.update(tau="0.99"),
+        lambda m: m.update(tau=float("nan")), lambda m: m.update(tau=1.5),
+    ], ids=["no-tau", "string-tau", "nan-tau", "tau-above-1"])
+    def test_metadata_tau_is_not_read(self, parent_data, tmp_path, capsys, edit):
+        """The parent files carry a top-level tau, which older code wrote and
+        checked; the EMA rate is read from the recorded config alone."""
+        arrays, meta = load_arrays(DATA / "parent_model.npz")
+        assert meta["tau"] == meta["config"]["tau"] == 0.99
+        edit(meta)
+        model = tmp_path / "parent_model.npz"
+        resave_checkpoint(model, arrays, meta)
+        capsys.readouterr()
+        assert self._eval(parent_data, model=model) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["metrics"] == PARENT_EVAL["metrics"]
+
     @pytest.mark.parametrize("edit, problem", [
-        (lambda m: m.pop("tau"), "checkpoint tau must be a number in [0, 1], got None"),
-        (lambda m: m.update(tau="0.99"), "checkpoint tau must be a number in [0, 1], got '0.99'"),
-        (lambda m: m.update(tau=float("nan")), "checkpoint tau must be a number in [0, 1], got nan"),
-        (lambda m: m.update(tau=1.5), "checkpoint tau must be a number in [0, 1], got 1.5"),
         (lambda m: m.update(config=[1, 2]), "recorded config is not a JSON object"),
         (lambda m: m["config"].update(hidden_dim="abc"),
-         "recorded config hidden_dim = 'abc' has the wrong type"),
+         "recorded config: hidden_dim must be an integer, got 'abc'"),
         (lambda m: m["config"].update(decoder_hidden_dims=[3, 2.5]),
-         "recorded config decoder_hidden_dims = [3, 2.5] has the wrong type"),
+         "recorded config: decoder_hidden_dims must be comma-separated integers, "
+         "got [3, 2.5]"),
         (lambda m: m["config"].update(tau=2.0),
          "recorded config: tau must be in [0, 1], got 2.0"),
-    ], ids=["no-tau", "string-tau", "nan-tau", "tau-above-1", "config-list",
-            "string-width", "float-in-widths", "config-tau-above-1"])
+    ], ids=["config-list", "string-width", "float-in-widths", "config-tau-above-1"])
     def test_malformed_metadata_exits_validation(self, parent_data, tmp_path, capsys,
                                                  edit, problem):
         arrays, meta = load_arrays(DATA / "parent_model.npz")
@@ -659,7 +679,8 @@ class TestCheckpointFiles:
     @pytest.mark.parametrize("field,value", [
         ("num_layers", 3), ("final_layer_relu", True),
         ("loss_on_raw_embeddings", True), ("symmetrize_pretrain_loss", True),
-        ("decoder_monitor_fraction", 0.2), ("decoder_negative_pool_factor", 2.0)])
+        ("decoder_monitor_fraction", 0.2), ("decoder_negative_pool_factor", 2.0),
+        ("eval_negative_ratio", 2.0)])
     def test_removed_switch_set_exits_validation(self, parent_data, tmp_path, capsys,
                                                  field, value):
         model = self._resaved(tmp_path, DATA / "parent_model.npz",

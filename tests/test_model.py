@@ -25,8 +25,7 @@ def dense_mlp(h, params, prefix):
 
 
 def online_params(rng, d_u=3, d_v=4, input_dim=5, hidden_dim=6, output_dim=4):
-    return init_model_state(rng, d_u, d_v, input_dim, hidden_dim, output_dim,
-                            tau=0.99).online
+    return init_model_state(rng, d_u, d_v, input_dim, hidden_dim, output_dim).online
 
 
 def assert_in_buffer(store):
@@ -139,37 +138,36 @@ class TestHeads:
 
 
 class TestEma:
-    def _state(self, tau):
+    def _state(self):
         rng = np.random.default_rng(8)
-        return init_model_state(rng, 3, 4, input_dim=5, hidden_dim=6,
-                                output_dim=4, tau=tau)
+        return init_model_state(rng, 3, 4, input_dim=5, hidden_dim=6, output_dim=4)
 
     def _perturb_online(self, state, rng):
         for p in state.online.values():
             p.data += rng.normal(size=p.data.shape)
 
     def test_tau_one_freezes_target(self):
-        state = self._state(1.0)
+        state = self._state()
         self._perturb_online(state, np.random.default_rng(9))
         before = {k: v.data.copy() for k, v in state.target.items()}
-        ema_update(state)
+        ema_update(state, 1.0)
         for k, v in state.target.items():
             np.testing.assert_array_equal(v.data, before[k])
 
     def test_tau_zero_copies_online(self):
-        state = self._state(0.0)
+        state = self._state()
         self._perturb_online(state, np.random.default_rng(10))
-        ema_update(state)
+        ema_update(state, 0.0)
         for k, v in state.target.items():
             np.testing.assert_array_equal(v.data, state.online[k].data)
 
     def test_tau_099_arithmetic(self):
-        state = self._state(0.99)
+        state = self._state()
         for p in state.online.values():
             p.data[:] = 0.0
         for p in state.target.values():
             p.data[:] = 1.0
-        ema_update(state)
+        ema_update(state, 0.99)
         for p in state.target.values():
             np.testing.assert_allclose(p.data, np.full_like(p.data, 0.99))
 
@@ -177,26 +175,25 @@ class TestEma:
         """Two EMA steps at fixed online params shrink (target - online) by
         tau^2, same as one step with tau^2."""
         tau = 0.9
-        state_a = self._state(tau)
-        state_b = self._state(tau)
+        state_a = self._state()
+        state_b = self._state()
         rng = np.random.default_rng(11)
         self._perturb_online(state_a, rng)
         rng = np.random.default_rng(11)
         self._perturb_online(state_b, rng)
-        state_b.tau = tau * tau
 
-        ema_update(state_a)
-        ema_update(state_a)
-        ema_update(state_b)
+        ema_update(state_a, tau)
+        ema_update(state_a, tau)
+        ema_update(state_b, tau * tau)
         for k, t in state_a.target.items():
             np.testing.assert_allclose(t.data, state_b.target[k].data, atol=1e-12)
 
     def test_covers_encoder_only(self):
-        state = self._state(0.5)
+        state = self._state()
         state.online["encoder.conv2"].data[:] = 2.0
         state.target["encoder.conv2"].data[:] = 0.0
         online_before = state.online.flat.copy()
-        ema_update(state)
+        ema_update(state, 0.5)
         np.testing.assert_allclose(state.target["encoder.conv2"].data, 1.0)
         np.testing.assert_array_equal(state.online.flat, online_before)
         assert "encoder.unk_u" not in state.target
@@ -251,7 +248,7 @@ class TestGradientIsolation:
     def test_target_params_never_in_gradient_map(self):
         rng = np.random.default_rng(16)
         state = init_model_state(rng, 3, 3, input_dim=4, hidden_dim=5,
-                                 output_dim=3, tau=0.99)
+                                 output_dim=3)
         g = make_graph(4, 5, [(i % 4, i % 5, 1.0, i) for i in range(10)],
                        d_u=3, d_v=3)
         adj = build_weighted_adjacency(g, use_weights=True)
@@ -270,7 +267,7 @@ class TestGradientIsolation:
     def test_checksum_stable_and_sensitive(self):
         rng = np.random.default_rng(17)
         state = init_model_state(rng, 3, 3, input_dim=4, hidden_dim=5,
-                                 output_dim=3, tau=0.99)
+                                 output_dim=3)
         a = state_checksum(state)
         assert a == state_checksum(state)
         state.online["encoder.conv1"].data[0, 0] += 1e-12
@@ -280,7 +277,7 @@ class TestGradientIsolation:
 class TestParamStore:
     def _state(self):
         return init_model_state(np.random.default_rng(18), 3, 4, input_dim=5,
-                                hidden_dim=6, output_dim=4, tau=0.9)
+                                hidden_dim=6, output_dim=4)
 
     def test_target_is_an_equal_detached_copy(self):
         """The target copies the online encoder, which leads the online buffer."""
@@ -302,7 +299,7 @@ class TestParamStore:
         before = [(name, p, p.data.copy()) for store in (state.online, state.target)
                   for name, p in store.items()]
         adam_step(state.online, opt, lr=0.1, weight_decay=1e-3)
-        ema_update(state)
+        ema_update(state, 0.9)
         assert_in_buffer(state.online)
         assert_in_buffer(state.target)
         # every parameter moved, through its view of the buffer
@@ -313,7 +310,7 @@ class TestParamStore:
         """Default dims (256/256/128) with 12-wide features: the online store
         holds only what the objective trains, the target only the encoder."""
         state = init_model_state(np.random.default_rng(0), 12, 12, input_dim=256,
-                                 hidden_dim=256, output_dim=128, tau=0.99)
+                                 hidden_dim=256, output_dim=128)
         assert state.online.flat.size == 236_930
         assert state.target.flat.size == 104_960
         v1 = model_shapes(12, 12, 256, 256, 128, sides=("u", "v"))
@@ -336,6 +333,6 @@ class TestParamStore:
             assert np.shares_memory(t.grad, copy.online.grad), name
         # a default-size store sends its parameter bytes and no gradient bytes
         online = init_model_state(np.random.default_rng(0), 12, 12, input_dim=256,
-                                  hidden_dim=256, output_dim=128, tau=0.99).online
+                                  hidden_dim=256, output_dim=128).online
         online.grad[...] = 1.0
         assert len(pickle.dumps(online)) < online.flat.nbytes + 4096

@@ -60,7 +60,7 @@ def test_failed_seed_recorded_others_proceed(dataset, tmp_path, monkeypatch):
     assert not (tmp_path / "seed_43").exists()
 
 
-@pytest.mark.parametrize("seeds", [[], [42, 42]])
+@pytest.mark.parametrize("seeds", [[], [42, 42], [42, 42 + 2 ** 32], [-1]])
 def test_empty_or_repeated_seed_list_rejected(dataset, tmp_path, seeds):
     graph, ds_hash = _load(dataset)
     cfg = VariantConfig(**FAST)

@@ -23,7 +23,7 @@ class TestSyntheticSpec:
         ("time_span", 0), ("n_blocks", 0), ("intra_prob", -0.1),
         ("intra_prob", 1.5), ("intra_prob", float("nan")),
         ("feature_noise", -1.0), ("feature_noise", float("nan")),
-        ("noise_dims", -1),
+        ("noise_dims", -1), ("feature_noise", float("inf")), ("seed", -1),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -65,9 +67,11 @@ class TestVariantConfig:
         ("pretrain_epochs", -1), ("decoder_epochs", 0), ("patience", -1),
         ("hidden_dim", 0), ("output_dim", 0), ("input_dim", 0),
         ("decoder_hidden_dims", (16, 0)), ("unk_substitution_rate", 1.5),
-        ("eval_negative_ratio", 0.0),
+        ("weighted_pretrain", "false"),
         ("lr", math.inf), ("weight_decay", math.inf), ("decoder_hidden_dims", ()),
-        ("eval_negative_ratio", math.inf),
+        ("lr", True), ("hidden_dim", 2.5), ("decoder_hidden_dims", (8.5,)),
+        ("tau", "0.99"), ("weighted_bce", 1), ("hits_k", np.float64(5.0)),
+        ("decoder_hidden_dims", [8, True]), ("decoder_hidden_dims", "8,4"),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -77,6 +81,16 @@ class TestVariantConfig:
         VariantConfig(pretrain_epochs=0, tau=0.0, dropout=0.0, edge_keep_prob=1.0,
                       unk_substitution_rate=0.0, patience=0, weight_decay=0.0,
                       batch_size=1, hits_k=1)
+
+    def test_numpy_and_list_values_are_stored_as_python_values(self):
+        """An int is also a float, numpy integers included, and a list of
+        widths is a tuple; the config a manifest records stays JSON."""
+        cfg = VariantConfig(tau=1, lr=np.int64(1), dropout=np.float32(0.5),
+                            hidden_dim=np.int32(8), decoder_hidden_dims=[np.int64(4), 2])
+        values = (cfg.tau, cfg.lr, cfg.dropout, cfg.hidden_dim, cfg.decoder_hidden_dims)
+        assert values == (1, 1, 0.5, 8, (4, 2))
+        assert [type(v) for v in values] == [int, int, float, int, tuple]
+        json.dumps(dataclasses.asdict(cfg))
 
 
 class TestPretrain:
@@ -180,7 +194,7 @@ class TestPretrain:
         target.read = set()
         g = split.train
         adj = normalized_adjacency(g.n_u, g.n_v, g.edges.u, g.edges.v, g.edges.w)
-        rows = training._target_rows(ModelState(state.online, target, state.tau),
+        rows = training._target_rows(ModelState(state.online, target),
                                      adj, g.x_u, g.x_v)
         assert rows.shape == (g.n_v, cfg.output_dim)
         assert target.read == set(state.target)
@@ -203,9 +217,9 @@ class TestPretrain:
         epochs_done, injected = [], []
         real_ema, real_apply = training.ema_update, ad._apply
 
-        def counting_ema(state):
+        def counting_ema(state, tau):
             epochs_done.append(len(epochs_done))
-            return real_ema(state)
+            return real_ema(state, tau)
 
         def injecting_apply(op, out, parents, backward_fn):
             if op == "prelu" and len(epochs_done) == 2:
@@ -553,9 +567,6 @@ class TestFullRunInvariants:
         assert info["n_test_negatives"] == info["n_test_positives"]
         assert set(metrics) == {"roc_auc", "average_precision", "hits_at_k",
                                 "precision", "recall", "f1"}
-        _, info2 = evaluate_final(state, split, dec,
-                                  cfg.replace(eval_negative_ratio=2.0), seed=42)
-        assert info2["n_test_negatives"] == 2 * info2["n_test_positives"]
 
     def test_evaluate_final_counts_pairs_of_new_nodes(self):
         # u=9 and v=9 have events only in the test era
