@@ -21,11 +21,12 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import pipeline
-from .errors import ValidationError, reading
+from .errors import TYPE_NAMES, ValidationError, reading
 from .graph import chronological_split
+from .rng import check_seed
 from .synthetic import SyntheticSpec, write_dataset
 from .training import (DECODER_MONITOR_FRACTION, DECODER_NEGATIVE_POOL_FACTOR,
-                       TYPE_NAMES, VariantConfig, evaluate_final)
+                       VariantConfig, evaluate_final)
 
 WORKERS_HELP = ("worker processes; one task per (seed, pretraining config), each "
                 "on one BLAS thread so that workers do not oversubscribe the "
@@ -185,6 +186,7 @@ def _check_widths(state, dec, graph) -> None:
 
 def cmd_eval_only(args) -> int:
     seed = _parse_value("seed", args.seed, int)
+    check_seed(seed)
     state, meta = ckpt.load_model_state(args.model)
     dec, _ = ckpt.load_decoder(args.decoder)
     cfg = _recorded_config(args.model, meta)

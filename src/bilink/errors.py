@@ -1,9 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types and input checks shared across the package."""
 
 import contextlib
 import csv
+import dataclasses
+import numbers
 import zipfile
 import zlib
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -26,3 +30,32 @@ def reading(path):
     except (OSError, ValueError, EOFError, csv.Error, zipfile.BadZipFile, zlib.error) as exc:
         raise ValidationError(f"{path}: cannot read input file "
                               f"({type(exc).__name__}: {exc})") from exc
+
+
+# Field types of the checked dataclasses as error messages name them (`cli`
+# shares it).
+TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+              tuple: "comma-separated integers"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether `value` fits a field of type `kind`: a bool is neither an int
+    nor a float, an int (numpy integers included) is also a float, and a
+    tuple is a list or a tuple of ints."""
+    if kind is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(x, int) for x in value)
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    return isinstance(value, {bool: bool, int: numbers.Integral, float: numbers.Real}[kind])
+
+
+def check_field_types(obj) -> None:
+    """Check every field of the dataclass instance `obj` against its
+    annotation, and store a numpy scalar as a Python one and a tuple field as
+    a tuple of ints, so that the instance stays JSON."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if not _fits(value, f.type):
+            raise ValidationError(f"{f.name} must be {TYPE_NAMES[f.type]}, got {value!r}")
+        setattr(obj, f.name, tuple(map(int, value)) if f.type is tuple
+                else value.item() if isinstance(value, np.generic) else value)

@@ -29,7 +29,7 @@ from .errors import ValidationError
 from .graph import (BipartiteGraph, aggregate_pairs, chronological_split,
                     complement_size, load_graph, sample_negatives)
 from .model import state_checksum
-from .rng import seed_int
+from .rng import check_seed, seed_int
 from .training import (ALL_VARIANTS, DECODER_NEGATIVE_POOL_FACTOR, VariantConfig,
                        eval_negative_count, evaluate_final, extract_embeddings,
                        pretrain, train_decoder)
@@ -225,9 +225,8 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
         raise ValidationError("seed list is empty")
     if len(set(seeds)) < len(seeds):
         raise ValidationError(f"seed list repeats a seed: {seeds}")
-    # `rng.child_seed` keeps 32 bits of a seed: one outside them aliases one inside.
-    if not all(0 <= s < 2 ** 32 for s in seeds):
-        raise ValidationError(f"seed list needs seeds in [0, 2**32), got {seeds}")
+    for seed in seeds:
+        check_seed(seed, "seed list: seed")
     split = chronological_split(graph)
     _decoder_pool_size(split)
     tasks = []  # (row, indices of the variants sharing one pretrain)

@@ -9,6 +9,8 @@ import zlib
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def child_seed(root: int, *tags) -> np.random.SeedSequence:
     """Derive a SeedSequence from a root seed and a path of tags.
@@ -23,6 +25,13 @@ def child_seed(root: int, *tags) -> np.random.SeedSequence:
         else:
             entropy.append(int(tag) & 0xFFFFFFFF)
     return np.random.SeedSequence(entropy)
+
+
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Reject a root seed outside [0, 2**32): `child_seed` keeps its low 32
+    bits, so such a seed would make the same draws as one inside."""
+    if not 0 <= seed < 2 ** 32:
+        raise ValidationError(f"{name} must be in [0, 2**32), got {seed}")
 
 
 def rng_for(root: int, *tags) -> np.random.Generator:

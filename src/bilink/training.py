@@ -5,7 +5,6 @@ and the final inductive evaluation on the test era.
 
 import dataclasses
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,7 +13,7 @@ from . import autodiff as ad
 from . import metrics as mt
 from .augment import augmented_view, corrupt_view
 from .autodiff import Tape, backward
-from .errors import TrainingError, ValidationError
+from .errors import TrainingError, ValidationError, check_field_types
 from .graph import (BipartiteGraph, TemporalSplit, aggregate_pairs,
                     build_weighted_adjacency, complement_size, merge_graphs,
                     normalized_adjacency, sample_negatives)
@@ -30,10 +29,6 @@ from .rng import child_seed, rng_for, seed_int
 # one test negative per distinct test-era pair (`eval_negative_count`).
 DECODER_MONITOR_FRACTION = 0.1
 DECODER_NEGATIVE_POOL_FACTOR = 5.0
-
-# VariantConfig's field types as error messages name them (`cli` shares it).
-TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
-              tuple: "comma-separated integers"}
 
 # Range of every numeric VariantConfig field (and of each decoder width),
 # checked after its type before any training, so that a bad value fails fast
@@ -58,17 +53,6 @@ _FIELD_RULES = {
     "decoder_hidden_dims": (lambda x: len(x) > 0 and min(x) >= 1,
                             "one or more widths >= 1"),
 }
-
-
-def _fits(value, kind) -> bool:
-    """Whether `value` fits a VariantConfig field of type `kind`: a bool is
-    neither an int nor a float, an int (numpy integers included) is also a
-    float, and a tuple is a list or a tuple of ints."""
-    if kind is tuple:
-        return isinstance(value, (list, tuple)) and all(_fits(x, int) for x in value)
-    if isinstance(value, bool) != (kind is bool):
-        return False
-    return isinstance(value, {bool: bool, int: numbers.Integral, float: numbers.Real}[kind])
 
 
 @dataclass
@@ -106,12 +90,7 @@ class VariantConfig:
     def __post_init__(self):
         """One type and range check for flags, files, checkpoints and callers.
         A numpy scalar is stored as a Python one, so the config stays JSON."""
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not _fits(value, f.type):
-                raise ValidationError(f"{f.name} must be {TYPE_NAMES[f.type]}, got {value!r}")
-            setattr(self, f.name, tuple(map(int, value)) if f.type is tuple
-                    else value.item() if isinstance(value, np.generic) else value)
+        check_field_types(self)
         for name, (ok, rule) in _FIELD_RULES.items():
             value = getattr(self, name)
             if not ok(value):

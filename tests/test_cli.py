@@ -293,12 +293,15 @@ class TestMalformedTypedFlag:
         assert_one_error_line(capsys, flag[2:].replace("-", "_"))
         assert not (tmp_path / "out").exists()
 
-    def test_eval_only_seed(self, dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("seed", ["4.2", "-1", "4294967338"])
+    def test_eval_only_seed(self, dataset, tmp_path, capsys, seed):
+        """`rng.child_seed` keeps 32 bits of a seed, so one outside
+        [0, 2**32) would score the negatives of one inside."""
         out = tmp_path / "eval.json"
         code = main(["eval-only", *dataset_flags(dataset),
                      "--model", str(DATA / "parent_model.npz"),
                      "--decoder", str(DATA / "parent_decoder.npz"),
-                     "--seed", "4.2", "--out", str(out)])
+                     "--seed", seed, "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert_one_error_line(capsys, "seed")
         assert not out.exists()
@@ -571,6 +574,22 @@ PARENT_EVAL = {
                 "hits_at_k": 0.5, "precision": 1.0, "recall": 0.25,
                 "roc_auc": 0.453125},
 }
+
+
+# perfbench's two set-ups at dataset seed 7 (`--weight-skew` 1 and 50):
+# generation is byte-stable, features, weights, times and CSV text included.
+PERFBENCH_HASHES = {
+    "1": "74962b09bb7931dd9f8a324c78dea2aee0bc0da836b17ff0810ec651dc364bed",
+    "50": "969a4738f15cc1d9491dba07efb9e2414a46eabd934ad461457b5984247cf048",
+}
+
+
+@pytest.mark.parametrize("skew", sorted(PERFBENCH_HASHES))
+def test_perfbench_datasets_are_pinned(tmp_path, capsys, skew):
+    assert main(["gen-synth", "--n-u", "200", "--n-v", "300", "--n-edges", "4000",
+                 "--weight-skew", skew, "--seed", "7", "--out-dir", str(tmp_path)]) == EXIT_OK
+    paths = json.loads(capsys.readouterr().out)
+    assert pipeline.dataset_hash(paths) == PERFBENCH_HASHES[skew]
 
 
 class TestCheckpointFiles:

@@ -3,7 +3,9 @@ import pytest
 
 from bilink.errors import ValidationError
 from bilink.graph import load_graph
-from bilink.synthetic import SyntheticSpec, _block_of, generate, write_dataset
+from bilink.synthetic import (SyntheticSpec, _block_of, _sample_pairs, generate,
+                              write_dataset)
+from util import sample_pairs_oracle
 
 
 class TestSyntheticSpec:
@@ -24,6 +26,9 @@ class TestSyntheticSpec:
         ("intra_prob", 1.5), ("intra_prob", float("nan")),
         ("feature_noise", -1.0), ("feature_noise", float("nan")),
         ("noise_dims", -1), ("feature_noise", float("inf")), ("seed", -1),
+        ("block_structure", "false"), ("block_structure", 1), ("weight_skew", 2.5),
+        ("n_edges", 10.0), ("seed", 1.5), ("intra_prob", "0.5"),
+        ("n_v", 2 ** 31), ("noise_dims", True),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -35,6 +40,60 @@ class TestSyntheticSpec:
     ])
     def test_boundary_values_accepted(self, field, value):
         SyntheticSpec(**{field: value})
+
+    def test_numpy_scalars_stored_as_python(self):
+        spec = SyntheticSpec(n_u=np.int64(20), intra_prob=np.float64(0.5))
+        assert type(spec.n_u) is int and type(spec.intra_prob) is float
+
+
+# Specs for the reference-loop check: the default at several seeds, each
+# kind of attempt that breaks the chunked reader's word pattern (a one-member
+# V block, u or v from a range of 1, numpy drawing again), and a stall that
+# ends in the fill. `kept` starts the sampler with a kept 32-bit half.
+_ORACLE_SPECS = [
+    *({"seed": s} for s in (0, 1, 7, 8, 38)),
+    {"seed": 7, "kept": True},
+    {"weight_skew": 50, "seed": 7},
+    {"block_structure": False, "seed": 7},
+    {"block_structure": False, "seed": 3, "kept": True},
+    {"intra_prob": 0.0, "seed": 7},
+    {"intra_prob": 1.0, "seed": 7},
+    {"n_u": 50, "n_v": 50, "n_edges": 500, "n_blocks": 5, "seed": 4},
+    {"n_u": 1, "n_v": 300, "n_edges": 200, "n_blocks": 1, "seed": 7},
+    {"n_u": 1, "n_v": 300, "n_edges": 200, "block_structure": False, "seed": 7},
+    {"n_u": 300, "n_v": 1, "n_edges": 200, "block_structure": False, "seed": 7},
+    {"n_u": 40, "n_v": 15, "n_edges": 300, "n_blocks": 10, "seed": 7},
+    {"n_u": 40, "n_v": 15, "n_edges": 300, "n_blocks": 10, "intra_prob": 0.0, "seed": 7},
+    {"n_u": 10, "n_v": 10, "n_edges": 60, "n_blocks": 2, "intra_prob": 1.0, "seed": 7},
+    {"n_u": 10, "n_v": 10, "n_edges": 60, "n_blocks": 2, "intra_prob": 1.0, "seed": 8,
+     "kept": True},
+    *({"n_u": 2, "n_v": 3_000_000, "n_edges": 3000, "block_structure": False,
+       "n_blocks": 1, "seed": s} for s in range(5)),
+    {"n_u": 2, "n_v": 3_000_000, "n_edges": 3000, "n_blocks": 1, "seed": 0, "kept": True},
+    *({"n_u": 3_000_000, "n_v": 6, "n_edges": 3000, "n_blocks": 2, "seed": s}
+      for s in range(3)),
+]
+
+
+class TestSamplePairs:
+    @pytest.mark.parametrize("case", _ORACLE_SPECS,
+                             ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+    def test_equals_the_reference_loop(self, case):
+        """Same pairs in the same order, and the generator left in the same
+        state (kept 32-bit half included), since the weights and timestamps
+        draw next."""
+        case = dict(case)
+        kept = case.pop("kept", False)
+        spec = SyntheticSpec(**case)
+        got_rng, want_rng = (np.random.default_rng(spec.seed) for _ in range(2))
+        if kept:
+            got_rng.integers(0, 3), want_rng.integers(0, 3)
+            assert got_rng.bit_generator.state["has_uint32"] == 1
+        got = _sample_pairs(got_rng, spec)
+        want = sample_pairs_oracle(want_rng, spec)
+        assert got.dtype == want.dtype and got.shape == (spec.n_edges, 2)
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestGenerate:

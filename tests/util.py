@@ -12,6 +12,7 @@ import numpy as np
 from bilink import autodiff as ad
 from bilink import checkpoint
 from bilink.graph import BipartiteGraph, EdgeArray
+from bilink.synthetic import _block_of
 
 
 def make_graph(n_u, n_v, edge_tuples, d_u=3, d_v=4, rng=None):
@@ -40,6 +41,43 @@ def sample_negatives_oracle(split, count, rng_seed):
             taken.add((u, v))
             pairs.append((u, v))
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def sample_pairs_oracle(rng, spec):
+    """`synthetic._sample_pairs` as a per-attempt rejection loop over a set of
+    (u, v) tuples: one scalar draw of u, of the intra-community coin (with
+    block structure) and of v per attempt. Its draw order fixes the bytes of
+    every generated dataset."""
+    n_u, n_v, n_blocks = spec.n_u, spec.n_v, spec.n_blocks
+    u_block = _block_of(np.arange(n_u), n_u, n_blocks)
+    v_block = _block_of(np.arange(n_v), n_v, n_blocks)
+    v_by_block = [np.flatnonzero(v_block == b) for b in range(n_blocks)]
+
+    chosen = set()
+    pairs = []
+    attempts = 0
+    max_attempts = 200 * spec.n_edges
+    while len(pairs) < spec.n_edges:
+        attempts += 1
+        if attempts > max_attempts:
+            break
+        u = int(rng.integers(0, n_u))
+        if spec.block_structure and rng.random() < spec.intra_prob:
+            members = v_by_block[u_block[u]]
+            v = int(members[rng.integers(0, len(members))])
+        else:
+            v = int(rng.integers(0, n_v))
+        if (u, v) in chosen:
+            continue
+        chosen.add((u, v))
+        pairs.append((u, v))
+    if len(pairs) < spec.n_edges:
+        # Rejection stalled (nearly full block); fill from the unused pairs.
+        free = [(u, v) for u in range(n_u) for v in range(n_v)
+                if (u, v) not in chosen]
+        extra = rng.choice(len(free), size=spec.n_edges - len(pairs), replace=False)
+        pairs.extend(free[i] for i in extra)
+    return np.array(pairs, dtype=np.int64)
 
 
 def encode_oracle(params, adj, x_u, x_v, dropout_p=0.0, dropout_seed=0):
