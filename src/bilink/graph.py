@@ -8,7 +8,9 @@ the interaction count when every event has weight 1). Event weights must be
 positive and finite. A set of pairs is a sorted array of int64 keys u*n_v+v.
 """
 
+import contextlib
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -109,48 +111,96 @@ class TemporalSplit:
             [_pair_key(e.u, e.v, self.train.n_v) for e in eras]))
 
 
-def _csv_rows(path, header_ok, header_text):
-    """Yields (line number of its last line, row) for each non-blank data row
-    of a CSV file whose stripped header satisfies `header_ok`; every row must
-    have as many columns as the header."""
-    with reading(path), open(path, newline="", encoding="utf-8") as fh:
+def _read_rows(path, header_ok, header_text) -> tuple:
+    """Reads the non-blank data rows of a CSV file whose stripped header
+    satisfies `header_ok`. Returns (width, rows, tail): the header's column
+    count; the rows before the first one that has another column count or
+    that the file fails to read at; and that failure as a ValidationError,
+    or None. A failed check on `rows` comes first in file order, so it wins
+    over `tail`."""
+    tail = None
+    with reading(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not header_ok([h.strip() for h in header]):
             raise ValidationError(f"{path}: expected header {header_text}")
         width = len(header)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValidationError(f"{path}:{reader.line_num}: expected {width} "
-                                      f"columns, got {len(row)}")
-            yield reader.line_num, row
+        rows = []
+        try:
+            with reading(path):
+                rows.extend(filter(None, reader))
+        except ValidationError as exc:
+            tail = exc
+    widths = np.fromiter(map(len, rows), np.int64, len(rows))
+    bad = np.flatnonzero(widths != width)
+    if len(bad):
+        i = int(bad[0])
+        tail = ValidationError(f"{path}:{_line_of(path, i)}: expected {width} "
+                               f"columns, got {len(rows[i])}")
+        del rows[i:]
+    return width, rows, tail
+
+
+def _line_of(path, index: int) -> int:
+    """Line number of the last line of data row `index` (0-based, blank rows
+    not counted) of the CSV file `path`, read again up to that row."""
+    with reading(path), open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        # Row 0 is the header, which is never blank.
+        next(itertools.islice(filter(None, reader), index + 1, None))
+        return reader.line_num
+
+
+def _converted(kind, strings: list) -> list:
+    """`kind` (float or int) applied to `strings` in order up to the first
+    one it rejects: the result is shorter than `strings` just when one is
+    rejected, at the result's length."""
+    out = []
+    with contextlib.suppress(ValueError):
+        out.extend(map(kind, strings))
+    return out
+
+
+def _first_none(values: list) -> int:
+    return values.index(None) if None in values else len(values)
 
 
 def _read_feature_csv(path) -> tuple:
-    """Returns (ids in file order, feature matrix). Header must be id,f1,...,fd."""
-    ids, rows = [], []
-    seen = {}
-    for lineno, row in _csv_rows(path, lambda h: len(h) >= 2 and h[0] == "id",
-                                 "id,f1,...,fd"):
-        raw_id = row[0]
-        if raw_id in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate id {raw_id!r} (first at line {seen[raw_id]})")
-        seen[raw_id] = lineno
+    """Returns (ids in file order, feature matrix). Header must be id,f1,...,fd.
+    A duplicate id or a malformed value fails at its row, a non-finite value
+    only once every row is read."""
+    width, rows, tail = _read_rows(path, lambda h: len(h) >= 2 and h[0] == "id",
+                                   "id,f1,...,fd")
+    n = len(rows)
+    cells = list(itertools.chain.from_iterable(rows))
+    ids = cells[::width]
+    del cells[::width]
+    values = _converted(float, cells)
+    first_row = dict(zip(reversed(ids), reversed(range(n))))
+    dup = n
+    if len(first_row) < n:
+        rows_of_first = np.fromiter(map(first_row.get, ids), np.int64, n)
+        dup = int(np.flatnonzero(rows_of_first != np.arange(n))[0])
+    bad = min(dup, len(values) // (width - 1))
+    if bad < n:
+        where = f"{path}:{_line_of(path, bad)}"
+        raw_id = ids[bad]
+        if bad == dup:
+            raise ValidationError(f"{where}: duplicate id {raw_id!r} (first at "
+                                  f"line {_line_of(path, first_row[raw_id])})")
         try:
-            values = [float(x) for x in row[1:]]
+            list(map(float, rows[bad][1:]))
         except ValueError as exc:
-            raise ValidationError(f"{path}:{lineno}: malformed feature value ({exc})")
-        ids.append(raw_id)
-        rows.append(values)
+            raise ValidationError(f"{where}: malformed feature value ({exc})")
+    if tail is not None:
+        raise tail
     if not ids:
         raise ValidationError(f"{path}: no feature rows")
-    x = np.asarray(rows, dtype=np.float64)
+    x = np.array(values, dtype=np.float64).reshape(n, width - 1)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if len(bad):
-        raise ValidationError(f"{path}:{seen[ids[bad[0]]]}: non-finite feature value")
+        raise ValidationError(f"{path}:{_line_of(path, int(bad[0]))}: "
+                              "non-finite feature value")
     return ids, x
 
 
@@ -159,39 +209,48 @@ def load_graph(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
 
     Dense indices are assigned in feature-file row order. Every node
     referenced by an edge must have a feature row; feature-file nodes with
-    no edges are kept as isolated nodes.
+    no edges are kept as isolated nodes. The first edge row in file order
+    that fails a check names the error; within a row the checks run in
+    order: column count, u id, v id, weight and timestamp parse, weight
+    positive and finite.
     """
     u_ids, x_u = _read_feature_csv(u_feature_file)
     v_ids, x_v = _read_feature_csv(v_feature_file)
-    u_index = {raw: i for i, raw in enumerate(u_ids)}
-    v_index = {raw: i for i, raw in enumerate(v_ids)}
+    u_index = dict(zip(u_ids, range(len(u_ids))))
+    v_index = dict(zip(v_ids, range(len(v_ids))))
 
-    eu, ev, ew, et = [], [], [], []
-    for lineno, (raw_u, raw_v, raw_w, raw_t) in _csv_rows(
-            edge_file, lambda h: h == EDGE_HEADER, ",".join(EDGE_HEADER)):
-        if raw_u not in u_index:
-            raise ValidationError(
-                f"{edge_file}:{lineno}: u_id {raw_u!r} has no feature row")
-        if raw_v not in v_index:
-            raise ValidationError(
-                f"{edge_file}:{lineno}: v_id {raw_v!r} has no feature row")
+    _, rows, tail = _read_rows(edge_file, lambda h: h == EDGE_HEADER,
+                               ",".join(EDGE_HEADER))
+    n = len(rows)
+    cells = list(itertools.chain.from_iterable(rows))
+    eu = list(map(u_index.get, cells[0::4]))
+    ev = list(map(v_index.get, cells[1::4]))
+    ew = _converted(float, cells[2::4])
+    et = _converted(int, cells[3::4])
+    w = np.array(ew, dtype=np.float64)
+    bad_w = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+    bad = min(_first_none(eu), _first_none(ev), len(ew), len(et),
+              int(bad_w[0]) if len(bad_w) else n)
+    if bad < n:
+        where = f"{edge_file}:{_line_of(edge_file, bad)}"
+        raw_u, raw_v, raw_w, raw_t = rows[bad]
+        if eu[bad] is None:
+            raise ValidationError(f"{where}: u_id {raw_u!r} has no feature row")
+        if ev[bad] is None:
+            raise ValidationError(f"{where}: v_id {raw_v!r} has no feature row")
         try:
-            w = float(raw_w)
-            t = int(raw_t)
+            float(raw_w)
+            int(raw_t)
         except ValueError as exc:
-            raise ValidationError(f"{edge_file}:{lineno}: malformed row ({exc})")
-        if not (math.isfinite(w) and w > 0):
-            raise ValidationError(
-                f"{edge_file}:{lineno}: edge weight must be positive and "
-                f"finite, got {raw_w}")
-        eu.append(u_index[raw_u])
-        ev.append(v_index[raw_v])
-        ew.append(w)
-        et.append(t)
-    if not eu:
+            raise ValidationError(f"{where}: malformed row ({exc})")
+        raise ValidationError(f"{where}: edge weight must be positive and "
+                              f"finite, got {raw_w}")
+    if tail is not None:
+        raise tail
+    if not n:
         raise ValidationError(f"{edge_file}: no edges")
 
-    edges = EdgeArray(np.array(eu), np.array(ev), np.array(ew), np.array(et))
+    edges = EdgeArray(np.array(eu), np.array(ev), w, np.array(et))
     return BipartiteGraph(len(u_ids), len(v_ids), x_u, x_v, edges,
                           tuple(u_ids), tuple(v_ids))
 

@@ -8,13 +8,13 @@ produces genuinely inductive eras. With block structure off, edges are
 uniform random pairs and the dataset carries no learnable signal.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .errors import ValidationError, check_field_types
 from .graph import EDGE_HEADER
 
@@ -201,41 +201,51 @@ def _sample_weights(rng, n: int, skew: int) -> np.ndarray:
 
 
 def generate(spec: SyntheticSpec):
-    """Returns (u_ids, x_u, v_ids, x_v, rows) where rows are edge CSV tuples."""
+    """Returns (x_u, x_v, pairs, weights, times): the feature matrices, the
+    (n_edges, 2) int64 (u, v) index pairs, and each edge's integer weight
+    and timestamp. Node i of U is named `u{i}` and of V `v{i}`."""
     rng = np.random.default_rng(spec.seed)
     x_u = _features(rng, spec.n_u, spec.n_blocks, spec.feature_noise, spec.noise_dims)
     x_v = _features(rng, spec.n_v, spec.n_blocks, spec.feature_noise, spec.noise_dims)
     pairs = _sample_pairs(rng, spec)
     weights = _sample_weights(rng, spec.n_edges, spec.weight_skew)
     times = rng.integers(0, spec.time_span, size=spec.n_edges)
-    u_ids = [f"u{i}" for i in range(spec.n_u)]
-    v_ids = [f"v{i}" for i in range(spec.n_v)]
-    rows = [(u_ids[u], v_ids[v], int(w), int(t))
-            for (u, v), w, t in zip(pairs, weights, times)]
-    return u_ids, x_u, v_ids, x_v, rows
+    return x_u, x_v, pairs, weights, times
+
+
+def _csv_text(header, row: str, *columns) -> str:
+    """A CSV file's text as `csv.writer` writes fields that need no quoting
+    (CRLF line ends): `header`, then `row` formatted with one value of each
+    column per line."""
+    return "".join([",".join(header) + "\r\n",
+                    *map((row + "\r\n").format, *columns)])
+
+
+def _feature_text(prefix: str, x: np.ndarray) -> str:
+    """Feature CSV text: ids `{prefix}{i}`, each value as `{:.10g}`."""
+    d = x.shape[1]
+    return _csv_text(["id"] + [f"f{i + 1}" for i in range(d)],
+                     prefix + "{}" + ",{:.10g}" * d,
+                     range(len(x)), *x.T.tolist())
 
 
 def write_dataset(spec: SyntheticSpec, out_dir) -> dict:
-    """Generate and write edges.csv / u_features.csv / v_features.csv."""
+    """Generate and write edges.csv / u_features.csv / v_features.csv. Each
+    file is replaced whole (`atomic_write`), so an interrupted run leaves
+    no truncated file."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    u_ids, x_u, v_ids, x_v, rows = generate(spec)
-
-    def write_features(path, ids, x):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id"] + [f"f{i + 1}" for i in range(x.shape[1])])
-            for raw_id, row in zip(ids, x):
-                writer.writerow([raw_id] + [f"{v:.10g}" for v in row])
-
-    edge_path = out_dir / "edges.csv"
-    with open(edge_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EDGE_HEADER)
-        writer.writerows(rows)
-    u_path = out_dir / "u_features.csv"
-    v_path = out_dir / "v_features.csv"
-    write_features(u_path, u_ids, x_u)
-    write_features(v_path, v_ids, x_v)
-    return {"edges": str(edge_path), "u_features": str(u_path),
-            "v_features": str(v_path)}
+    x_u, x_v, pairs, weights, times = generate(spec)
+    texts = {
+        "edges": _csv_text(EDGE_HEADER, "u{},v{},{},{}", *pairs.T.tolist(),
+                           weights.tolist(), times.tolist()),
+        "u_features": _feature_text("u", x_u),
+        "v_features": _feature_text("v", x_v),
+    }
+    paths = {}
+    for name, text in texts.items():
+        path = out_dir / f"{name}.csv"
+        with atomic_write(path, newline="") as fh:
+            fh.write(text)
+        paths[name] = str(path)
+    return paths

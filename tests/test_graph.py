@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,10 @@ from bilink.errors import ValidationError
 from bilink.graph import (BipartiteGraph, EdgeArray, build_weighted_adjacency,
                           chronological_split, complement_size, load_graph,
                           normalized_adjacency, sample_negatives)
-from util import dense_normalized_adjacency, make_graph, sample_negatives_oracle
+from bilink.synthetic import SyntheticSpec
+from bilink.synthetic import write_dataset as write_synthetic
+from util import (DATASET_SPECS, dense_normalized_adjacency, load_graph_oracle,
+                  make_graph, sample_negatives_oracle)
 
 
 def write_dataset(tmp_path, edge_rows, u_rows, v_rows, u_dim=2, v_dim=2):
@@ -90,6 +96,10 @@ class TestLoadGraph:
                               ["x,0,0"])
         with pytest.raises(ValidationError, match="u.csv:4: malformed feature value"):
             load_graph(*paths)
+        paths = write_dataset(tmp_path, ['"a\nb",x,1,10', "c,x,1,10", "c,x,oops,30"],
+                              ['"a\nb",0,0', "c,0,0"], ["x,0,0"])
+        with pytest.raises(ValidationError, match="edges.csv:5: malformed row"):
+            load_graph(*paths)
 
     def test_unknown_edge_id_rejected(self, tmp_path):
         paths = write_dataset(tmp_path, ["ghost,x,1,10"], ["a,0,0"], ["x,0,0"])
@@ -100,6 +110,132 @@ class TestLoadGraph:
         paths = write_dataset(tmp_path, ["a,x,1,10", "a,x,1,10"],
                               ["a,0,0"], ["x,0,0"])
         assert load_graph(*paths).n_edges == 2
+
+
+def assert_same_graph(got, want):
+    assert (got.n_u, got.n_v, got.u_ids, got.v_ids) == \
+        (want.n_u, want.n_v, want.u_ids, want.v_ids)
+    for a, b in [(got.x_u, want.x_u), (got.x_v, want.x_v),
+                 *((getattr(got.edges, f), getattr(want.edges, f)) for f in "uvwt")]:
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def _quote_ids(text):
+    """Rename u0 to a quoted id that spans two lines and v0 to one with a comma."""
+    text = re.sub(r"^u0,", '"u\n0",', text, flags=re.M)
+    return re.sub(r"(^|,)v0,", r'\1"v,0",', text, flags=re.M)
+
+
+# Edits of a written dataset that must load as before: line feeds alone,
+# blank lines after the header and every row, quoted ids.
+_EDITS = {
+    "as-written": lambda text: text,
+    "lf": lambda text: text.replace("\r\n", "\n"),
+    "blank-lines": lambda text: text.replace("\r\n", "\r\n\n\r\n"),
+    "quoted-ids": _quote_ids,
+}
+
+
+def _edit_files(paths, edit):
+    for path in paths.values():
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = edit(fh.read())
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    return paths["edges"], paths["u_features"], paths["v_features"]
+
+
+class TestLoadGraphMatchesReference:
+    @pytest.mark.parametrize("edit", _EDITS)
+    @pytest.mark.parametrize("case", DATASET_SPECS,
+                             ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+    def test_equal_arrays_and_ids(self, tmp_path, case, edit):
+        args = _edit_files(write_synthetic(SyntheticSpec(**case), tmp_path), _EDITS[edit])
+        assert_same_graph(load_graph(*args), load_graph_oracle(*args))
+
+    def test_quoted_ids_are_read(self, tmp_path):
+        paths = write_synthetic(SyntheticSpec(n_u=4, n_v=4, n_edges=8, n_blocks=2), tmp_path)
+        g = load_graph(*_edit_files(paths, _quote_ids))
+        assert g.u_ids[0] == "u\n0" and g.v_ids[0] == "v,0"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        """Copies saved with a UTF-8 byte-order mark load to the same graph."""
+        paths = write_synthetic(SyntheticSpec(n_u=20, n_v=30, n_edges=100), tmp_path)
+        args = (paths["edges"], paths["u_features"], paths["v_features"])
+        bom_args = [tmp_path / f"bom_{Path(path).name}" for path in args]
+        for path, copy in zip(args, bom_args):
+            copy.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+        assert_same_graph(load_graph(*bom_args), load_graph(*args))
+
+
+# Faulty datasets as (edge rows, u feature rows, v feature rows) below the
+# headers, one row per line from line 2; a row may be a string that holds a
+# quoted multi-line field. Each loads to the reference loop's exact error.
+_HUGE = "x" * 200_000  # past the csv module's field size limit
+_FAULTS = {
+    "unknown-v-then-width": (["a,x,1,10", "a,ghost,1,20", "a,x,1,30", "a,x,1"],
+                             ["a,0,0"], ["x,0,0"]),
+    "width-then-unknown-v": (["a,x,1,10", "a,x,1", "a,x,1,30", "a,ghost,1,40"],
+                             ["a,0,0"], ["x,0,0"]),
+    "malformed-then-non-finite": (["a,x,1,10", "a,x,oops,20", "a,x,1,30", "a,x,inf,40"],
+                                  ["a,0,0"], ["x,0,0"]),
+    "non-finite-then-malformed": (["a,x,1,10", "a,x,nan,20", "a,x,1,30", "a,x,oops,40"],
+                                  ["a,0,0"], ["x,0,0"]),
+    "unknown-u-and-v-in-one-row": (["ghost,ghoul,1,10"], ["a,0,0"], ["x,0,0"]),
+    "unknown-v-and-malformed-in-one-row": (["a,ghoul,oops,10"], ["a,0,0"], ["x,0,0"]),
+    "bad-timestamp-after-good-weight": (["a,x,1,10", "a,x,2,1.5"], ["a,0,0"], ["x,0,0"]),
+    "bad-weight-and-timestamp": (["a,x,w,t"], ["a,0,0"], ["x,0,0"]),
+    "non-positive-weight": (["a,x,1,10", "a,x,-2,20"], ["a,0,0"], ["x,0,0"]),
+    "duplicate-feature-id-after-non-finite": (["a,x,1,10"],
+                                              ["a,0,0", "b,0,nan", "c,0,0", "a,1,1"],
+                                              ["x,0,0"]),
+    "malformed-feature-after-non-finite": (["a,x,1,10"], ["a,0,0", "b,0,inf", "c,0,x"],
+                                           ["x,0,0"]),
+    "duplicate-feature-id-and-malformed-in-one-row": (["a,x,1,10"], ["a,0,0", "a,0,x"],
+                                                      ["x,0,0"]),
+    "feature-width-after-non-finite": (["a,x,1,10"], ["a,0,0", "b,0,nan", "c,0"],
+                                       ["x,0,0"]),
+    "v-feature-fault-after-clean-u": (["a,x,1,10"], ["a,0,0"], ["x,0,0", "y,0"]),
+    "faults-after-blank-lines": (["a,x,1,10", "", "", "a,x,oops,50"],
+                                 ["", "a,0,0", "", "b,0,inf"], ["x,0,0"]),
+    "edge-fault-after-blank-lines": (["", "a,x,1,10", "", "a,x,oops,50"],
+                                     ["a,0,0"], ["x,0,0"]),
+    "edge-fault-after-quoted-field": (['"a\nb",x,1,10', '"a\nb",x,1,20', "c,x,1"],
+                                      ['"a\nb",0,0', "c,0,0"], ["x,0,0"]),
+    "feature-fault-after-quoted-field": (["c,x,1,10"], ['"a\nb",0,0', "c,0,nan"],
+                                         ["x,0,0"]),
+    "tokenizer-error-after-bad-row": (["a,x,1,10", "a,ghost,1,20", "a,x,1,30",
+                                       f"a,x,1,{_HUGE}"], ["a,0,0"], ["x,0,0"]),
+    "bad-row-after-tokenizer-error": ([f"a,x,1,{_HUGE}", "a,ghost,1,20"],
+                                      ["a,0,0"], ["x,0,0"]),
+    "tokenizer-error-after-non-finite-feature": (["a,x,1,10"],
+                                                 ["a,0,nan", f"b,0,{_HUGE}"], ["x,0,0"]),
+    "tokenizer-error-and-no-edges": ([f"{_HUGE},x,1,10"], ["a,0,0"], ["x,0,0"]),
+    "header-only-edge-file": ([], ["a,0,0"], ["x,0,0"]),
+    "header-only-feature-file": (["a,x,1,10"], [], ["x,0,0"]),
+}
+
+
+class TestLoadGraphErrors:
+    @pytest.mark.parametrize("case", _FAULTS)
+    def test_same_error_as_reference(self, tmp_path, case):
+        paths = write_dataset(tmp_path, *_FAULTS[case])
+        with pytest.raises(ValidationError) as want:
+            load_graph_oracle(*paths)
+        with pytest.raises(ValidationError) as got:
+            load_graph(*paths)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("empty", [0, 1, 2])
+    def test_empty_file_gives_reference_error(self, tmp_path, empty):
+        paths = write_dataset(tmp_path, ["a,x,1,10"], ["a,0,0"], ["x,0,0"])
+        paths[empty].write_bytes(b"")
+        with pytest.raises(ValidationError, match="expected header") as want:
+            load_graph_oracle(*paths)
+        with pytest.raises(ValidationError) as got:
+            load_graph(*paths)
+        assert str(got.value) == str(want.value)
 
 
 class TestChronologicalSplit:

@@ -1,11 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from bilink import checkpoint
 from bilink.errors import ValidationError
 from bilink.graph import load_graph
 from bilink.synthetic import (SyntheticSpec, _block_of, _sample_pairs, generate,
                               write_dataset)
-from util import sample_pairs_oracle
+from util import DATASET_SPECS, sample_pairs_oracle, write_dataset_oracle
 
 
 class TestSyntheticSpec:
@@ -99,47 +102,50 @@ class TestSamplePairs:
 class TestGenerate:
     def test_skew_one_gives_unit_weights(self):
         spec = SyntheticSpec(n_u=30, n_v=30, n_edges=200, weight_skew=1, seed=1)
-        _, _, _, _, rows = generate(spec)
-        assert all(r[2] == 1 for r in rows)
+        _, _, _, weights, _ = generate(spec)
+        assert all(w == 1 for w in weights)
 
     def test_requested_shape_and_weight_cap(self):
         spec = SyntheticSpec(n_u=200, n_v=300, n_edges=4000, weight_skew=50, seed=2)
-        u_ids, x_u, v_ids, x_v, rows = generate(spec)
-        assert len(rows) == 4000
-        assert len(u_ids) == 200 and len(v_ids) == 300
-        assert max(r[2] for r in rows) <= 50
-        assert min(r[2] for r in rows) >= 1
+        x_u, x_v, pairs, weights, times = generate(spec)
+        assert len(pairs) == len(weights) == len(times) == 4000
+        assert len(x_u) == 200 and len(x_v) == 300
+        assert max(weights) <= 50
+        assert min(weights) >= 1
 
     def test_pairs_are_distinct(self):
         spec = SyntheticSpec(n_u=40, n_v=40, n_edges=600, seed=3)
-        _, _, _, _, rows = generate(spec)
-        assert len({(r[0], r[1]) for r in rows}) == 600
+        _, _, pairs, _, _ = generate(spec)
+        assert len({(u, v) for u, v in pairs.tolist()}) == 600
 
     def test_block_structure_concentrates_edges(self):
         spec = SyntheticSpec(n_u=50, n_v=50, n_edges=500, n_blocks=5,
                              intra_prob=0.9, seed=4)
-        _, _, _, _, rows = generate(spec)
+        _, _, pairs, _, _ = generate(spec)
         intra = 0
-        for u_id, v_id, _, _ in rows:
-            u, v = int(u_id[1:]), int(v_id[1:])
+        for u, v in pairs.tolist():
             if _block_of(np.array([u]), 50, 5)[0] == _block_of(np.array([v]), 50, 5)[0]:
                 intra += 1
-        assert intra / len(rows) > 0.75
+        assert intra / len(pairs) > 0.75
 
     def test_no_blocks_is_roughly_uniform(self):
         spec = SyntheticSpec(n_u=50, n_v=50, n_edges=500, block_structure=False,
                              seed=5)
-        _, _, _, _, rows = generate(spec)
+        _, _, pairs, _, _ = generate(spec)
         intra = 0
-        for u_id, v_id, _, _ in rows:
-            u, v = int(u_id[1:]), int(v_id[1:])
+        for u, v in pairs.tolist():
             if _block_of(np.array([u]), 50, 10)[0] == _block_of(np.array([v]), 50, 10)[0]:
                 intra += 1
-        assert intra / len(rows) < 0.25
+        assert intra / len(pairs) < 0.25
 
     def test_deterministic(self):
         spec = SyntheticSpec(n_u=20, n_v=20, n_edges=100, weight_skew=9, seed=6)
-        assert generate(spec)[4] == generate(spec)[4]
+        for a, b in zip(generate(spec), generate(spec)):
+            np.testing.assert_array_equal(a, b)
+
+
+def _file_bytes(directory) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
 
 
 class TestWriteDataset:
@@ -151,3 +157,42 @@ class TestWriteDataset:
         assert g.n_edges == 300
         assert g.x_u.shape == (25, spec.n_blocks + spec.noise_dims)
         assert g.edges.w.max() <= 7
+
+    @pytest.mark.parametrize("case", DATASET_SPECS,
+                             ids=lambda c: "-".join(f"{k}={v}" for k, v in c.items()))
+    def test_equals_the_reference_writer(self, tmp_path, case):
+        """Byte-equal files, the same paths, and nothing else in the directory."""
+        spec = SyntheticSpec(**case)
+        got = write_dataset(spec, tmp_path / "got")
+        want = write_dataset_oracle(spec, tmp_path / "want")
+        assert got == {k: v.replace(str(tmp_path / "want"), str(tmp_path / "got"))
+                       for k, v in want.items()}
+        assert _file_bytes(tmp_path / "got") == _file_bytes(tmp_path / "want")
+
+    def test_failed_write_leaves_every_file_whole(self, tmp_path, monkeypatch):
+        """A write that fails part way through the last file leaves that file
+        with its old bytes, the files written before it whole, and no
+        temporary file."""
+        new_spec = SyntheticSpec(n_u=20, n_v=30, n_edges=100, seed=2)
+        write_dataset(SyntheticSpec(n_u=20, n_v=30, n_edges=100, seed=1), tmp_path / "data")
+        old = _file_bytes(tmp_path / "data")
+        write_dataset_oracle(new_spec, tmp_path / "new")
+        new = _file_bytes(tmp_path / "new")
+
+        def failing_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if "v_features" in str(path):
+                write = fh.write
+
+                def write_half(text):
+                    write(text[:len(text) // 2])
+                    raise OSError(28, "No space left on device")
+                fh.write = write_half
+            return fh
+
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write_dataset(new_spec, tmp_path / "data")
+        assert _file_bytes(tmp_path / "data") == {
+            "edges.csv": new["edges.csv"], "u_features.csv": new["u_features.csv"],
+            "v_features.csv": old["v_features.csv"]}

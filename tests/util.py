@@ -4,15 +4,18 @@ Oracles here are deliberately independent reimplementations (plain loops,
 dense algebra) of the code paths they verify.
 """
 
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
 from bilink import autodiff as ad
 from bilink import checkpoint
-from bilink.graph import BipartiteGraph, EdgeArray
-from bilink.synthetic import _block_of
+from bilink.errors import ValidationError, reading
+from bilink.graph import EDGE_HEADER, BipartiteGraph, EdgeArray
+from bilink.synthetic import _block_of, generate
 
 
 def make_graph(n_u, n_v, edge_tuples, d_u=3, d_v=4, rng=None):
@@ -78,6 +81,135 @@ def sample_pairs_oracle(rng, spec):
         extra = rng.choice(len(free), size=spec.n_edges - len(pairs), replace=False)
         pairs.extend(free[i] for i in extra)
     return np.array(pairs, dtype=np.int64)
+
+
+# Specs for the dataset writer and loader checks: the default at three seeds,
+# skewed weights, no block structure, no noise columns and the smallest set.
+DATASET_SPECS = [
+    *({"seed": s} for s in (0, 1, 7)),
+    {"weight_skew": 50, "seed": 7},
+    {"weight_skew": 300, "seed": 7},
+    {"block_structure": False, "seed": 7},
+    {"noise_dims": 0, "seed": 7},
+    {"n_u": 1, "n_v": 1, "n_edges": 1, "n_blocks": 1, "seed": 7},
+]
+
+
+def write_dataset_oracle(spec, out_dir) -> dict:
+    """`synthetic.write_dataset` as a per-edge tuple list written through
+    `csv.writer`, one feature value at a time. Its bytes are those of every
+    generated dataset."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    x_u, x_v, pairs, weights, times = generate(spec)
+    u_ids = [f"u{i}" for i in range(spec.n_u)]
+    v_ids = [f"v{i}" for i in range(spec.n_v)]
+    rows = [(u_ids[u], v_ids[v], int(w), int(t))
+            for (u, v), w, t in zip(pairs, weights, times)]
+
+    def write_features(path, ids, x):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id"] + [f"f{i + 1}" for i in range(x.shape[1])])
+            for raw_id, row in zip(ids, x):
+                writer.writerow([raw_id] + [f"{v:.10g}" for v in row])
+
+    edge_path = out_dir / "edges.csv"
+    with open(edge_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(EDGE_HEADER)
+        writer.writerows(rows)
+    u_path = out_dir / "u_features.csv"
+    v_path = out_dir / "v_features.csv"
+    write_features(u_path, u_ids, x_u)
+    write_features(v_path, v_ids, x_v)
+    return {"edges": str(edge_path), "u_features": str(u_path),
+            "v_features": str(v_path)}
+
+
+def _csv_rows_oracle(path, header_ok, header_text):
+    """Yields (line number of its last line, row) for each non-blank data row
+    of a CSV file whose stripped header satisfies `header_ok`; every row must
+    have as many columns as the header."""
+    with reading(path), open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or not header_ok([h.strip() for h in header]):
+            raise ValidationError(f"{path}: expected header {header_text}")
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValidationError(f"{path}:{reader.line_num}: expected {width} "
+                                      f"columns, got {len(row)}")
+            yield reader.line_num, row
+
+
+def _read_feature_csv_oracle(path) -> tuple:
+    """Returns (ids in file order, feature matrix). Header must be id,f1,...,fd."""
+    ids, rows = [], []
+    seen = {}
+    for lineno, row in _csv_rows_oracle(path, lambda h: len(h) >= 2 and h[0] == "id",
+                                        "id,f1,...,fd"):
+        raw_id = row[0]
+        if raw_id in seen:
+            raise ValidationError(
+                f"{path}:{lineno}: duplicate id {raw_id!r} (first at line {seen[raw_id]})")
+        seen[raw_id] = lineno
+        try:
+            values = [float(x) for x in row[1:]]
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: malformed feature value ({exc})")
+        ids.append(raw_id)
+        rows.append(values)
+    if not ids:
+        raise ValidationError(f"{path}: no feature rows")
+    x = np.asarray(rows, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if len(bad):
+        raise ValidationError(f"{path}:{seen[ids[bad[0]]]}: non-finite feature value")
+    return ids, x
+
+
+def load_graph_oracle(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
+    """`graph.load_graph` as a per-row loop over the CSV reader, each row
+    checked in full (column count, u id, v id, weight and timestamp parse,
+    weight finiteness) before the next is read. Its first failing check
+    names the error."""
+    u_ids, x_u = _read_feature_csv_oracle(u_feature_file)
+    v_ids, x_v = _read_feature_csv_oracle(v_feature_file)
+    u_index = {raw: i for i, raw in enumerate(u_ids)}
+    v_index = {raw: i for i, raw in enumerate(v_ids)}
+
+    eu, ev, ew, et = [], [], [], []
+    for lineno, (raw_u, raw_v, raw_w, raw_t) in _csv_rows_oracle(
+            edge_file, lambda h: h == EDGE_HEADER, ",".join(EDGE_HEADER)):
+        if raw_u not in u_index:
+            raise ValidationError(
+                f"{edge_file}:{lineno}: u_id {raw_u!r} has no feature row")
+        if raw_v not in v_index:
+            raise ValidationError(
+                f"{edge_file}:{lineno}: v_id {raw_v!r} has no feature row")
+        try:
+            w = float(raw_w)
+            t = int(raw_t)
+        except ValueError as exc:
+            raise ValidationError(f"{edge_file}:{lineno}: malformed row ({exc})")
+        if not (math.isfinite(w) and w > 0):
+            raise ValidationError(
+                f"{edge_file}:{lineno}: edge weight must be positive and "
+                f"finite, got {raw_w}")
+        eu.append(u_index[raw_u])
+        ev.append(v_index[raw_v])
+        ew.append(w)
+        et.append(t)
+    if not eu:
+        raise ValidationError(f"{edge_file}: no edges")
+
+    edges = EdgeArray(np.array(eu), np.array(ev), np.array(ew), np.array(et))
+    return BipartiteGraph(len(u_ids), len(v_ids), x_u, x_v, edges,
+                          tuple(u_ids), tuple(v_ids))
 
 
 def encode_oracle(params, adj, x_u, x_v, dropout_p=0.0, dropout_seed=0):
