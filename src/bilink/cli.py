@@ -22,7 +22,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import pipeline
 from .errors import TYPE_NAMES, ValidationError, reading
-from .graph import chronological_split
+from .graph import check_summed_weights, chronological_split
 from .rng import check_seed
 from .synthetic import SyntheticSpec, write_dataset
 from .training import (DECODER_MONITOR_FRACTION, DECODER_NEGATIVE_POOL_FACTOR,
@@ -193,6 +193,8 @@ def cmd_eval_only(args) -> int:
     graph, ds_hash = pipeline.load_dataset(args.edges, args.u_features, args.v_features)
     _check_widths(state, dec, graph)
     split = chronological_split(graph)
+    if cfg.weighted_pretrain:
+        check_summed_weights(split)
     metrics, info = evaluate_final(state, split, dec, cfg, seed)
     payload = {"dataset_hash": ds_hash, "seed": seed,
                "variant": cfg.variant_label, "metrics": metrics, "eval_info": info}

@@ -21,6 +21,8 @@ import scipy.sparse as sp
 from .errors import ValidationError, reading
 
 EDGE_HEADER = ["u_id", "v_id", "weight", "timestamp"]
+# Timestamps are stored as int64; a parsed one outside this range is malformed.
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 @dataclass
@@ -211,8 +213,8 @@ def load_graph(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
     referenced by an edge must have a feature row; feature-file nodes with
     no edges are kept as isolated nodes. The first edge row in file order
     that fails a check names the error; within a row the checks run in
-    order: column count, u id, v id, weight and timestamp parse, weight
-    positive and finite.
+    order: column count, u id, v id, weight and timestamp parse (the
+    timestamp within int64), weight positive and finite.
     """
     u_ids, x_u = _read_feature_csv(u_feature_file)
     v_ids, x_v = _read_feature_csv(v_feature_file)
@@ -227,6 +229,8 @@ def load_graph(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
     ev = list(map(v_index.get, cells[1::4]))
     ew = _converted(float, cells[2::4])
     et = _converted(int, cells[3::4])
+    if et and (min(et) not in _INT64 or max(et) not in _INT64):
+        del et[[t in _INT64 for t in et].index(False):]
     w = np.array(ew, dtype=np.float64)
     bad_w = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
     bad = min(_first_none(eu), _first_none(ev), len(ew), len(et),
@@ -240,7 +244,8 @@ def load_graph(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
             raise ValidationError(f"{where}: v_id {raw_v!r} has no feature row")
         try:
             float(raw_w)
-            int(raw_t)
+            if int(raw_t) not in _INT64:
+                raise ValueError(f"timestamp {raw_t} is outside the int64 range")
         except ValueError as exc:
             raise ValidationError(f"{where}: malformed row ({exc})")
         raise ValidationError(f"{where}: edge weight must be positive and "
@@ -325,6 +330,22 @@ def aggregate_pairs(edges: EdgeArray, n_v: int, use_weights: bool) -> tuple:
     w = (np.bincount(inverse, weights=edges.w, minlength=len(uniq)) if use_weights
          else np.ones(len(uniq)))
     return uniq // n_v, uniq % n_v, w
+
+
+def check_summed_weights(split: TemporalSplit) -> None:
+    """Raise a ValidationError naming the first pair, by its ids, whose train
+    and validation event weights sum to inf. Weights are positive, so when
+    this passes, every pair weight that weighted training sums over a subset
+    of those events is finite too."""
+    g = merge_graphs(split.train, split.val_edges)
+    u, v, w = aggregate_pairs(g.edges, g.n_v, use_weights=True)
+    bad = np.flatnonzero(np.isinf(w))
+    if len(bad):
+        i = int(bad[0])
+        pair = ((g.u_ids[u[i]], g.v_ids[v[i]]) if g.u_ids and g.v_ids
+                else (int(u[i]), int(v[i])))
+        raise ValidationError(f"the event weights of pair {pair} sum past the "
+                              "largest float; weighted training cannot use them")
 
 
 def normalized_adjacency(n_u: int, n_v: int, u: np.ndarray, v: np.ndarray,

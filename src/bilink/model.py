@@ -9,7 +9,7 @@ first, A_norm @ z @ W1 = (A_norm @ X) @ (P @ W1), with X the block-diagonal
 Layer 2 computes only the rows a caller reads. A_norm carries a self-loop
 on every node, so a node without edges, one unseen in training included, is
 embedded from its own features. A learned U UNK row is a training-time mask
-token (`training._substitute_unk`); no embedding reads it.
+token (`training.epoch_inputs`); no embedding reads it.
 
 Each network's parameters live in one `ParamStore`, read by name: the
 online network (encoder, U UNK row, U projector and predictor), its EMA

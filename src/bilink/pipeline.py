@@ -26,8 +26,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import metrics as mt
 from .errors import ValidationError
-from .graph import (BipartiteGraph, aggregate_pairs, chronological_split,
-                    complement_size, load_graph, sample_negatives)
+from .graph import (BipartiteGraph, aggregate_pairs, check_summed_weights,
+                    chronological_split, complement_size, load_graph, sample_negatives)
 from .model import state_checksum
 from .rng import check_seed, seed_int
 from .training import (ALL_VARIANTS, DECODER_NEGATIVE_POOL_FACTOR, VariantConfig,
@@ -216,7 +216,8 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
     pretrain run one after another in one task, and with `workers > 1` the
     tasks share one pool of at most `workers` forked processes. With
     `checkpoint_dirs` (one per variant), the tasks write their checkpoints.
-    Seeds, workers and the phase-2 sizes are checked first.
+    Seeds, workers, the phase-2 sizes and, when any config is weighted, the
+    summed pair weights before the test era are checked first.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -229,6 +230,8 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
         check_seed(seed, "seed list: seed")
     split = chronological_split(graph)
     _decoder_pool_size(split)
+    if any(cfg.weighted_pretrain or cfg.weighted_bce for cfg in cfgs):
+        check_summed_weights(split)
     tasks = []  # (row, indices of the variants sharing one pretrain)
     for row, seed in enumerate(seeds):
         groups = {}

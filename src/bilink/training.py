@@ -129,8 +129,30 @@ def _target_rows(state: ModelState, adj, x_u, x_v) -> np.ndarray:
     return encode(state.target, adj, x_u, x_v, slice(len(x_u), None)).data
 
 
-def _view_adjacency(n_u, n_v, view):
-    return normalized_adjacency(n_u, n_v, view.edge_u, view.edge_v, view.edge_w)
+def epoch_inputs(g: BipartiteGraph, pairs, cfg: VariantConfig, seed: int, epoch: int):
+    """Everything pretraining epoch `epoch` reads besides the parameters:
+    (view1, view2, corrupted, adj1, adj2, adjc, dropout_seed, unk_rows).
+
+    `pairs` is `pretrain`'s (u, v, w) collapse of `g`. Each part is drawn
+    from `seed` under its own tag: ("view", epoch, 1|2), ("corrupt", epoch),
+    ("dropout", epoch), ("unk", epoch). `unk_rows`, none at
+    `unk_substitution_rate` 0, are the U rows whose embeddings the step swaps
+    for the learned U UNK row, a training-time mask token.
+    """
+    views = [augmented_view(g.x_u, g.x_v, *pairs, feature_drop_p=cfg.feature_drop_p,
+                            base_keep=cfg.edge_keep_prob,
+                            seed=child_seed(seed, "view", epoch, i)) for i in (1, 2)]
+    views.append(corrupt_view(g, max(1, views[0].n_edges),
+                              child_seed(seed, "corrupt", epoch)))
+    adjs = [normalized_adjacency(g.n_u, g.n_v, v.edge_u, v.edge_v, v.edge_w)
+            for v in views]
+    dropout_seed = int(rng_for(seed, "dropout", epoch).integers(2 ** 31))
+    unk_rows = np.empty(0, dtype=np.int64)
+    if cfg.unk_substitution_rate > 0:
+        k_u = max(1, int(round(cfg.unk_substitution_rate * g.n_u)))
+        unk_rows = rng_for(seed, "unk", epoch).choice(g.n_u, size=min(k_u, g.n_u),
+                                                      replace=False)
+    return (*views, *adjs, dropout_seed, unk_rows)
 
 
 def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
@@ -157,7 +179,7 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
 
     # Collapsed modeling edges: phase 1's one edge-weighting site (weight 1
     # for every pair under unweighted pretraining).
-    cu, cv, cw = aggregate_pairs(g.edges, g.n_v, use_weights=cfg.weighted_pretrain)
+    pairs = aggregate_pairs(g.edges, g.n_v, use_weights=cfg.weighted_pretrain)
 
     # An epoch's views, adjacencies and target rows stay bound until the next
     # epoch rebinds them, so the allocator keeps their pages rather than
@@ -171,22 +193,8 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
     # which lives as long as the store and which `adam_step` zeroes.
     trace = []
     for epoch in range(cfg.pretrain_epochs):
-        view1 = augmented_view(g.x_u, g.x_v, cu, cv, cw,
-                               feature_drop_p=cfg.feature_drop_p,
-                               base_keep=cfg.edge_keep_prob,
-                               seed=child_seed(seed, "view", epoch, 1))
-        view2 = augmented_view(g.x_u, g.x_v, cu, cv, cw,
-                               feature_drop_p=cfg.feature_drop_p,
-                               base_keep=cfg.edge_keep_prob,
-                               seed=child_seed(seed, "view", epoch, 2))
-        corrupted = corrupt_view(g, max(1, view1.n_edges),
-                                 child_seed(seed, "corrupt", epoch))
-
-        adj1 = _view_adjacency(g.n_u, g.n_v, view1)
-        adj2 = _view_adjacency(g.n_u, g.n_v, view2)
-        adjc = _view_adjacency(g.n_u, g.n_v, corrupted)
-        dropout_seed = int(rng_for(seed, "dropout", epoch).integers(2 ** 31))
-
+        (view1, view2, corrupted, adj1, adj2, adjc, dropout_seed,
+         unk_rows) = epoch_inputs(g, pairs, cfg, seed, epoch)
         for checked in (False, True):
             try:
                 with ad.finite_checks(checked):
@@ -197,7 +205,8 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
                         h_u = encode(state.online, adj1, view1.x_u, view1.x_v,
                                      slice(0, g.n_u), dropout_p=cfg.dropout,
                                      dropout_seed=dropout_seed)
-                        h_u = _substitute_unk(state, cfg, h_u, seed, epoch)
+                        if len(unk_rows):
+                            h_u = ad.replace_rows(h_u, unk_rows, state.online["encoder.unk_u"])
                         p_u = mlp_forward(state.online, "heads.predictor_u",
                                           mlp_forward(state.online, "heads.projector_u", h_u))
                         attr = attractive_loss(p_u, tgt2_v, view1.edge_u, view1.edge_v,
@@ -220,19 +229,6 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
         trace.append({"epoch": epoch, "total": total.item(),
                       "attractive": attr.item(), "repulsive": rep.item()})
     return state, trace
-
-
-def _substitute_unk(state, cfg, h_u, seed, epoch):
-    """Swap a small random U subset's embeddings for the learned U UNK row,
-    a training-time mask token; no embedding reads the row after training."""
-    rate = cfg.unk_substitution_rate
-    if rate <= 0:
-        return h_u
-    rng = rng_for(seed, "unk", epoch)
-    n_u = h_u.shape[0]
-    k_u = max(1, int(round(rate * n_u)))
-    idx_u = rng.choice(n_u, size=min(k_u, n_u), replace=False)
-    return ad.replace_rows(h_u, idx_u, state.online["encoder.unk_u"])
 
 
 def extract_embeddings(state: ModelState, graph: BipartiteGraph,

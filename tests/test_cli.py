@@ -408,6 +408,70 @@ class TestUnreadableInput:
         assert_one_error_line(capsys, str(bad_files[which]))
 
 
+def with_extra_edges(data_dir, out_dir, rows):
+    """Copy of a gen-synth dataset with `rows` appended to its edge file."""
+    out_dir.mkdir()
+    for name in ("u_features.csv", "v_features.csv"):
+        (out_dir / name).write_bytes((data_dir / name).read_bytes())
+    text = (data_dir / "edges.csv").read_text() + "".join(f"{r}\n" for r in rows)
+    (out_dir / "edges.csv").write_text(text)
+    return out_dir, text.count("\n")
+
+
+def with_heavy_pair(data_dir, out_dir):
+    """Copy of a gen-synth dataset with two more train-era events of its
+    first pair, whose weights sum to inf. Returns (dir, the pair's ids)."""
+    rows = (data_dir / "edges.csv").read_text().splitlines()[1:]
+    u_id, v_id = rows[0].split(",")[:2]
+    t_min = min(int(row.split(",")[3]) for row in rows)
+    data, _ = with_extra_edges(data_dir, out_dir, [f"{u_id},{v_id},1e308,{t_min}"] * 2)
+    return data, f"('{u_id}', '{v_id}')"
+
+
+def no_pretrain(*args):
+    raise AssertionError("pretrain called")
+
+
+class TestUnrepresentableInput:
+    """Input that passes its value checks but that training cannot represent
+    exits EXIT_VALIDATION with one line before any seed runs."""
+
+    @pytest.fixture(scope="class")
+    def heavy_pair(self, dataset, tmp_path_factory):
+        return with_heavy_pair(dataset, tmp_path_factory.mktemp("heavy") / "data")
+
+    @pytest.mark.parametrize("earlier", [[], ["u0,v0,0,1"]], ids=["alone", "after-fault"])
+    def test_timestamp_outside_int64(self, dataset, tmp_path, capsys, earlier):
+        data, n_lines = with_extra_edges(dataset, tmp_path / "data",
+                                         [*earlier, "u0,v0,1,99999999999999999999999"])
+        out = tmp_path / "out"
+        assert main(["run", *dataset_flags(data), "--seeds", "42",
+                     "--out-dir", str(out), *FAST_FLAGS]) == EXIT_VALIDATION
+        want = ("edge weight must be positive" if earlier
+                else "malformed row (timestamp 99999999999999999999999 is outside")
+        assert_one_error_line(capsys, f"edges.csv:{n_lines - len(earlier)}: {want}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("run", ["--weighted-pretrain", "true"]), ("run", ["--weighted-bce", "true"]),
+        ("ablate", []),
+    ])
+    def test_overflowing_pair_weight(self, heavy_pair, tmp_path, capsys, monkeypatch,
+                                     command, flags):
+        data, pair = heavy_pair
+        monkeypatch.setattr(pipeline, "pretrain", no_pretrain)
+        out = tmp_path / "out"
+        assert main([command, *dataset_flags(data), "--seeds", "42",
+                     "--out-dir", str(out), *FAST_FLAGS, *flags]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"pair {pair} sum past the largest float")
+        assert not out.exists()
+
+    def test_unweighted_run_of_overflowing_pair_passes(self, heavy_pair, tmp_path):
+        data, _ = heavy_pair
+        assert main(["run", *dataset_flags(data), "--seeds", "42",
+                     "--out-dir", str(tmp_path / "out"), *FAST_FLAGS]) == EXIT_OK
+
+
 class TestConfigPrecedence:
     def test_flags_beat_file_beat_defaults(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -667,6 +731,16 @@ class TestCheckpointFiles:
         assert self._eval(parent_data, model=model) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err == f"error: {model}: {problem}\n"
+
+    def test_overflowing_pair_weight_exits_validation_when_weighted(
+            self, parent_data, tmp_path, capsys):
+        data, pair = with_heavy_pair(parent_data, tmp_path / "heavy")
+        assert self._eval(data) == EXIT_OK
+        capsys.readouterr()
+        model = self._resaved(tmp_path, DATA / "parent_model.npz",
+                              edit_config=lambda c: c.update(weighted_pretrain=True))
+        assert self._eval(data, model=model) == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"pair {pair} sum past the largest float")
 
     def test_missing_key_exits_validation(self, parent_data, tmp_path, capsys):
         model = self._resaved(tmp_path, DATA / "parent_model.npz",

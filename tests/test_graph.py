@@ -91,6 +91,29 @@ class TestLoadGraph:
         with pytest.raises(ValidationError, match=":3"):
             load_graph(*paths)
 
+    def test_timestamp_outside_int64_names_line(self, tmp_path):
+        edges = ["a,x,1,-9223372036854775808", "a,x,1,9223372036854775807"]
+        paths = write_dataset(tmp_path, edges, ["a,0,0"], ["x,0,0"])
+        assert load_graph(*paths).edges.t.tolist() == [-2 ** 63, 2 ** 63 - 1]
+        for huge in ("9223372036854775808", "-9223372036854775809",
+                     "99999999999999999999999"):
+            paths = write_dataset(tmp_path, [*edges, f"a,x,1,{huge}", "a,x,oops,1"],
+                                  ["a,0,0"], ["x,0,0"])
+            with pytest.raises(ValidationError, match=rf"edges.csv:4: malformed row "
+                                                      rf"\(timestamp {huge} is outside"):
+                load_graph(*paths)
+
+    def test_earlier_fault_wins_over_timestamp_outside_int64(self, tmp_path):
+        paths = write_dataset(tmp_path, ["a,x,1,10", "a,x,inf,20", "a,x,1,1e400",
+                                         "a,x,1,99999999999999999999999"],
+                              ["a,0,0"], ["x,0,0"])
+        with pytest.raises(ValidationError, match="edges.csv:3: edge weight"):
+            load_graph(*paths)
+        paths = write_dataset(tmp_path, ["ghost,x,1,99999999999999999999999"],
+                              ["a,0,0"], ["x,0,0"])
+        with pytest.raises(ValidationError, match="edges.csv:2: u_id 'ghost'"):
+            load_graph(*paths)
+
     def test_line_numbers_count_lines_inside_quoted_fields(self, tmp_path):
         paths = write_dataset(tmp_path, ["c,x,1,10"], ['"a\nb",0,0', "c,0,oops"],
                               ["x,0,0"])

@@ -18,7 +18,7 @@ from bilink.pipeline import run_seed
 from bilink.synthetic import SyntheticSpec, write_dataset
 from bilink.training import (VariantConfig, decoder_bce_examples, evaluate_final,
                              extract_embeddings, pretrain, train_decoder)
-from util import make_graph
+from util import epoch_inputs_oracle, make_graph
 
 SMALL = dict(input_dim=12, hidden_dim=12, output_dim=8,
              decoder_hidden_dims=(16, 8))
@@ -91,6 +91,35 @@ class TestVariantConfig:
         assert values == (1, 1, 0.5, 8, (4, 2))
         assert [type(v) for v in values] == [int, int, float, int, tuple]
         json.dumps(dataclasses.asdict(cfg))
+
+
+class TestEpochInputs:
+    @pytest.mark.parametrize("skew,overrides", [
+        (1, {}), (50, {"weighted_pretrain": True}), (1, {"unk_substitution_rate": 0.0}),
+    ], ids=["default", "skew-50-weighted", "unk-rate-0"])
+    def test_equal_to_parent_inline_block(self, tmp_path, skew, overrides):
+        paths = write_dataset(SyntheticSpec(seed=7, weight_skew=skew), tmp_path)
+        g = chronological_split(load_graph(paths["edges"], paths["u_features"],
+                                           paths["v_features"])).train
+        cfg = VariantConfig(**overrides)
+        pairs = aggregate_pairs(g.edges, g.n_v, use_weights=cfg.weighted_pretrain)
+        for epoch in range(3):
+            *views_adjs, dropout_seed, unk_rows = training.epoch_inputs(
+                g, pairs, cfg, 42, epoch)
+            *want_views_adjs, want_seed, want_rows = epoch_inputs_oracle(g, cfg, 42, epoch)
+            for view, want in zip(views_adjs[:3], want_views_adjs[:3]):
+                for name in ("x_u", "x_v", "edge_u", "edge_v", "edge_w"):
+                    np.testing.assert_array_equal(getattr(view, name), getattr(want, name))
+            for adj, want in zip(views_adjs[3:], want_views_adjs[3:]):
+                assert adj.shape == want.shape
+                for name in ("data", "indices", "indptr"):
+                    np.testing.assert_array_equal(getattr(adj, name), getattr(want, name))
+            assert dropout_seed == want_seed
+            if want_rows is None:
+                assert unk_rows.size == 0
+            else:
+                np.testing.assert_array_equal(unk_rows, want_rows)
+        assert (want_rows is None) == (cfg.unk_substitution_rate == 0)
 
 
 class TestPretrain:
@@ -211,11 +240,13 @@ class TestPretrain:
     def test_nan_in_one_op_is_named_through_the_replay(self, monkeypatch):
         """A NaN put into each PReLU output of epoch 2 passes the unchecked
         forward, trips a later check, and the checked replay of the epoch
-        names the op; epoch 2 makes no EMA update."""
+        names the op; epoch 2 makes no EMA update and builds its inputs
+        once."""
         split = small_split(seed=6)
         cfg = VariantConfig(pretrain_epochs=4, **SMALL)
-        epochs_done, injected = [], []
-        real_ema, real_apply = training.ema_update, ad._apply
+        epochs_done, injected, inputs_built = [], [], []
+        real_ema, real_apply, real_inputs = (training.ema_update, ad._apply,
+                                             training.epoch_inputs)
 
         def counting_ema(state, tau):
             epochs_done.append(len(epochs_done))
@@ -228,11 +259,17 @@ class TestPretrain:
                 injected.append(getattr(ad._local, "check_finite", True))
             return real_apply(op, out, parents, backward_fn)
 
+        def counting_inputs(g, pairs, cfg, seed, epoch):
+            inputs_built.append(epoch)
+            return real_inputs(g, pairs, cfg, seed, epoch)
+
         monkeypatch.setattr(training, "ema_update", counting_ema)
+        monkeypatch.setattr(training, "epoch_inputs", counting_inputs)
         monkeypatch.setattr(ad, "_apply", injecting_apply)
         with pytest.raises(FloatingPointError, match=r"prelu \(pretraining epoch 2\)"):
             pretrain(split, cfg, seed=7)
         assert epochs_done == [0, 1]
+        assert inputs_built == [0, 1, 2]  # the replay reuses epoch 2's inputs
         assert injected[0] is False and injected[-1] is True
 
     def test_default_epoch_products_have_reordered_shapes(self, monkeypatch, tmp_path):

@@ -13,8 +13,11 @@ import numpy as np
 
 from bilink import autodiff as ad
 from bilink import checkpoint
+from bilink.augment import augmented_view, corrupt_view
 from bilink.errors import ValidationError, reading
-from bilink.graph import EDGE_HEADER, BipartiteGraph, EdgeArray
+from bilink.graph import (EDGE_HEADER, BipartiteGraph, EdgeArray, aggregate_pairs,
+                          normalized_adjacency)
+from bilink.rng import child_seed, rng_for
 from bilink.synthetic import _block_of, generate
 
 
@@ -226,6 +229,40 @@ def encode_oracle(params, adj, x_u, x_v, dropout_p=0.0, dropout_seed=0):
         h = ad.dropout_mask(h, dropout_p, dropout_seed)
     h = ad.sparse_dense_matmul(adj, ad.matmul(h, params["encoder.conv2"])).data
     return h[:len(x_u)], h[len(x_u):]
+
+
+def epoch_inputs_oracle(g, cfg, seed, epoch):
+    """`training.epoch_inputs` as `pretrain` built it inline, with the
+    adjacency helper and the UNK row draw it called. `unk_rows` is None
+    where no row was substituted."""
+    def _view_adjacency(n_u, n_v, view):
+        return normalized_adjacency(n_u, n_v, view.edge_u, view.edge_v, view.edge_w)
+
+    cu, cv, cw = aggregate_pairs(g.edges, g.n_v, use_weights=cfg.weighted_pretrain)
+    view1 = augmented_view(g.x_u, g.x_v, cu, cv, cw,
+                           feature_drop_p=cfg.feature_drop_p,
+                           base_keep=cfg.edge_keep_prob,
+                           seed=child_seed(seed, "view", epoch, 1))
+    view2 = augmented_view(g.x_u, g.x_v, cu, cv, cw,
+                           feature_drop_p=cfg.feature_drop_p,
+                           base_keep=cfg.edge_keep_prob,
+                           seed=child_seed(seed, "view", epoch, 2))
+    corrupted = corrupt_view(g, max(1, view1.n_edges),
+                             child_seed(seed, "corrupt", epoch))
+
+    adj1 = _view_adjacency(g.n_u, g.n_v, view1)
+    adj2 = _view_adjacency(g.n_u, g.n_v, view2)
+    adjc = _view_adjacency(g.n_u, g.n_v, corrupted)
+    dropout_seed = int(rng_for(seed, "dropout", epoch).integers(2 ** 31))
+
+    idx_u = None
+    rate = cfg.unk_substitution_rate
+    if rate > 0:
+        rng = rng_for(seed, "unk", epoch)
+        n_u = g.n_u
+        k_u = max(1, int(round(rate * n_u)))
+        idx_u = rng.choice(n_u, size=min(k_u, n_u), replace=False)
+    return view1, view2, corrupted, adj1, adj2, adjc, dropout_seed, idx_u
 
 
 def resave_checkpoint(path, arrays, meta):
