@@ -6,8 +6,8 @@ import pytest
 
 from bilink.errors import ValidationError
 from bilink.graph import (BipartiteGraph, EdgeArray, build_weighted_adjacency,
-                          chronological_split, complement_size, load_graph,
-                          normalized_adjacency, sample_negatives)
+                          check_summed_weights, chronological_split, complement_size,
+                          load_graph, normalized_adjacency, sample_negatives)
 from bilink.synthetic import SyntheticSpec
 from bilink.synthetic import write_dataset as write_synthetic
 from util import (DATASET_SPECS, dense_normalized_adjacency, load_graph_oracle,
@@ -484,3 +484,16 @@ class TestAdjacency:
         empty = np.array([], dtype=np.int64)
         adj = normalized_adjacency(2, 3, empty, empty, np.array([]))
         np.testing.assert_array_equal(adj.toarray(), np.eye(5))
+
+
+def test_summed_weights_checked_before_the_test_era_only():
+    """Events at t 0-7 train, 8 validates, 9 tests; an in-memory graph has
+    no ids, so the pair is named by its indices."""
+    events = [(0, 0, 1.0, t) for t in range(6)] + [(1, 2, 1e308, 6), (0, 1, 1.0, 7)]
+    split = chronological_split(make_graph(2, 3, [*events, (1, 2, 1e308, 8),
+                                                  (1, 2, 1e308, 9)]))
+    with pytest.raises(ValidationError, match=r"pair \(1, 2\) sum past"):
+        check_summed_weights(split)
+    split = chronological_split(make_graph(2, 3, [*events, (0, 1, 1.0, 8),
+                                                  (1, 2, 1e308, 9)]))
+    check_summed_weights(split)
