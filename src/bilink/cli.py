@@ -31,6 +31,7 @@ from .training import (DECODER_MONITOR_FRACTION, DECODER_NEGATIVE_POOL_FACTOR,
 WORKERS_HELP = ("worker processes; one task per (seed, pretraining config), each "
                 "on one BLAS thread so that workers do not oversubscribe the "
                 "cores and results do not depend on the worker count")
+WEIGHT_SKEW_HELP = "power-law weight cap; 1 means unweighted"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -43,12 +44,10 @@ _REMOVED_FIELDS = {"num_layers": 2, "final_layer_relu": False,
                    "decoder_monitor_fraction": DECODER_MONITOR_FRACTION,
                    "decoder_negative_pool_factor": DECODER_NEGATIVE_POOL_FACTOR,
                    "eval_negative_ratio": 1.0}
-# gen-synth's typed flags: SyntheticSpec fields, with help where the name
-# does not say enough.
-_SYNTH_FLAGS = {"n_u": None, "n_v": None, "n_edges": None,
-                "weight_skew": "power-law weight cap; 1 means unweighted",
-                "n_blocks": None, "intra_prob": None, "time_span": None, "seed": None}
-_SPEC_TYPES = {f.name: f.type for f in dataclasses.fields(SyntheticSpec)}
+# gen-synth's typed flags: one per SyntheticSpec field but block_structure,
+# which `--no-blocks` sets.
+_SYNTH_TYPES = {f.name: f.type for f in dataclasses.fields(SyntheticSpec)
+                if f.name != "block_structure"}
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
@@ -116,8 +115,8 @@ def _add_dataset_flags(parser):
 
 
 def cmd_gen_synth(args) -> int:
-    values = {name: _parse_value(name, getattr(args, name), _SPEC_TYPES[name])
-              for name in _SYNTH_FLAGS if getattr(args, name) is not None}
+    values = {name: _parse_value(name, getattr(args, name), kind)
+              for name, kind in _SYNTH_TYPES.items() if getattr(args, name) is not None}
     spec = SyntheticSpec(**values, block_structure=not args.no_blocks)
     paths = write_dataset(spec, args.out_dir)
     print(json.dumps(paths, indent=2))
@@ -241,8 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
     # command. Unset gen-synth flags stay None and take SyntheticSpec's
     # defaults.
     p = sub.add_parser("gen-synth", help="write a synthetic planted-block dataset")
-    for name, help_ in _SYNTH_FLAGS.items():
-        p.add_argument("--" + name.replace("_", "-"), help=help_)
+    for name in _SYNTH_TYPES:
+        p.add_argument("--" + name.replace("_", "-"),
+                       help=WEIGHT_SKEW_HELP if name == "weight_skew" else None)
     p.add_argument("--no-blocks", action="store_true",
                    help="uniform random edges (no learnable structure)")
     p.add_argument("--out-dir", required=True)

@@ -49,13 +49,25 @@ def _fits(value, kind) -> bool:
     return isinstance(value, {bool: bool, int: numbers.Integral, float: numbers.Real}[kind])
 
 
-def check_field_types(obj) -> None:
+def setting(default, ok, rule: str):
+    """A dataclass field with default `default` whose value `check_fields`
+    accepts when `ok(value)`; `rule` says so in the error message."""
+    return dataclasses.field(default=default, metadata={"ok": ok, "rule": rule})
+
+
+def check_fields(obj) -> None:
     """Check every field of the dataclass instance `obj` against its
-    annotation, and store a numpy scalar as a Python one and a tuple field as
-    a tuple of ints, so that the instance stays JSON."""
-    for f in dataclasses.fields(obj):
+    annotation, then every `setting` against its rule, each in declaration
+    order. A numpy scalar is stored as a Python one and a tuple field as a
+    tuple of ints, so that the instance stays JSON."""
+    fields = dataclasses.fields(obj)
+    for f in fields:
         value = getattr(obj, f.name)
         if not _fits(value, f.type):
             raise ValidationError(f"{f.name} must be {TYPE_NAMES[f.type]}, got {value!r}")
         setattr(obj, f.name, tuple(map(int, value)) if f.type is tuple
                 else value.item() if isinstance(value, np.generic) else value)
+    for f in fields:
+        value = getattr(obj, f.name)
+        if "ok" in f.metadata and not f.metadata["ok"](value):
+            raise ValidationError(f"{f.name} must be {f.metadata['rule']}, got {value!r}")

@@ -97,14 +97,7 @@ def run_seed(split, cfg: VariantConfig, seed: int, pretrained=None) -> dict:
         "variant": cfg.variant_label,
         "config": dataclasses.asdict(cfg),
         "pretrain_trace": trace,
-        "decoder": {
-            "best_epoch": record.best_epoch,
-            "best_monitor_score": record.best_score,
-            "epochs_run": record.epochs_run,
-            "monitor_metric": record.monitor_metric,
-            "monitor_history": record.monitor_history,
-            "stopped_at_early_best": record.stopped_at_early_best,
-        },
+        "decoder": dataclasses.asdict(record),
         "encoder_checksum_before_decoder": checksum_before,
         "encoder_checksum_after_decoder": checksum_after,
         "metrics": metrics,

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import atomic_write
-from .errors import ValidationError, check_field_types
+from .errors import ValidationError, check_fields, setting
 from .graph import EDGE_HEADER
 
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -23,37 +23,29 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _MAX_CHUNK = 1 << 20
 
 
+# Std of the Gaussian noise on every feature value, and the number of
+# pure-noise feature columns after the community indicators.
+FEATURE_NOISE = 0.1
+NOISE_DIMS = 2
+
+
 @dataclass
 class SyntheticSpec:
-    n_u: int = 200
-    n_v: int = 300
-    n_edges: int = 4000
-    weight_skew: int = 1
+    n_u: int = setting(200, lambda n: 1 <= n < 2 ** 31, "in [1, 2**31)")
+    n_v: int = setting(300, lambda n: 1 <= n < 2 ** 31, "in [1, 2**31)")
+    n_edges: int = setting(4000, lambda n: 1 <= n < 2 ** 31, "in [1, 2**31)")
+    weight_skew: int = setting(1, lambda n: 1 <= n < 2 ** 63, "in [1, 2**63)")
     block_structure: bool = True
-    n_blocks: int = 10
-    intra_prob: float = 0.95
-    time_span: int = 1000
-    feature_noise: float = 0.1
-    noise_dims: int = 2
-    seed: int = 0
+    n_blocks: int = setting(10, lambda n: n >= 1, ">= 1")
+    intra_prob: float = setting(0.95, lambda p: 0 <= p <= 1, "in [0, 1]")
+    time_span: int = setting(1000, lambda n: 1 <= n < 2 ** 63, "in [1, 2**63)")
+    seed: int = setting(0, lambda n: n >= 0, ">= 0")
 
     def __post_init__(self):
         """Each field's type, then its range, before any draw: the pair
-        sampler does integer arithmetic on these values."""
-        check_field_types(self)
-        if not all(1 <= n < 2 ** 31 for n in (self.n_u, self.n_v, self.n_edges)):
-            raise ValidationError(f"sizes must be in [1, 2**31), got n_u={self.n_u}, "
-                                  f"n_v={self.n_v}, n_edges={self.n_edges}")
-        for name, ok, rule in (
-                ("weight_skew", self.weight_skew >= 1, ">= 1"),
-                ("n_blocks", self.n_blocks >= 1, ">= 1"),
-                ("time_span", self.time_span >= 1, ">= 1"),
-                ("intra_prob", 0 <= self.intra_prob <= 1, "in [0, 1]"),
-                ("feature_noise", 0 <= self.feature_noise < np.inf, "finite and >= 0"),
-                ("noise_dims", self.noise_dims >= 0, ">= 0"),
-                ("seed", self.seed >= 0, ">= 0")):
-            if not ok:
-                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)}")
+        sampler does integer arithmetic on these values, and the weights and
+        timestamps are int64."""
+        check_fields(self)
         if self.n_edges > self.n_u * self.n_v:
             raise ValidationError(
                 f"cannot place {self.n_edges} distinct pairs in a "
@@ -66,11 +58,11 @@ def _block_of(idx: np.ndarray, n_nodes: int, n_blocks: int) -> np.ndarray:
     return (idx * n_blocks) // n_nodes
 
 
-def _features(rng, n_nodes, n_blocks, noise, noise_dims):
+def _features(rng, n_nodes, n_blocks):
     blocks = _block_of(np.arange(n_nodes), n_nodes, n_blocks)
-    x = np.zeros((n_nodes, n_blocks + noise_dims))
+    x = np.zeros((n_nodes, n_blocks + NOISE_DIMS))
     x[np.arange(n_nodes), blocks] = 1.0
-    x += noise * rng.normal(size=x.shape)
+    x += FEATURE_NOISE * rng.normal(size=x.shape)
     return x
 
 
@@ -205,8 +197,8 @@ def generate(spec: SyntheticSpec):
     (n_edges, 2) int64 (u, v) index pairs, and each edge's integer weight
     and timestamp. Node i of U is named `u{i}` and of V `v{i}`."""
     rng = np.random.default_rng(spec.seed)
-    x_u = _features(rng, spec.n_u, spec.n_blocks, spec.feature_noise, spec.noise_dims)
-    x_v = _features(rng, spec.n_v, spec.n_blocks, spec.feature_noise, spec.noise_dims)
+    x_u = _features(rng, spec.n_u, spec.n_blocks)
+    x_v = _features(rng, spec.n_v, spec.n_blocks)
     pairs = _sample_pairs(rng, spec)
     weights = _sample_weights(rng, spec.n_edges, spec.weight_skew)
     times = rng.integers(0, spec.time_span, size=spec.n_edges)

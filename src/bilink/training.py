@@ -13,7 +13,7 @@ from . import autodiff as ad
 from . import metrics as mt
 from .augment import augmented_view, corrupt_view
 from .autodiff import Tape, backward
-from .errors import TrainingError, ValidationError, check_field_types
+from .errors import TrainingError, ValidationError, check_fields, setting
 from .graph import (BipartiteGraph, TemporalSplit, aggregate_pairs,
                     build_weighted_adjacency, complement_size, merge_graphs,
                     normalized_adjacency, sample_negatives)
@@ -30,31 +30,6 @@ from .rng import child_seed, rng_for, seed_int
 DECODER_MONITOR_FRACTION = 0.1
 DECODER_NEGATIVE_POOL_FACTOR = 5.0
 
-# Range of every numeric VariantConfig field (and of each decoder width),
-# checked after its type before any training, so that a bad value fails fast
-# instead of mid-run or silently.
-_FIELD_RULES = {
-    "loss_balance": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
-    "tau": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
-    "dropout": (lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
-    "feature_drop_p": (lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
-    "edge_keep_prob": (lambda x: 0.0 < x <= 1.0, "in (0, 1]"),
-    "unk_substitution_rate": (lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
-    "lr": (lambda x: 0 < x < math.inf, "finite and > 0"),
-    "weight_decay": (lambda x: 0 <= x < math.inf, "finite and >= 0"),
-    "pretrain_epochs": (lambda x: x >= 0, ">= 0"),
-    "patience": (lambda x: x >= 0, ">= 0"),
-    "decoder_epochs": (lambda x: x >= 1, ">= 1"),
-    "batch_size": (lambda x: x >= 1, ">= 1"),
-    "hits_k": (lambda x: x >= 1, ">= 1"),
-    "input_dim": (lambda x: x >= 1, ">= 1"),
-    "hidden_dim": (lambda x: x >= 1, ">= 1"),
-    "output_dim": (lambda x: x >= 1, ">= 1"),
-    "decoder_hidden_dims": (lambda x: len(x) > 0 and min(x) >= 1,
-                            "one or more widths >= 1"),
-}
-
-
 @dataclass
 class VariantConfig:
     """One cell of the weighting ablation grid plus shared hyperparameters.
@@ -68,33 +43,32 @@ class VariantConfig:
 
     weighted_pretrain: bool = False
     weighted_bce: bool = False
-    loss_balance: float = 0.5
-    tau: float = 0.99
-    hidden_dim: int = 256
-    output_dim: int = 128
-    dropout: float = 0.2
-    lr: float = 0.001
-    weight_decay: float = 1e-5
-    batch_size: int = 512
-    pretrain_epochs: int = 200
-    decoder_epochs: int = 100
-    patience: int = 10
-    feature_drop_p: float = 0.1
+    loss_balance: float = setting(0.5, lambda x: 0 <= x <= 1, "in [0, 1]")
+    tau: float = setting(0.99, lambda x: 0 <= x <= 1, "in [0, 1]")
+    hidden_dim: int = setting(256, lambda x: x >= 1, ">= 1")
+    output_dim: int = setting(128, lambda x: x >= 1, ">= 1")
+    dropout: float = setting(0.2, lambda x: 0 <= x < 1, "in [0, 1)")
+    lr: float = setting(0.001, lambda x: 0 < x < math.inf, "finite and > 0")
+    weight_decay: float = setting(1e-5, lambda x: 0 <= x < math.inf, "finite and >= 0")
+    batch_size: int = setting(512, lambda x: x >= 1, ">= 1")
+    pretrain_epochs: int = setting(200, lambda x: x >= 0, ">= 0")
+    decoder_epochs: int = setting(100, lambda x: x >= 1, ">= 1")
+    patience: int = setting(10, lambda x: x >= 0, ">= 0")
+    feature_drop_p: float = setting(0.1, lambda x: 0 <= x < 1, "in [0, 1)")
     # Secondary knobs (not part of the shared grid defaults above).
-    edge_keep_prob: float = 0.8
-    input_dim: int = 256
-    decoder_hidden_dims: tuple = (256, 64)
-    unk_substitution_rate: float = 0.01
-    hits_k: int = 50
+    edge_keep_prob: float = setting(0.8, lambda x: 0 < x <= 1, "in (0, 1]")
+    input_dim: int = setting(256, lambda x: x >= 1, ">= 1")
+    decoder_hidden_dims: tuple = setting((256, 64), lambda x: len(x) > 0 and min(x) >= 1,
+                                         "one or more widths >= 1")
+    unk_substitution_rate: float = setting(0.01, lambda x: 0 <= x <= 1, "in [0, 1]")
+    hits_k: int = setting(50, lambda x: x >= 1, ">= 1")
 
     def __post_init__(self):
-        """One type and range check for flags, files, checkpoints and callers.
-        A numpy scalar is stored as a Python one, so the config stays JSON."""
-        check_field_types(self)
-        for name, (ok, rule) in _FIELD_RULES.items():
-            value = getattr(self, name)
-            if not ok(value):
-                raise ValidationError(f"{name} must be {rule}, got {value!r}")
+        """One type and range check for flags, files, checkpoints and callers,
+        before any training, so that a bad value fails fast instead of mid-run
+        or silently. A numpy scalar is stored as a Python one, so the config
+        stays JSON."""
+        check_fields(self)
 
     @property
     def variant_label(self) -> str:
@@ -265,10 +239,11 @@ class DecoderRecord:
     when the monitor slice holds `hits_k` negatives or fewer: there a Hits@K
     hit means beating the weakest negative, or every epoch reads 1.0.
     `stopped_at_early_best` says that patience ran out after a best epoch
-    of 0 or 1: the decoder likely never left its starting plateau."""
+    of 0 or 1: the decoder likely never left its starting plateau. A
+    manifest's "decoder" entry is this record as a dict."""
 
     best_epoch: int
-    best_score: float
+    best_monitor_score: float
     epochs_run: int
     monitor_metric: str
     monitor_history: list = field(default_factory=list)
@@ -353,7 +328,7 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
 
     dec.flat[...] = best[2]
     patience_ran_out = epochs_run - 1 - best[1] >= cfg.patience
-    record = DecoderRecord(best_epoch=best[1], best_score=best[0],
+    record = DecoderRecord(best_epoch=best[1], best_monitor_score=best[0],
                            epochs_run=epochs_run, monitor_metric=monitor_metric,
                            monitor_history=history,
                            stopped_at_early_best=patience_ran_out and best[1] <= 1)

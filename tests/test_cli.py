@@ -85,6 +85,18 @@ def test_cli_surface_is_pinned():
         "gen-synth": 10, "run": 26, "ablate": 26, "eval-only": 7, "inspect-checkpoint": 0}
 
 
+@pytest.mark.parametrize("cls,unruled", [
+    (VariantConfig, {"weighted_pretrain", "weighted_bce"}),
+    (SyntheticSpec, {"block_structure"}),
+])
+def test_every_setting_carries_a_rule(cls, unruled):
+    """A field added without a range would pass `check_fields` unchecked."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    assert unruled <= set(fields)
+    for name, f in fields.items():
+        assert ("rule" in f.metadata) == (name not in unruled), name
+
+
 class TestGenSynth:
     def test_writes_three_files(self, tmp_path):
         code = main(["gen-synth", "--n-u", "10", "--n-v", "12", "--n-edges", "50",
@@ -97,7 +109,9 @@ class TestGenSynth:
         assert len(lines) == 51
 
     @pytest.mark.parametrize("flags", [["--time-span", "0"], ["--n-blocks", "0"],
-                                       ["--intra-prob", "1.5"], ["--seed", "-1"]])
+                                       ["--intra-prob", "1.5"], ["--seed", "-1"],
+                                       ["--time-span", "100000000000000000000"],
+                                       ["--weight-skew", "100000000000000000000"]])
     def test_bad_spec_exits_validation(self, tmp_path, capsys, flags):
         code = main(["gen-synth", *flags, "--out-dir", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION

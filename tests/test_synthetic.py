@@ -6,8 +6,8 @@ import pytest
 from bilink import checkpoint
 from bilink.errors import ValidationError
 from bilink.graph import load_graph
-from bilink.synthetic import (SyntheticSpec, _block_of, _sample_pairs, generate,
-                              write_dataset)
+from bilink.synthetic import (NOISE_DIMS, SyntheticSpec, _block_of, _sample_pairs,
+                              generate, write_dataset)
 from util import DATASET_SPECS, sample_pairs_oracle, write_dataset_oracle
 
 
@@ -17,7 +17,7 @@ class TestSyntheticSpec:
             SyntheticSpec(n_u=3, n_v=3, n_edges=10)
 
     def test_nonpositive_sizes(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^n_u must be in \[1, 2\*\*31\), got 0$"):
             SyntheticSpec(n_u=0)
 
     def test_skew_below_one_rejected(self):
@@ -26,12 +26,10 @@ class TestSyntheticSpec:
 
     @pytest.mark.parametrize("field,value", [
         ("time_span", 0), ("n_blocks", 0), ("intra_prob", -0.1),
-        ("intra_prob", 1.5), ("intra_prob", float("nan")),
-        ("feature_noise", -1.0), ("feature_noise", float("nan")),
-        ("noise_dims", -1), ("feature_noise", float("inf")), ("seed", -1),
+        ("intra_prob", 1.5), ("intra_prob", float("nan")), ("seed", -1),
         ("block_structure", "false"), ("block_structure", 1), ("weight_skew", 2.5),
         ("n_edges", 10.0), ("seed", 1.5), ("intra_prob", "0.5"),
-        ("n_v", 2 ** 31), ("noise_dims", True),
+        ("n_v", 2 ** 31), ("time_span", 2 ** 63), ("weight_skew", 2 ** 63),
     ])
     def test_out_of_range_field_rejected(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -39,7 +37,7 @@ class TestSyntheticSpec:
 
     @pytest.mark.parametrize("field,value", [
         ("time_span", 1), ("n_blocks", 1), ("intra_prob", 0.0),
-        ("intra_prob", 1.0), ("feature_noise", 0.0), ("noise_dims", 0),
+        ("intra_prob", 1.0), ("time_span", 2 ** 63 - 1), ("weight_skew", 2 ** 63 - 1),
     ])
     def test_boundary_values_accepted(self, field, value):
         SyntheticSpec(**{field: value})
@@ -155,7 +153,7 @@ class TestWriteDataset:
         g = load_graph(paths["edges"], paths["u_features"], paths["v_features"])
         assert g.n_u == 25 and g.n_v == 35
         assert g.n_edges == 300
-        assert g.x_u.shape == (25, spec.n_blocks + spec.noise_dims)
+        assert g.x_u.shape == (25, spec.n_blocks + NOISE_DIMS)
         assert g.edges.w.max() <= 7
 
     @pytest.mark.parametrize("case", DATASET_SPECS,

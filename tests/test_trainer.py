@@ -437,8 +437,8 @@ class TestTrainDecoder:
         split, cfg, state, emb, pos, w, neg = self._setup()
         dec, record = train_decoder(emb, pos, w, neg, cfg, seed=2)
         assert record.epochs_run - 1 - record.best_epoch <= cfg.patience
-        assert record.best_score == max(record.monitor_history)
-        assert record.monitor_history[record.best_epoch] == record.best_score
+        assert record.best_monitor_score == max(record.monitor_history)
+        assert record.monitor_history[record.best_epoch] == record.best_monitor_score
 
     def test_best_checkpoint_restored(self):
         split, cfg, state, emb, pos, w, neg = self._setup(seed=21)

@@ -87,13 +87,14 @@ def sample_pairs_oracle(rng, spec):
 
 
 # Specs for the dataset writer and loader checks: the default at three seeds,
-# skewed weights, no block structure, no noise columns and the smallest set.
+# skewed weights, no block structure, a feature width other than the default
+# and the smallest set.
 DATASET_SPECS = [
     *({"seed": s} for s in (0, 1, 7)),
     {"weight_skew": 50, "seed": 7},
     {"weight_skew": 300, "seed": 7},
     {"block_structure": False, "seed": 7},
-    {"noise_dims": 0, "seed": 7},
+    {"n_blocks": 3, "seed": 7},
     {"n_u": 1, "n_v": 1, "n_edges": 1, "n_blocks": 1, "seed": 7},
 ]
 
