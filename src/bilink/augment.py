@@ -70,11 +70,17 @@ def drop_edges_weight_aware(edge_u, edge_v, edge_w, base_keep: float, seed):
 def augmented_view(x_u, x_v, edge_u, edge_v, edge_w, *, feature_drop_p: float,
                    base_keep: float, seed) -> GraphView:
     """Feature dropping plus weight-aware edge dropping, with independent
-    sub-streams for each randomness site."""
+    sub-streams for each randomness site. When edges go in and none
+    survives, the view keeps the first heaviest one, the edge of highest
+    keep probability: the objective is undefined over an empty edge set."""
     ss = as_seed_sequence(seed).spawn(3)
     xu = drop_features(x_u, feature_drop_p, ss[0])
     xv = drop_features(x_v, feature_drop_p, ss[1])
     ku, kv, kw = drop_edges_weight_aware(edge_u, edge_v, edge_w, base_keep, ss[2])
+    if len(ku) == 0 and len(edge_w) > 0:
+        i = int(np.argmax(edge_w))
+        ku, kv = np.asarray(edge_u)[i:i + 1], np.asarray(edge_v)[i:i + 1]
+        kw = np.asarray(edge_w, dtype=np.float64)[i:i + 1]
     return GraphView(xu, xv, ku, kv, kw)
 
 

@@ -141,8 +141,9 @@ def threshold_prf(scores, labels) -> ThresholdReport:
     return ThresholdReport(precision, recall, f1, tuple(flags))
 
 
-def compute_all(scores, labels, k: int = 50) -> dict:
-    """The full metric sextuple for one scored evaluation set, plus flags.
+def compute_all(scores, labels, k: int = 50) -> tuple:
+    """The full metric sextuple for one scored evaluation set, plus flags:
+    (values dict, flag list).
 
     Flags name degenerate values: the precision/recall/F1 flags of
     `threshold_prf`, and `hits_at_k_fewer_negatives_than_k` when the pool

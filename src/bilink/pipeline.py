@@ -27,12 +27,11 @@ from . import checkpoint as ckpt
 from . import metrics as mt
 from .errors import ValidationError
 from .graph import (BipartiteGraph, aggregate_pairs, check_summed_weights,
-                    chronological_split, complement_size, load_graph, sample_negatives)
+                    chronological_split, load_graph, sample_negatives)
 from .model import state_checksum
 from .rng import check_seed, seed_int
-from .training import (ALL_VARIANTS, DECODER_NEGATIVE_POOL_FACTOR, VariantConfig,
-                       eval_negative_count, evaluate_final, extract_embeddings,
-                       pretrain, train_decoder)
+from .training import (ALL_VARIANTS, VariantConfig, eval_inputs, extract_embeddings,
+                       phase2_sizes, pretrain, score_eval, train_decoder)
 
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
 
@@ -48,64 +47,6 @@ def dataset_hash(paths: dict) -> str:
 def _pretrain_key(cfg: VariantConfig, seed: int) -> tuple:
     """What phase 1 reads: the seed and the config less `weighted_bce`."""
     return seed, dataclasses.astuple(cfg.replace(weighted_bce=False))
-
-
-def _decoder_pool_size(split) -> int:
-    """Phase 2's negative pool size: `DECODER_NEGATIVE_POOL_FACTOR` (5) times
-    the distinct validation-era pairs, capped by the complement. Checks every
-    phase-2 count first (2+ validation-era pairs and pool negatives,
-    `eval_negative_count`), so that a split too small for phase 2 can fail
-    before pretraining. The counts depend on the split alone."""
-    n_pos = len(aggregate_pairs(split.val_edges, split.train.n_v, use_weights=False)[0])
-    if n_pos < 2:
-        raise ValidationError(
-            f"decoder training needs >= 2 validation-era pairs, got {n_pos}")
-    pool_target = int(np.ceil(DECODER_NEGATIVE_POOL_FACTOR * n_pos))
-    pool_size = min(pool_target, complement_size(split))
-    if pool_size < 2:
-        raise ValidationError("complement too small to sample a negative pool")
-    eval_negative_count(split)
-    return pool_size
-
-
-def run_seed(split, cfg: VariantConfig, seed: int, pretrained=None) -> dict:
-    """One full two-phase run for a single seed. Returns a manifest dict.
-
-    `pretrained` is the (state, trace) of `pretrain(split, cfg, seed)`, shared
-    by the variants that differ only in `weighted_bce`; with None, phase 1
-    runs here. The encoder is frozen after phase 1, so sharing it changes no
-    output. The trained model and decoder come back under `_state` and
-    `_decoder`.
-    """
-    t0 = time.monotonic()
-    state, trace = pretrain(split, cfg, seed) if pretrained is None else pretrained
-    checksum_before = state_checksum(state)
-
-    emb = extract_embeddings(state, split.train, cfg)
-    vu, vv, vw = aggregate_pairs(split.val_edges, split.train.n_v, use_weights=True)
-    positives = np.stack([vu, vv], axis=1)
-    negatives = sample_negatives(split, _decoder_pool_size(split),
-                                 seed_int(seed, "decoder-pool"))
-
-    dec, record = train_decoder(emb, positives, vw, negatives, cfg,
-                                seed_int(seed, "decoder"))
-    checksum_after = state_checksum(state)
-    metrics, info = evaluate_final(state, split, dec, cfg, seed)
-
-    return {
-        "seed": seed,
-        "variant": cfg.variant_label,
-        "config": dataclasses.asdict(cfg),
-        "pretrain_trace": trace,
-        "decoder": dataclasses.asdict(record),
-        "encoder_checksum_before_decoder": checksum_before,
-        "encoder_checksum_after_decoder": checksum_after,
-        "metrics": metrics,
-        "eval_info": info,
-        "_state": state,
-        "_decoder": dec,
-        "_timing": {"elapsed_seconds": time.monotonic() - t0},
-    }
 
 
 def _failure(seed: int, exc: BaseException) -> dict:
@@ -160,29 +101,63 @@ def _peak_rss_mb() -> float:
     return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
 
 
-def _run_seed_variants(split, cfgs, seed, checkpoint_dirs=None):
-    """Variants of one seed that share one pretrain, one after another, on
-    one BLAS thread. Returns one manifest dict or failure record per variant,
-    in order. It pins here, in the task, so that the pin holds under any
-    start method of the pool.
+def run_seed(split, cfgs, seed: int, checkpoint_dirs=None) -> list:
+    """One task: the configs of one seed that share a pretrain (they differ
+    in `weighted_bce` alone), on one BLAS thread, pinned here so that the pin
+    holds under any start method of the pool. Returns one manifest dict or
+    failure record per config, in order.
 
-    With `checkpoint_dirs` (one per variant), each variant's model and
-    decoder are written to `<dir>/seed_<seed>/` as soon as it finishes. The
-    records hold no arrays either way, so a pool sends back only manifests
-    and the caller's memory does not grow with the seed count.
+    It pretrains once and builds once what every decoder reads from the
+    frozen encoder: the train and train+val embeddings, the validation
+    positives, the negative pool and the test pairs. Then it trains and
+    scores one decoder per config. A failure before the decoders fails every
+    config; a decoder's failure fails its own.
+
+    With `checkpoint_dirs` (one per config), each config's model and decoder
+    are written to `<dir>/seed_<seed>/` as soon as it finishes. The records
+    hold no arrays either way, so a pool sends back only manifests and the
+    caller's memory does not grow with the seed count.
     """
+    if len({_pretrain_key(cfg, seed) for cfg in cfgs}) != 1:
+        raise ValidationError("a task's configs must differ in weighted_bce alone")
     with _one_blas_thread() as threads:
         t0 = time.monotonic()
         try:
-            pretrained = pretrain(split, cfgs[0], seed)
+            state, trace = pretrain(split, cfgs[0], seed)
+            t1 = time.monotonic()
+            checksum_before = state_checksum(state)
+            emb = extract_embeddings(state, split.train, cfgs[0])
+            vu, vv, vw = aggregate_pairs(split.val_edges, split.train.n_v,
+                                         use_weights=True)
+            positives = np.stack([vu, vv], axis=1)
+            negatives = sample_negatives(split, phase2_sizes(split)[0],
+                                         seed_int(seed, "decoder-pool"))
+            test = eval_inputs(state, split, cfgs[0], seed)
         except Exception as exc:
             return [_failure(seed, exc)] * len(cfgs)
-        timing = {"pretrain_seconds": time.monotonic() - t0, "blas_threads": threads}
+        shared_seconds = time.monotonic() - t1
         outcomes = []
         for i, cfg in enumerate(cfgs):
+            t2 = time.monotonic()
             try:
-                result = run_seed(split, cfg, seed, pretrained)
-                state, dec = result.pop("_state"), result.pop("_decoder")
+                dec, record = train_decoder(emb, positives, vw, negatives, cfg,
+                                            seed_int(seed, "decoder"))
+                checksum_after = state_checksum(state)
+                metrics, info = score_eval(dec, test, cfg)
+                result = {
+                    "seed": seed,
+                    "variant": cfg.variant_label,
+                    "config": dataclasses.asdict(cfg),
+                    "pretrain_trace": trace,
+                    "decoder": dataclasses.asdict(record),
+                    "encoder_checksum_before_decoder": checksum_before,
+                    "encoder_checksum_after_decoder": checksum_after,
+                    "metrics": metrics,
+                    "eval_info": info,
+                    "timing": {"pretrain_seconds": t1 - t0, "pretrain_reused": i > 0,
+                               "elapsed_seconds": shared_seconds + time.monotonic() - t2,
+                               "blas_threads": threads},
+                }
                 if checkpoint_dirs is not None:
                     seed_dir = checkpoint_dirs[i] / f"seed_{seed}"
                     seed_dir.mkdir(parents=True, exist_ok=True)
@@ -192,12 +167,11 @@ def _run_seed_variants(split, cfgs, seed, checkpoint_dirs=None):
             except Exception as exc:
                 outcomes.append(_failure(seed, exc))
             else:
-                result["_timing"].update(timing, pretrain_reused=i > 0)
                 outcomes.append(result)
     peak = _peak_rss_mb()
     for outcome in outcomes:
-        if "_timing" in outcome:
-            outcome["_timing"]["process_peak_rss_mb"] = peak
+        if "timing" in outcome:
+            outcome["timing"]["process_peak_rss_mb"] = peak
     return outcomes
 
 
@@ -222,7 +196,7 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
     for seed in seeds:
         check_seed(seed, "seed list: seed")
     split = chronological_split(graph)
-    _decoder_pool_size(split)
+    phase2_sizes(split)
     if any(cfg.weighted_pretrain or cfg.weighted_bce for cfg in cfgs):
         check_summed_weights(split)
     tasks = []  # (row, indices of the variants sharing one pretrain)
@@ -235,11 +209,11 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
              None if checkpoint_dirs is None else [checkpoint_dirs[i] for i in idx])
             for row, idx in tasks]
     if workers == 1:
-        results = [_run_seed_variants(*job) for job in jobs]
+        results = [run_seed(*job) for job in jobs]
     else:
         results = []
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            futures = [pool.submit(_run_seed_variants, *job) for job in jobs]
+            futures = [pool.submit(run_seed, *job) for job in jobs]
             for (row, idx), fut in zip(tasks, futures):
                 try:
                     results.append(fut.result())
@@ -250,13 +224,6 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
         for i, outcome in zip(idx, outcomes):
             rows[row][i] = outcome
     return rows
-
-
-def _manifest_json(result: dict, ds_hash: str) -> dict:
-    out = {k: v for k, v in result.items() if not k.startswith("_")}
-    out["dataset_hash"] = ds_hash
-    out["timing"] = result["_timing"]
-    return out
 
 
 def _write_json(path, payload) -> None:
@@ -274,7 +241,7 @@ def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes,
     for result in results:
         seed_dir = out_dir / f"seed_{result['seed']}"
         seed_dir.mkdir(exist_ok=True)
-        _write_json(seed_dir / "manifest.json", _manifest_json(result, ds_hash))
+        _write_json(seed_dir / "manifest.json", {**result, "dataset_hash": ds_hash})
 
     per_seed = [r["metrics"] for r in results]
     ok_seeds = [r["seed"] for r in results]

@@ -50,7 +50,7 @@ class SyntheticSpec:
             raise ValidationError(
                 f"cannot place {self.n_edges} distinct pairs in a "
                 f"{self.n_u}x{self.n_v} bipartite graph")
-        if self.block_structure and self.n_blocks > min(self.n_u, self.n_v):
+        if self.n_blocks > min(self.n_u, self.n_v):
             raise ValidationError("more blocks than nodes in a partition")
 
 

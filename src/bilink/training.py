@@ -25,8 +25,9 @@ from .rng import child_seed, rng_for, seed_int
 
 
 # The evaluation protocol's fixed values: the decoder's monitor slice
-# (`train_decoder`) and negative pool (`pipeline._decoder_pool_size`), and
-# one test negative per distinct test-era pair (`eval_negative_count`).
+# (`train_decoder`) and negative pool (`phase2_sizes`). The decoders on one
+# frozen encoder read the same validation positives, pool and test pairs
+# (one negative per distinct test-era pair).
 DECODER_MONITOR_FRACTION = 0.1
 DECODER_NEGATIVE_POOL_FACTOR = 5.0
 
@@ -335,47 +336,70 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
     return dec, record
 
 
-def eval_negative_count(split: TemporalSplit) -> int:
-    """How many negatives `evaluate_final` samples: one per distinct test-era
-    pair, a fixed protocol value. Raises ValidationError when the test era
-    has no pairs or the complement has too few."""
-    n_neg = len(aggregate_pairs(split.test_edges, split.train.n_v, use_weights=False)[0])
-    if n_neg == 0:
-        raise ValidationError("no test-era pairs to evaluate")
-    free = complement_size(split)
-    if n_neg > free:
+def phase2_sizes(split: TemporalSplit) -> tuple:
+    """Phase 2's two sample sizes, (decoder negative pool, test negatives).
+
+    The pool is `DECODER_NEGATIVE_POOL_FACTOR` (5) times the distinct
+    validation-era pairs, capped by the complement; the test era takes one
+    negative per distinct test-era pair. Both depend on the split alone, so
+    a split too small for phase 2 (fewer than 2 validation-era pairs, or a
+    complement too small for either sample) raises ValidationError before
+    pretraining.
+    """
+    n_v = split.train.n_v
+    n_pos = len(aggregate_pairs(split.val_edges, n_v, use_weights=False)[0])
+    if n_pos < 2:
         raise ValidationError(
-            f"{n_neg} test-era pairs need as many test negatives, but the "
+            f"decoder training needs >= 2 validation-era pairs, got {n_pos}")
+    free = complement_size(split)
+    pool_size = min(math.ceil(DECODER_NEGATIVE_POOL_FACTOR * n_pos), free)
+    if pool_size < 2:
+        raise ValidationError("complement too small to sample a negative pool")
+    n_test = len(aggregate_pairs(split.test_edges, n_v, use_weights=False)[0])
+    if n_test > free:
+        raise ValidationError(
+            f"{n_test} test-era pairs need as many test negatives, but the "
             f"complement has only {free} pairs")
-    return n_neg
+    return pool_size, n_test
+
+
+def eval_inputs(state: ModelState, split: TemporalSplit, cfg: VariantConfig,
+                seed: int) -> tuple:
+    """What scoring the test era reads besides the decoder:
+    (embeddings, pairs, labels, info).
+
+    Embeddings are recomputed on train+val with the frozen encoder. The
+    pairs are the distinct test-era pairs, then as many negatives sampled
+    from the complement of all eras under the seed tag "eval-negatives".
+    The info counts the test positives and, of those, the ones whose U or V
+    node has no train or val event (`n_test_positives_new_u`,
+    `n_test_positives_new_v`).
+    """
+    graph_tv = merge_graphs(split.train, split.val_edges)
+    emb = extract_embeddings(state, graph_tv, cfg)
+    tu, tv, _ = aggregate_pairs(split.test_edges, split.train.n_v, use_weights=False)
+    negatives = sample_negatives(split, len(tu), seed_int(seed, "eval-negatives"))
+    pairs = np.vstack([np.stack([tu, tv], axis=1), negatives])
+    labels = np.concatenate([np.ones(len(tu)), np.zeros(len(negatives))])
+    info = {"n_test_positives": int(len(tu)),
+            "n_test_positives_new_u": int((~np.isin(tu, graph_tv.edges.u)).sum()),
+            "n_test_positives_new_v": int((~np.isin(tv, graph_tv.edges.v)).sum()),
+            "n_test_negatives": int(len(negatives))}
+    return emb, pairs, labels, info
+
+
+def score_eval(dec: ParamStore, inputs: tuple, cfg: VariantConfig):
+    """Metrics of one decoder on `eval_inputs`' tuple. Returns (metrics,
+    info): the info is the test counts plus the metrics' degeneracy
+    `flags`."""
+    emb, pairs, labels, info = inputs
+    values, flags = mt.compute_all(_decoder_scores(dec, emb, pairs), labels,
+                                   k=cfg.hits_k)
+    return values, {**info, "flags": flags}
 
 
 def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
                    cfg: VariantConfig, seed: int):
-    """Score test-era pairs with embeddings from the full pre-test history.
-
-    Embeddings are recomputed on train+val with the frozen encoder; test
-    positives are the distinct test-era pairs, and negatives are freshly
-    sampled (seed-derived) from the complement of all eras, one per test
-    positive. Returns (metrics dict, info dict); the info counts the
-    test positives and, of those, the ones whose U or V node has no train or
-    val event (`n_test_positives_new_u`, `n_test_positives_new_v`).
-    """
-    graph_tv = merge_graphs(split.train, split.val_edges)
-    emb = extract_embeddings(state, graph_tv, cfg)
-
-    tu, tv, _ = aggregate_pairs(split.test_edges, split.train.n_v, use_weights=False)
-    pos_pairs = np.stack([tu, tv], axis=1)
-    n_neg = eval_negative_count(split)
-    negatives = sample_negatives(split, n_neg, seed_int(seed, "eval-negatives"))
-
-    pairs = np.vstack([pos_pairs, negatives])
-    labels = np.concatenate([np.ones(len(pos_pairs)), np.zeros(n_neg)])
-    scores = _decoder_scores(dec, emb, pairs)
-    values, flags = mt.compute_all(scores, labels, k=cfg.hits_k)
-    info = {"n_test_positives": int(len(pos_pairs)),
-            "n_test_positives_new_u": int((~np.isin(tu, graph_tv.edges.u)).sum()),
-            "n_test_positives_new_v": int((~np.isin(tv, graph_tv.edges.v)).sum()),
-            "n_test_negatives": int(n_neg),
-            "flags": flags}
-    return values, info
+    """Score test-era pairs with embeddings from the full pre-test history:
+    `score_eval` on `eval_inputs`. Returns (metrics dict, info dict)."""
+    return score_eval(dec, eval_inputs(state, split, cfg, seed), cfg)

@@ -54,7 +54,7 @@ def planted_runs(tmp_path_factory):
     out = []
     for seed in SEEDS:
         t0 = time.monotonic()
-        result = run_seed(split, cfg, seed)
+        (result,) = run_seed(split, [cfg], seed)
         result["_elapsed"] = time.monotonic() - t0
         out.append(result)
     return out
@@ -66,7 +66,7 @@ def control_runs(tmp_path_factory):
                           tmp_path_factory.mktemp("control"))
     split = chronological_split(load_written(paths))
     cfg = VariantConfig()
-    return [run_seed(split, cfg, seed) for seed in SEEDS]
+    return [run_seed(split, [cfg], seed)[0] for seed in SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,7 @@ def skew_runs(tmp_path_factory):
                          ("wp_wb", {"weighted_pretrain": True,
                                     "weighted_bce": True})):
         cfg = VariantConfig(**flags)
-        out[label] = [run_seed(split, cfg, seed) for seed in SEEDS]
+        out[label] = [run_seed(split, [cfg], seed)[0] for seed in SEEDS]
     return out
 
 
@@ -348,7 +348,7 @@ def test_criterion_3_variant_collapse(tmp_path):
     for wp in (False, True):
         for wb in (False, True):
             cfg = VariantConfig(weighted_pretrain=wp, weighted_bce=wb, **base)
-            result = run_seed(split, cfg, 42)
+            (result,) = run_seed(split, [cfg], 42)
             payloads.append(json.dumps(
                 {"trace": result["pretrain_trace"],
                  "monitor": result["decoder"]["monitor_history"],

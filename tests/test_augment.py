@@ -75,6 +75,27 @@ class TestDropEdges:
         ku, kv, kw = drop_edges_weight_aware([], [], [], 0.5, seed=0)
         assert len(ku) == 0
 
+    def test_view_keeps_the_heaviest_edge_when_none_survives(self):
+        """The objective is undefined over an empty edge set, so a view that
+        would lose every edge keeps the first heaviest one; a view with
+        surviving edges keeps exactly the draw's."""
+        u, v, w = np.array([0, 1, 2]), np.array([3, 4, 5]), np.array([1.0, 3.0, 3.0])
+        x = np.ones((6, 2))
+        emptied = 0
+        for seed in range(100):
+            view = augmented_view(x, x, u, v, w, feature_drop_p=0.0, base_keep=0.1,
+                                  seed=seed)
+            drawn = drop_edges_weight_aware(u, v, w, 0.1,
+                                            np.random.SeedSequence(seed).spawn(3)[2])
+            if len(drawn[0]) == 0:
+                emptied += 1
+                drawn = ([1], [4], [3.0])
+            got = (view.edge_u, view.edge_v, view.edge_w)
+            for a, b in zip(got, drawn):
+                np.testing.assert_array_equal(a, b)
+            assert view.edge_w.dtype == np.float64
+        assert 0 < emptied < 100
+
     def test_clamp_floor_keeps_light_edges_alive(self):
         w = np.array([1.0, 377.0])
         probs = keep_probabilities(w, 0.5)

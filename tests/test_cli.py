@@ -118,6 +118,17 @@ class TestGenSynth:
         assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_more_blocks_than_nodes_exits_validation_without_blocks(self, tmp_path,
+                                                                    capsys):
+        """`n_blocks` sets the feature width with or without block structure,
+        so it is bounded by the smaller partition either way."""
+        out = tmp_path / "out"
+        code = main(["gen-synth", "--no-blocks", "--n-u", "2", "--n-v", "2",
+                     "--n-edges", "2", "--n-blocks", "100000", "--out-dir", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "more blocks than nodes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_defaults_come_from_synthetic_spec(self, tmp_path):
         assert main(["gen-synth", "--out-dir", str(tmp_path / "cli")]) == EXIT_OK
         write_dataset(SyntheticSpec(), tmp_path / "spec")

@@ -1,9 +1,12 @@
+import collections
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bilink import pipeline
+from bilink import pipeline, training
 from bilink.cli import EXIT_OK, EXIT_RUNTIME, main
 from bilink.errors import ValidationError
 from bilink.graph import chronological_split
@@ -11,6 +14,7 @@ from bilink.model import ModelState, ParamStore
 from bilink.rng import seed_int
 from bilink.synthetic import SyntheticSpec, write_dataset
 from bilink.training import ALL_VARIANTS, VariantConfig
+from util import make_graph
 
 FAST = dict(pretrain_epochs=3, decoder_epochs=5, input_dim=12, hidden_dim=12,
             output_dim=8, decoder_hidden_dims=(12, 6))
@@ -95,8 +99,8 @@ def test_split_reused_across_seeds_is_unmutated(dataset):
     graph, _ = _load(dataset)
     split = chronological_split(graph)
     before = split.train.edges.u.copy()
-    pipeline.run_seed(split, VariantConfig(**FAST), 42)
-    pipeline.run_seed(split, VariantConfig(**FAST), 43)
+    pipeline.run_seed(split, [VariantConfig(**FAST)], 42)
+    pipeline.run_seed(split, [VariantConfig(**FAST)], 43)
     np.testing.assert_array_equal(split.train.edges.u, before)
 
 
@@ -145,6 +149,123 @@ def test_ablation_pretrains_once_per_pretraining_config(dataset, tmp_path, monke
 
 def _failures(path):
     return json.loads((path / "report.json").read_text()).get("failures", [])
+
+
+def test_ablation_builds_the_frozen_encoder_inputs_once_per_pretrain(
+        dataset, tmp_path, monkeypatch):
+    """Per seed and pretraining config: the train and train+val embeddings,
+    the decoder's negative pool and the test negatives, once each for the
+    two variants that read them."""
+    graph, ds_hash = _load(dataset)
+    tasks = []  # one call count per pretrain
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            if name == "pretrain":
+                tasks.append(collections.Counter())
+            else:
+                tasks[-1][name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    spy(pipeline, "pretrain")
+    for module in (pipeline, training):
+        spy(module, "extract_embeddings")
+        spy(module, "sample_negatives")
+    pipeline.run_ablation(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash)
+    assert tasks == [{"extract_embeddings": 2, "sample_negatives": 2}] * 4
+
+
+def test_failed_shared_step_recorded_under_every_variant_sharing_it(
+        dataset, tmp_path, monkeypatch):
+    graph, ds_hash = _load(dataset)
+    real, failed = pipeline.sample_negatives, []
+
+    def flaky(split, count, rng_seed):
+        # the first task of seed 43 (weighted pretraining) loses its pool
+        if rng_seed == seed_int(43, "decoder-pool") and not failed:
+            failed.append(rng_seed)
+            raise RuntimeError("synthetic sampling failure")
+        return real(split, count, rng_seed)
+
+    monkeypatch.setattr(pipeline, "sample_negatives", flaky)
+    pipeline.run_ablation(graph, VariantConfig(**FAST), [42, 43], tmp_path, ds_hash)
+    for label in ("wp_wb", "wp_nwb"):
+        (failure,) = _failures(tmp_path / label)
+        assert failure["seed"] == 43
+        assert failure["type"] == "RuntimeError"
+        assert failure["error"] == "synthetic sampling failure"
+        assert failure["traceback"].count("in flaky") == 1
+        assert not (tmp_path / label / "seed_43").exists()
+        assert (tmp_path / label / "seed_42" / "manifest.json").exists()
+    for label in ("nwp_wb", "nwp_nwb"):
+        assert _failures(tmp_path / label) == []
+        assert (tmp_path / label / "seed_43" / "manifest.json").exists()
+
+
+def test_task_configs_must_share_a_pretrain(dataset):
+    split = chronological_split(_load(dataset)[0])
+    cfg = VariantConfig(**FAST)
+    with pytest.raises(ValidationError, match="weighted_bce alone"):
+        pipeline.run_seed(split, [cfg, cfg.replace(weighted_pretrain=True)], 42)
+
+
+def test_pretraining_survives_a_view_that_drops_every_edge(tmp_path):
+    """24 train events on one pair: at keep probability 0.8, one epoch in
+    five would draw view 1 with no edge, over which the loss is undefined."""
+    edges = [(0, 0, 1.0, t) for t in range(24)]
+    edges += [(1, 1, 1.0, 24), (2, 2, 1.0, 25), (3, 3, 1.0, 26),
+              (4, 4, 1.0, 27), (5, 5, 1.0, 28), (1, 2, 1.0, 29)]
+    graph = make_graph(6, 6, edges)
+    split = chronological_split(graph)
+    train = split.train.edges
+    assert len(train) == 24 and set(zip(train.u.tolist(), train.v.tolist())) == {(0, 0)}
+    cfg = VariantConfig(**{**FAST, "pretrain_epochs": 50})
+    _, trace = training.pretrain(split, cfg, 42)
+    assert len(trace) == 50 and all(np.isfinite(e["total"]) for e in trace)
+    report = pipeline.run_dataset(graph, cfg, [42], tmp_path, "in-memory")
+    assert report.seeds == [42]
+
+
+def _perfbench_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_light_tracer_finds_every_pretraining_epoch(dataset, tmp_path):
+    """The benchmark's untraced runs time pretraining epochs from the spans
+    of `pipeline.pretrain` and of its `model.ema_update` calls, one per
+    epoch; a refactor that stops calling them through those names leaves
+    its `pretrain_epoch_ms` empty."""
+    spans = _perfbench_spans()
+    tracer = spans.Tracer(spans.LIGHT).install()
+    tracer.spans_dir = tmp_path / "spans"
+    tracer.spans_dir.mkdir()
+    try:
+        code = main(["ablate", "--edges", str(dataset["edges"]),
+                     "--u-features", str(dataset["u_features"]),
+                     "--v-features", str(dataset["v_features"]), "--seeds", "42,43",
+                     "--workers", "1", "--out-dir", str(tmp_path / "out"),
+                     "--pretrain-epochs", "3", "--decoder-epochs", "2",
+                     "--input-dim", "12", "--hidden-dim", "12", "--output-dim", "8",
+                     "--decoder-hidden-dims", "12,6"])
+    finally:
+        tracer.uninstall()
+        tracer.flush()
+    assert code == EXIT_OK
+    tree = spans.SpanTree(spans.load_spans(tracer.spans_dir))
+    pretrains = tree.named("training.pretrain")
+    assert sorted(tuple(s["tag"]) for s in pretrains) == [
+        (False, 42), (False, 43), (True, 42), (True, 43)]
+    for span in pretrains:
+        assert len(tree.kids(span, "model.ema_update")) == 3
+        assert len(spans.epoch_seconds(tree, span)) == 3
 
 
 def test_failed_pretrain_recorded_under_every_variant_sharing_it(
@@ -308,12 +429,12 @@ def test_degenerate_decoder_monitor_flagged(tmp_path):
     # A 200-negative pool. A 10% slice (20 negatives, fewer than hits_k = 50)
     # read Hits@50 = 1.0 at every epoch and kept epoch 0; the slice now takes
     # 50 negatives, and with no more than hits_k of them it monitors ROC-AUC.
-    result = pipeline.run_seed(split, cfg, 42)
+    (result,) = pipeline.run_seed(split, [cfg], 42)
     assert result["decoder"]["monitor_metric"] == "roc_auc"
     assert len(set(result["decoder"]["monitor_history"])) > 1
     assert result["decoder"]["best_epoch"] > 0
     assert result["decoder"]["stopped_at_early_best"] is False
-    healthy = pipeline.run_seed(split, cfg.replace(hits_k=2), 42)
+    (healthy,) = pipeline.run_seed(split, [cfg.replace(hits_k=2)], 42)
     assert healthy["decoder"]["monitor_metric"] == "hits_at_k"
 
 

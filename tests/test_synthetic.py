@@ -61,8 +61,8 @@ _ORACLE_SPECS = [
     {"intra_prob": 1.0, "seed": 7},
     {"n_u": 50, "n_v": 50, "n_edges": 500, "n_blocks": 5, "seed": 4},
     {"n_u": 1, "n_v": 300, "n_edges": 200, "n_blocks": 1, "seed": 7},
-    {"n_u": 1, "n_v": 300, "n_edges": 200, "block_structure": False, "seed": 7},
-    {"n_u": 300, "n_v": 1, "n_edges": 200, "block_structure": False, "seed": 7},
+    {"n_u": 1, "n_v": 300, "n_edges": 200, "block_structure": False, "n_blocks": 1, "seed": 7},
+    {"n_u": 300, "n_v": 1, "n_edges": 200, "block_structure": False, "n_blocks": 1, "seed": 7},
     {"n_u": 40, "n_v": 15, "n_edges": 300, "n_blocks": 10, "seed": 7},
     {"n_u": 40, "n_v": 15, "n_edges": 300, "n_blocks": 10, "intra_prob": 0.0, "seed": 7},
     {"n_u": 10, "n_v": 10, "n_edges": 60, "n_blocks": 2, "intra_prob": 1.0, "seed": 7},

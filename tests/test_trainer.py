@@ -9,6 +9,7 @@ from bilink import autodiff as ad
 from bilink import metrics as mt
 from bilink import training
 from bilink.autodiff import Tensor
+from bilink.checkpoint import load_decoder, load_model_state
 from bilink.errors import ValidationError
 from bilink.graph import (EdgeArray, TemporalSplit, aggregate_pairs, chronological_split,
                           load_graph, merge_graphs, normalized_adjacency,
@@ -517,8 +518,9 @@ def test_held_out_nodes_score_through_the_encoder(tmp_path):
     split = TemporalSplit(split.train.with_edges(without_held_out(split.train.edges)),
                           without_held_out(split.val_edges), test)
     cfg = VariantConfig()
-    result = run_seed(split, cfg, 42)
-    state, dec = result["_state"], result["_decoder"]
+    (result,) = run_seed(split, [cfg], 42, [tmp_path / "run"])
+    state, _ = load_model_state(tmp_path / "run" / "seed_42" / "model.npz")
+    dec, _ = load_decoder(tmp_path / "run" / "seed_42" / "decoder.npz")
     n_u, n_v = split.train.n_u, split.train.n_v
 
     tu, tv, _ = aggregate_pairs(test, n_v, use_weights=False)
@@ -557,8 +559,8 @@ class TestFullRunInvariants:
     def test_run_seed_deterministic(self):
         split = small_split(seed=30, n_u=15, n_v=15, m=150)
         cfg = VariantConfig(pretrain_epochs=3, decoder_epochs=10, **SMALL)
-        a = run_seed(split, cfg, 42)
-        b = run_seed(split, cfg, 42)
+        (a,) = run_seed(split, [cfg], 42)
+        (b,) = run_seed(split, [cfg], 42)
         assert a["metrics"] == b["metrics"]
         assert a["pretrain_trace"] == b["pretrain_trace"]
         assert a["decoder"]["monitor_history"] == b["decoder"]["monitor_history"]
@@ -577,7 +579,7 @@ class TestFullRunInvariants:
         for wp in (False, True):
             for wb in (False, True):
                 cfg = VariantConfig(weighted_pretrain=wp, weighted_bce=wb, **base)
-                results.append(run_seed(split, cfg, 42))
+                results += run_seed(split, [cfg], 42)
         first = results[0]
         for other in results[1:]:
             assert other["metrics"] == first["metrics"]
@@ -586,9 +588,22 @@ class TestFullRunInvariants:
     def test_checksums_recorded_and_equal(self):
         split = small_split(seed=32, n_u=15, n_v=15, m=150)
         cfg = VariantConfig(pretrain_epochs=2, decoder_epochs=5, **SMALL)
-        result = run_seed(split, cfg, 42)
+        (result,) = run_seed(split, [cfg], 42)
         assert (result["encoder_checksum_before_decoder"]
                 == result["encoder_checksum_after_decoder"])
+
+    def test_phase2_sizes_follow_the_split(self):
+        """Five pool negatives per distinct validation-era pair, capped by
+        the complement, and one test negative per distinct test-era pair,
+        the count the run's evaluation samples."""
+        split = small_split(seed=34, n_u=15, n_v=15, m=150)
+        n_val, n_test = (len(aggregate_pairs(e, 15, False)[0])
+                         for e in (split.val_edges, split.test_edges))
+        free = 15 * 15 - len(split.pair_keys())
+        assert training.phase2_sizes(split) == (min(5 * n_val, free), n_test)
+        cfg = VariantConfig(pretrain_epochs=1, decoder_epochs=2, **SMALL)
+        (result,) = run_seed(split, [cfg], 42)
+        assert result["eval_info"]["n_test_negatives"] == n_test
 
     def test_evaluate_final_counts_and_flags(self):
         split = small_split(seed=33, n_u=15, n_v=15, m=150)
