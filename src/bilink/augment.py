@@ -39,8 +39,6 @@ def drop_features(x: np.ndarray, p: float, seed) -> np.ndarray:
     """Zero each feature entry independently with probability p."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"drop probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return x.copy()
     rng = np.random.default_rng(seed)
     mask = rng.random(x.shape) >= p
     return x * mask

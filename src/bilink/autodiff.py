@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation for dense 2-D float64 tensors.
 
-Operations record onto the innermost active Tape (opened with a `with`
-block). Outside a tape they are plain forward computations, which is how
-evaluation-time encoding runs. A tape is single-threaded; independent tapes
-may live on separate threads. `backward` consumes the tape's record, node by
-node, and closing the block drops whatever is left of it, so `backward` runs
-once, inside the block.
+Operations record onto the thread's open Tape (opened with a `with` block).
+Outside a tape they are plain forward computations, which is how
+evaluation-time encoding and the stop-gradient target passes run. A thread
+holds at most one open tape; independent tapes may live on separate threads.
+`backward` consumes the tape's record, op by op, and closing the block drops
+whatever is left of it, so `backward` runs once, inside the block.
 
 A tape holds what backward reads and nothing more: each op's closure keeps
 the arrays its gradient needs, and the record names op outputs by integer
@@ -15,8 +15,8 @@ as soon as the caller drops it.
 `backward` returns nothing: it adds each leaf's gradient into the leaf's
 `.grad`. A parameter's `.grad` is its view of its store's flat gradient
 buffer, which the optimizer zeroes after each step. Any other leaf, such as a
-test tensor or a tensor recorded on another tape, gets its own array on first
-use, and it accumulates across `backward` calls until the caller resets it.
+test tensor or a tensor recorded on an earlier tape, gets its own array on
+first use, and it accumulates across `backward` calls until the caller resets it.
 
 Every op output is checked for non-finite values unless a `finite_checks(False)`
 block is active on the thread; a caller that turns the checks off must check
@@ -33,15 +33,8 @@ import numpy as np
 _local = threading.local()
 
 
-def _tape_stack():
-    if not hasattr(_local, "stack"):
-        _local.stack = []
-    return _local.stack
-
-
 def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_local, "tape", None)
 
 
 class Tensor:
@@ -76,57 +69,44 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
-class _Node:
-    """One recorded op: its output's key, one link per parent and the
-    closure mapping the output's gradient to the parents' gradients.
-
-    A parent link is the parent's key when this tape recorded it, the
-    parent tensor when it is a leaf that requires grad (a parameter, or a
-    tensor recorded on another tape, which this tape treats as a leaf), and
-    None for a constant. So a node holds no op output of its own tape.
-    """
-
-    __slots__ = ("key", "parents", "backward_fn")
-
-    def __init__(self, key, parents, backward_fn):
-        self.key = key
-        self.parents = parents
-        self.backward_fn = backward_fn
-
-
 class Tape:
     """Ordered record of operations; creation order is already topological.
 
-    The record holds keys, leaves and closures (see `_Node`), never op
-    outputs, so while the tape is open an activation lives only as long as
-    the caller or a closure that reads it holds it. `backward` pops each
-    node once it has used it, freeing its closure, and leaving the `with`
-    block drops any nodes left.
+    Each entry is `(key, links, backward_fn)`: the op output's key, one link
+    per parent (its key on this tape; the parent itself when it is a leaf
+    that requires grad, such as a parameter or a tensor recorded on an
+    earlier tape; else None) and the closure mapping the output's gradient
+    to the parents'. So the record holds no op output, and an activation
+    lives only as long as the caller or a closure that reads it holds it.
+    `backward` pops each entry once used, and leaving the block drops the
+    rest. Entering a tape while the thread's tape is open raises.
     """
 
     def __init__(self):
-        self._nodes = []
+        self._entries = []
         self._keys = itertools.count()
         self.closed = False
         self.consumed = False
 
     def __enter__(self):
-        _tape_stack().append(self)
+        if active_tape() is not None:
+            raise RuntimeError("this thread already has an open tape")
+        _local.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
-        assert popped is self
-        self._nodes = []
+        _local.tape = None
+        self._entries = []
         self.closed = True
         return False
 
     def _record(self, out, parents, backward_fn):
+        """Append `out`'s entry; a parent recorded on an earlier tape is a leaf."""
         out._tape = self
         out._key = next(self._keys)
         links = tuple(p._key if p._tape is self else p if p.requires_grad else None
                       for p in parents)
-        self._nodes.append(_Node(out._key, links, backward_fn))
+        self._entries.append((out._key, links, backward_fn))
 
 
 def _check_finite(arr: np.ndarray, op: str):
@@ -161,10 +141,10 @@ def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss through its recording tape.
 
     Adds the gradient of every requires_grad leaf that the loss depends on
-    into that leaf's `.grad` (module docstring); a tensor recorded on another
-    tape counts as a leaf. Gradients of this tape's outputs are routed by key
-    and kept nowhere. Each tape node is visited exactly once and then
-    dropped, so a tape serves one `backward`.
+    into that leaf's `.grad` (module docstring); a tensor recorded on an
+    earlier tape counts as a leaf. Gradients of this tape's outputs are
+    routed by key and kept nowhere. Each tape entry is visited exactly once
+    and then dropped, so a tape serves one `backward`.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward needs a scalar (1x1) loss, got shape {loss.shape}")
@@ -178,16 +158,16 @@ def backward(loss: Tensor) -> None:
                          "record the loss on a new tape")
     tape.consumed = True
 
-    # Popping each node frees its closure, and the arrays only it reads, as
+    # Popping each entry frees its closure, and the arrays only it reads, as
     # soon as its gradient has gone to its parents.
-    nodes = tape._nodes
+    entries = tape._entries
     pending = {loss._key: np.ones((1, 1))}
-    while nodes:
-        node = nodes.pop()
-        g = pending.pop(node.key, None)
+    while entries:
+        key, links, backward_fn = entries.pop()
+        g = pending.pop(key, None)
         if g is None:
             continue
-        for parent, pg in zip(node.parents, node.backward_fn(g)):
+        for parent, pg in zip(links, backward_fn(g)):
             if pg is None or parent is None:
                 continue
             if type(parent) is int:
@@ -282,8 +262,6 @@ def dropout_mask(a: Tensor, p: float, seed: int) -> Tensor:
     """Inverted dropout: zero entries with probability p, rescale by 1/(1-p)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return _apply("dropout", a.data.copy(), (a,), lambda g: (g,))
     rng = np.random.default_rng(seed)
     # A boolean keep-mask and one scale: an eighth of a float mask's bytes
     # held for backward, and the same products bit for bit.
@@ -332,7 +310,8 @@ def row_normalize(a: Tensor) -> Tensor:
     silently normalized to zero.
     """
     ad = a.data
-    norm = np.linalg.norm(ad, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # the check below names the overflow
+        norm = np.linalg.norm(ad, axis=1, keepdims=True)
     _check_finite(norm, "row_normalize")
     ok = norm > 0
     safe = np.where(ok, norm, 1.0)

@@ -8,9 +8,9 @@ from util import make_graph
 
 class TestDropFeatures:
     def test_p0_identity(self):
-        x = np.arange(12.0).reshape(3, 4)
+        x = np.array([[0.0, -0.0, 1.5], [-2.5, np.inf, np.nan]])
         out = drop_features(x, 0.0, seed=1)
-        np.testing.assert_array_equal(out, x)
+        assert out.tobytes() == x.tobytes()  # signed zeros and nan included
         assert out is not x
 
     def test_zeroed_fraction_binomial_bound(self):

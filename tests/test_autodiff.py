@@ -92,8 +92,14 @@ class TestForward:
             np.testing.assert_array_equal(p.grad, np.full((k, 2), 2.0 * k))
 
     def test_dropout_p0_is_identity(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3))
-        np.testing.assert_array_equal(ad.dropout_mask(x, 0.0, seed=1).data, x.data)
+        x0 = np.array([[0.0, -0.0, 1.5], [-2.5, 1e300, -1e-300]])
+        g0 = x0[::-1].copy()
+        with Tape():
+            x = leaf(x0)
+            h = ad.dropout_mask(x, 0.0, seed=1)
+            backward(ad.sum_all(ad.mul(h, Tensor(g0))))
+        assert h.data.tobytes() == x0.tobytes()  # signed zeros included
+        assert x.grad.tobytes() == g0.tobytes()
 
     def test_dropout_deterministic_per_seed(self):
         x = Tensor(np.ones((20, 20)))
@@ -183,17 +189,36 @@ class TestBackward:
             gc.enable()
         np.testing.assert_array_equal(x.grad, out.data)  # x is ones, out is linear in x
 
-    def test_tensor_from_outer_tape_is_a_leaf_of_inner_backward(self):
+    def test_second_tape_on_a_thread_raises(self):
+        with Tape() as outer:
+            with pytest.raises(RuntimeError, match="open tape"):
+                with Tape():
+                    pass
+            assert ad.active_tape() is outer
+            x = leaf([[2.0]])
+            backward(ad.sum_all(ad.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, [[4.0]])
+        with pytest.raises(FloatingPointError):
+            with Tape():
+                ad.scale(leaf([[np.inf]]), 1.0)
+        assert ad.active_tape() is None  # a block that raised leaves the slot free
+
+    def test_tensor_recorded_on_closed_tape_is_a_leaf_of_next_backward(self):
         with Tape():
             x = leaf([[1.0, -2.0]])
             h = ad.scale(x, 3.0)
-            with Tape():
-                backward(ad.sum_all(ad.mul(h, h)))
-            assert x.grad is None
-            np.testing.assert_array_equal(h.grad, [[6.0, -12.0]])
-            backward(ad.sum_all(h))
-        np.testing.assert_array_equal(h.grad, [[6.0, -12.0]])  # routed by key
-        np.testing.assert_array_equal(x.grad, [[3.0, 3.0]])
+        with Tape():
+            backward(ad.sum_all(ad.mul(h, h)))
+        np.testing.assert_array_equal(h.grad, [[6.0, -12.0]])
+        assert x.grad is None
+
+    def test_op_outside_any_tape_records_nothing(self):
+        x = leaf([[1.0, -2.0]])
+        with Tape():
+            pass
+        y = ad.scale(x, 3.0)
+        assert ad.active_tape() is None
+        assert y._tape is None and y._key is None and not y.requires_grad
 
     def test_second_backward_on_consumed_tape_raises(self):
         with Tape():

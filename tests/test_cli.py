@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -459,7 +460,8 @@ def no_pretrain(*args):
 
 class TestUnrepresentableInput:
     """Input that passes its value checks but that training cannot represent
-    exits EXIT_VALIDATION with one line before any seed runs."""
+    exits EXIT_VALIDATION with one line: before any seed runs when a check
+    can see it up front, else naming the op that failed every seed."""
 
     @pytest.fixture(scope="class")
     def heavy_pair(self, dataset, tmp_path_factory):
@@ -495,6 +497,20 @@ class TestUnrepresentableInput:
         data, _ = heavy_pair
         assert main(["run", *dataset_flags(data), "--seeds", "42",
                      "--out-dir", str(tmp_path / "out"), *FAST_FLAGS]) == EXIT_OK
+
+    def test_feature_whose_norm_overflows_names_the_op(self, dataset, tmp_path, capsys):
+        data, _ = with_extra_edges(dataset, tmp_path / "data", [])
+        rows = (data / "u_features.csv").read_text().splitlines()
+        first = rows[1].split(",")
+        rows[1] = ",".join([first[0], "1e200", *first[2:]])  # finite, its square is not
+        (data / "u_features.csv").write_text("\n".join(rows) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", *dataset_flags(data), "--seeds", "42",
+                         "--out-dir", str(tmp_path / "out"), *FAST_FLAGS])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, "non-finite value produced by row_normalize")
+        assert [str(w.message) for w in caught] == []
 
 
 class TestConfigPrecedence:
