@@ -8,8 +8,8 @@ from .graph import (BipartiteGraph, EdgeArray, TemporalSplit,
                     sample_negatives)
 from .metrics import (EvalReport, aggregate, average_precision, hits_at_k,
                       roc_auc, threshold_prf)
-from .training import (FrozenEmbeddings, VariantConfig, evaluate_final,
-                       extract_embeddings, pretrain, train_decoder)
+from .training import (FrozenEmbeddings, VariantConfig, eval_inputs,
+                       extract_embeddings, pretrain, score_eval, train_decoder)
 
 __version__ = "0.1.0"
 
@@ -18,6 +18,6 @@ __all__ = [
     "build_weighted_adjacency", "chronological_split", "load_graph",
     "sample_negatives", "EvalReport", "aggregate", "average_precision",
     "hits_at_k", "roc_auc", "threshold_prf", "FrozenEmbeddings",
-    "VariantConfig", "evaluate_final", "extract_embeddings", "pretrain",
-    "train_decoder", "__version__",
+    "VariantConfig", "eval_inputs", "extract_embeddings", "pretrain",
+    "score_eval", "train_decoder", "__version__",
 ]

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import ValidationError, reading
 from .model import (ModelState, ParamStore, decoder_shapes, encoder_shapes,
-                    make_store, model_shapes, online_named_params,
-                    target_named_params)
+                    make_store, model_shapes, named_params)
 
 FORMAT_VERSION = 2
 _META_KEY = "__meta__"
@@ -71,8 +70,7 @@ def load_arrays(path):
 
 
 def save_model_state(path, state: ModelState, extra_meta: dict | None = None) -> None:
-    arrays = {name: t.data for name, t in
-              {**online_named_params(state), **target_named_params(state)}.items()}
+    arrays = {name: t.data for name, t in named_params(state).items()}
     save_arrays(path, arrays, {"kind": "model_state", **(extra_meta or {})})
 
 

@@ -26,7 +26,7 @@ from .graph import check_summed_weights, chronological_split
 from .rng import check_seed
 from .synthetic import SyntheticSpec, write_dataset
 from .training import (DECODER_MONITOR_FRACTION, DECODER_NEGATIVE_POOL_FACTOR,
-                       VariantConfig, evaluate_final)
+                       VariantConfig, eval_inputs, score_eval)
 
 WORKERS_HELP = ("worker processes; one task per (seed, pretraining config), each "
                 "on one BLAS thread so that workers do not oversubscribe the "
@@ -123,13 +123,19 @@ def cmd_gen_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
+def _grid_args(args) -> tuple:
+    """What `run` and `ablate` read, checked in this order: the config, then
+    `--workers`, then `--seeds`, then the dataset. Returns (graph, cfg,
+    seeds, out_dir, dataset hash, workers), the grid runners' arguments."""
     cfg = build_config(args)
     workers = _parse_value("workers", args.workers, int)
     seeds = _parse_value("seeds", args.seeds, tuple)
     graph, ds_hash = pipeline.load_dataset(args.edges, args.u_features, args.v_features)
-    report = pipeline.run_dataset(graph, cfg, seeds, args.out_dir, ds_hash,
-                                  workers=workers)
+    return graph, cfg, seeds, args.out_dir, ds_hash, workers
+
+
+def cmd_run(args) -> int:
+    report = pipeline.run_dataset(*_grid_args(args))
     for seed, values in zip(report.seeds, report.per_seed):
         print(f"seed {seed}: " + "  ".join(f"{k}={v:.4f}" for k, v in sorted(values.items())))
     for name, cell in sorted(report.aggregate.items()):
@@ -139,12 +145,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = build_config(args)
-    workers = _parse_value("workers", args.workers, int)
-    seeds = _parse_value("seeds", args.seeds, tuple)
-    graph, ds_hash = pipeline.load_dataset(args.edges, args.u_features, args.v_features)
-    summary = pipeline.run_ablation(graph, cfg, seeds, args.out_dir, ds_hash,
-                                    workers=workers)
+    summary = pipeline.run_ablation(*_grid_args(args))
     for label, auc in sorted(summary["mean_roc_auc"].items()):
         print(f"{label}: mean roc_auc {auc:.4f}")
     print(f"max pairwise roc_auc gap: {summary['max_pairwise_roc_auc_gap']:.4f}")
@@ -194,7 +195,7 @@ def cmd_eval_only(args) -> int:
     split = chronological_split(graph)
     if cfg.weighted_pretrain:
         check_summed_weights(split)
-    metrics, info = evaluate_final(state, split, dec, cfg, seed)
+    metrics, info = score_eval(dec, eval_inputs(state, split, cfg, seed), cfg)
     payload = {"dataset_hash": ds_hash, "seed": seed,
                "variant": cfg.variant_label, "metrics": metrics, "eval_info": info}
     out = json.dumps(payload, indent=2, sort_keys=True)

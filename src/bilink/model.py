@@ -148,14 +148,12 @@ def init_decoder(rng, embed_dim: int, hidden_dims) -> ParamStore:
                        for name, shape in shapes.items()}, requires_grad=True)
 
 
-def online_named_params(state: ModelState) -> dict:
-    """Online parameters under their checkpoint keys."""
-    return {f"online.{name}": t for name, t in state.online.items()}
-
-
-def target_named_params(state: ModelState) -> dict:
-    """Target parameters under their checkpoint keys."""
-    return {f"target.{name}": t for name, t in state.target.items()}
+def named_params(state: ModelState) -> dict:
+    """Every parameter under its checkpoint key: the online keys, then the
+    target keys."""
+    return {f"{side}.{name}": t for side, store in
+            (("online", state.online), ("target", state.target))
+            for name, t in store.items()}
 
 
 def affine(params: ParamStore, prefix: str, x: Tensor) -> Tensor:
@@ -236,7 +234,7 @@ def decode_logits(dec: ParamStore, emb_u: np.ndarray, emb_v: np.ndarray,
 def state_checksum(state: ModelState) -> str:
     """SHA-256 over all online and target parameter bytes in name order."""
     h = hashlib.sha256()
-    params = {**online_named_params(state), **target_named_params(state)}
+    params = named_params(state)
     for name in sorted(params):
         h.update(name.encode())
         h.update(np.ascontiguousarray(params[name].data).tobytes())

@@ -125,6 +125,10 @@ def run_seed(split, cfgs, seed: int, checkpoint_dirs=None) -> list:
         try:
             state, trace = pretrain(split, cfgs[0], seed)
             t1 = time.monotonic()
+            # Phase 2 reads no online gradient: free the buffer and its views.
+            state.online.grad = None
+            for param in state.online.values():
+                param.grad = None
             checksum_before = state_checksum(state)
             emb = extract_embeddings(state, split.train, cfgs[0])
             vu, vv, vw = aggregate_pairs(split.val_edges, split.train.n_v,
@@ -180,9 +184,10 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
     """Outcomes of every (seed, variant), one row per seed in seed order.
 
     One task per (seed, pretraining config): the variants that share a
-    pretrain run one after another in one task, and with `workers > 1` the
-    tasks share one pool of at most `workers` forked processes. With
-    `checkpoint_dirs` (one per variant), the tasks write their checkpoints.
+    pretrain run one after another in one task. The tasks share one pool of
+    `min(workers, tasks)` forked processes, or run in this process when that
+    is 1. With `checkpoint_dirs` (one per variant), the tasks write their
+    checkpoints.
     Seeds, workers, the phase-2 sizes and, when any config is weighted, the
     summed pair weights before the test era are checked first.
     """
@@ -208,11 +213,12 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
     jobs = [(split, [cfgs[i] for i in idx], seeds[row],
              None if checkpoint_dirs is None else [checkpoint_dirs[i] for i in idx])
             for row, idx in tasks]
-    if workers == 1:
+    n_procs = min(workers, len(jobs))
+    if n_procs == 1:
         results = [run_seed(*job) for job in jobs]
     else:
         results = []
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=n_procs) as pool:
             futures = [pool.submit(run_seed, *job) for job in jobs]
             for (row, idx), fut in zip(tasks, futures):
                 try:

@@ -165,7 +165,7 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
     # took the default-size peak RSS from about 77 to 70 MB for about 200 more
     # minor faults per epoch (mean 80-150 -> 300-380), with no measurable
     # change in epoch time. Parameter gradients go to `state.online.grad`,
-    # which lives as long as the store and which `adam_step` zeroes.
+    # which `adam_step` zeroes and `pipeline.run_seed` frees on return.
     trace = []
     for epoch in range(cfg.pretrain_epochs):
         (view1, view2, corrupted, adj1, adj2, adjc, dropout_seed,
@@ -396,10 +396,3 @@ def score_eval(dec: ParamStore, inputs: tuple, cfg: VariantConfig):
     values, flags = mt.compute_all(_decoder_scores(dec, emb, pairs), labels,
                                    k=cfg.hits_k)
     return values, {**info, "flags": flags}
-
-
-def evaluate_final(state: ModelState, split: TemporalSplit, dec: ParamStore,
-                   cfg: VariantConfig, seed: int):
-    """Score test-era pairs with embeddings from the full pre-test history:
-    `score_eval` on `eval_inputs`. Returns (metrics dict, info dict)."""
-    return score_eval(dec, eval_inputs(state, split, cfg, seed), cfg)

@@ -19,8 +19,7 @@ from bilink.cli import main as cli_main
 from bilink.graph import (build_weighted_adjacency, chronological_split,
                           load_graph)
 from bilink.losses import attractive_loss, repulsive_loss, total_pretrain_loss
-from bilink.model import (ema_update, encode, init_model_state, mlp_forward,
-                          online_named_params, target_named_params)
+from bilink.model import ema_update, encode, init_model_state, mlp_forward
 from bilink.pipeline import run_seed
 from bilink.synthetic import SyntheticSpec, write_dataset
 from bilink.training import VariantConfig
@@ -168,7 +167,7 @@ def _composed_loss_instance(seed):
     tgt_v2 = rng.normal(size=(n_v, d))
     tgt_vc = rng.normal(size=(n_v, d))
     state = init_model_state(rng, d, d, input_dim=3, hidden_dim=3, output_dim=d)
-    params = online_named_params(state)
+    params = state.online
     # evaluate at a generic point: exact-zero biases put dead relu rows
     # exactly on the zero-norm cosine plateau, where the function jumps
     for p in params.values():
@@ -282,13 +281,10 @@ def test_criterion_2_oracle_equivalence():
         # EMA update vs elementwise loop
         tau = float(rng.random())
         state = init_model_state(rng, 2, 2, input_dim=2, hidden_dim=2, output_dim=2)
-        online = online_named_params(state)
-        target = target_named_params(state)
-        expected = {k2: tau * t.data + (1 - tau)
-                    * online[k2.replace("target.", "online.", 1)].data
-                    for k2, t in target.items()}
+        expected = {k2: tau * t.data + (1 - tau) * state.online[k2].data
+                    for k2, t in state.target.items()}
         ema_update(state, tau)
-        for k2, t in target.items():
+        for k2, t in state.target.items():
             worst_lin = max(worst_lin, float(np.max(np.abs(t.data - expected[k2]))))
 
         # normalized adjacency vs dense brute force (<= 50 nodes)

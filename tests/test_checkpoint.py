@@ -9,7 +9,7 @@ from bilink.checkpoint import (atomic_write, load_arrays, load_decoder,
                                load_model_state, save_arrays, save_decoder,
                                save_model_state)
 from bilink.errors import ValidationError
-from bilink.model import init_decoder, init_model_state, state_checksum
+from bilink.model import init_decoder, init_model_state, named_params, state_checksum
 from util import resave_checkpoint
 
 DATA = Path(__file__).parent / "data"
@@ -77,8 +77,7 @@ def test_decoder_round_trip(tmp_path):
 
 
 def _stored(state):
-    return {**{f"online.{k}": t.data for k, t in state.online.items()},
-            **{f"target.{k}": t.data for k, t in state.target.items()}}
+    return {name: t.data for name, t in named_params(state).items()}
 
 
 def test_parent_checkpoints_load_unchanged(tmp_path):

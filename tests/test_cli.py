@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -177,6 +178,19 @@ class TestRun:
             mb = json.loads((out_b / f"seed_{seed}" / "manifest.json").read_text())
             ma.pop("timing"), mb.pop("timing")
             assert ma == mb
+
+    def test_one_task_runs_in_process_whatever_the_workers(self, dataset, tmp_path,
+                                                          monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-task grid created a process pool")
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", no_pool)
+        for workers in ("1", "2"):
+            assert main(["run", *dataset_flags(dataset), "--seeds", "42",
+                         "--workers", workers, "--out-dir", str(tmp_path / workers),
+                         *FAST_FLAGS]) == EXIT_OK
+        for name in ("report.json", "report.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_two_seeds_aggregate_block(self, dataset, tmp_path):
         out = tmp_path / "run"
@@ -679,6 +693,8 @@ PARENT_EVAL = {
                 "hits_at_k": 0.5, "precision": 1.0, "recall": 0.25,
                 "roc_auc": 0.453125},
 }
+# SHA-256 of that code's whole printed eval-only output, newline included.
+PARENT_EVAL_SHA256 = "2de815b59674638cfb97a2480edffbfd9172935a4b573b3bb3c5b5fc36b6dfc1"
 
 
 # perfbench's two set-ups at dataset seed 7 (`--weight-skew` 1 and 50):
@@ -726,6 +742,11 @@ class TestCheckpointFiles:
         assert payload["metrics"] == PARENT_EVAL["metrics"]
         assert payload["eval_info"]["n_test_positives_new_u"] == 0
         assert payload["eval_info"]["n_test_positives_new_v"] == 0
+
+    def test_parent_checkpoints_print_the_same_bytes(self, parent_data, capsys):
+        assert self._eval(parent_data) == EXIT_OK
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == PARENT_EVAL_SHA256
 
     def test_eval_only_out_file_equals_printed_json(self, parent_data, tmp_path, capsys):
         out = tmp_path / "eval.json"

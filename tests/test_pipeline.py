@@ -368,6 +368,22 @@ def test_one_pool_per_call_capped_at_task_count(dataset, tmp_path, monkeypatch):
     assert _InlinePool.created == [2]
 
 
+def test_phase_2_runs_without_the_online_gradient_buffer(dataset, tmp_path, monkeypatch):
+    graph, ds_hash = _load(dataset)
+    real, states = pipeline.pretrain, []
+
+    def keeping(split, cfg_, seed):
+        state, trace = real(split, cfg_, seed)
+        states.append(state)
+        return state, trace
+
+    monkeypatch.setattr(pipeline, "pretrain", keeping)
+    pipeline.run_dataset(graph, VariantConfig(**FAST), [42], tmp_path, ds_hash)
+    (state,) = states
+    assert state.online.grad is None
+    assert all(p.grad is None for p in state.online.values())
+
+
 def test_task_runs_on_one_blas_thread_and_restores_count(dataset, tmp_path,
                                                          monkeypatch):
     fns = pipeline._openblas()

@@ -14,11 +14,11 @@ from bilink.errors import ValidationError
 from bilink.graph import (EdgeArray, TemporalSplit, aggregate_pairs, chronological_split,
                           load_graph, merge_graphs, normalized_adjacency,
                           sample_negatives)
-from bilink.model import ModelState, init_decoder, state_checksum
+from bilink.model import ModelState, state_checksum
 from bilink.pipeline import run_seed
 from bilink.synthetic import SyntheticSpec, write_dataset
-from bilink.training import (VariantConfig, decoder_bce_examples, evaluate_final,
-                             extract_embeddings, pretrain, train_decoder)
+from bilink.training import (VariantConfig, decoder_bce_examples, eval_inputs,
+                             extract_embeddings, pretrain, score_eval, train_decoder)
 from util import epoch_inputs_oracle, make_graph
 
 SMALL = dict(input_dim=12, hidden_dim=12, output_dim=8,
@@ -605,7 +605,7 @@ class TestFullRunInvariants:
         (result,) = run_seed(split, [cfg], 42)
         assert result["eval_info"]["n_test_negatives"] == n_test
 
-    def test_evaluate_final_counts_and_flags(self):
+    def test_score_eval_counts_and_flags(self):
         split = small_split(seed=33, n_u=15, n_v=15, m=150)
         cfg = VariantConfig(pretrain_epochs=2, decoder_epochs=5, **SMALL)
         state, _ = pretrain(split, cfg, seed=1)
@@ -615,20 +615,19 @@ class TestFullRunInvariants:
         vu, vv, vw = aggregate_pairs(split.val_edges, split.train.n_v, True)
         neg = sample_negatives(split, 40, rng_seed=9)
         dec, _ = train_decoder(emb, np.stack([vu, vv], axis=1), vw, neg, cfg, seed=2)
-        metrics, info = evaluate_final(state, split, dec, cfg, seed=42)
+        metrics, info = score_eval(dec, eval_inputs(state, split, cfg, seed=42), cfg)
         assert info["n_test_negatives"] == info["n_test_positives"]
         assert set(metrics) == {"roc_auc", "average_precision", "hits_at_k",
                                 "precision", "recall", "f1"}
 
-    def test_evaluate_final_counts_pairs_of_new_nodes(self):
+    def test_eval_inputs_count_pairs_of_new_nodes(self):
         # u=9 and v=9 have events only in the test era
         edges = [(i % 8, i % 9, 1.0, i) for i in range(60)]
         edges += [(9, 0, 1.0, 100), (9, 9, 1.0, 101), (1, 9, 1.0, 102)]
         split = chronological_split(make_graph(10, 10, edges, d_u=5, d_v=6))
         cfg = VariantConfig(pretrain_epochs=1, **SMALL)
         state, _ = pretrain(split, cfg, seed=1)
-        dec = init_decoder(np.random.default_rng(0), cfg.output_dim, cfg.decoder_hidden_dims)
-        _, info = evaluate_final(state, split, dec, cfg, seed=42)
+        *_, info = eval_inputs(state, split, cfg, seed=42)
         seen_u = set(split.train.edges.u.tolist()) | set(split.val_edges.u.tolist())
         seen_v = set(split.train.edges.v.tolist()) | set(split.val_edges.v.tolist())
         test_pairs = set(zip(split.test_edges.u.tolist(), split.test_edges.v.tolist()))

@@ -17,8 +17,10 @@ from bilink.augment import augmented_view, corrupt_view
 from bilink.errors import ValidationError, reading
 from bilink.graph import (EDGE_HEADER, BipartiteGraph, EdgeArray, aggregate_pairs,
                           normalized_adjacency)
+from bilink.model import encode, init_model_state, mlp_forward
 from bilink.rng import child_seed, rng_for
 from bilink.synthetic import _block_of, generate
+from bilink.training import epoch_inputs
 
 
 def make_graph(n_u, n_v, edge_tuples, d_u=3, d_v=4, rng=None):
@@ -309,6 +311,34 @@ def loss_term_oracle(pred_rows, target_rows, edges, weights, weighted, sign):
         num += w * cosine_scalar(pred_rows[u], target_rows[v])
         den += w
     return sign * num / den
+
+
+def pretrain_epoch0_loss_oracle(g, cfg, seed):
+    """(attractive, repulsive) of `training.pretrain`'s epoch 0 on the train
+    graph `g`, rebuilt from public pieces and one weighted cosine per edge:
+    the online predictions (UNK rows swapped in) at each view-1 edge's U end
+    against view 2's target rows at its V end, and at each corrupted edge's
+    U end against the corrupted view's target rows."""
+    state = init_model_state(rng_for(seed, "init"), g.x_u.shape[1], g.x_v.shape[1],
+                             cfg.input_dim, cfg.hidden_dim, cfg.output_dim)
+    pairs = aggregate_pairs(g.edges, g.n_v, use_weights=cfg.weighted_pretrain)
+    (view1, view2, corrupted, adj1, adj2, adjc, dropout_seed,
+     unk_rows) = epoch_inputs(g, pairs, cfg, seed, 0)
+    h_u = encode(state.online, adj1, view1.x_u, view1.x_v, slice(0, g.n_u),
+                 dropout_p=cfg.dropout, dropout_seed=dropout_seed).data.copy()
+    h_u[unk_rows] = state.online["encoder.unk_u"].data
+    p_u = ad.constant(h_u)
+    for head in ("heads.projector_u", "heads.predictor_u"):
+        p_u = mlp_forward(state.online, head, p_u)
+    p_u = p_u.data.tolist()
+
+    def term(view, target_view, adj, sign):
+        target = encode(state.target, adj, target_view.x_u, target_view.x_v,
+                        slice(g.n_u, None)).data.tolist()
+        return loss_term_oracle(p_u, target, zip(view.edge_u, view.edge_v),
+                                view.edge_w, True, sign)
+
+    return term(view1, view2, adj2, -1.0), term(corrupted, corrupted, adjc, +1.0)
 
 
 def roc_auc_oracle(scores, labels):
