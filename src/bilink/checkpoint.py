@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError, reading
 from .model import (ModelState, ParamStore, decoder_shapes, encoder_shapes,
-                    make_store, model_shapes, named_params)
+                    model_shapes, named_params)
 
 FORMAT_VERSION = 2
 _META_KEY = "__meta__"
@@ -119,9 +119,9 @@ def load_model_state(path):
         arrays = {name: arrays[name] for name in expected}
     _check_layout(path, arrays, expected)
     return ModelState(
-        online=make_store({name: arrays[f"online.{name}"] for name in online},
+        online=ParamStore({name: arrays[f"online.{name}"] for name in online},
                           requires_grad=True),
-        target=make_store({name: arrays[f"target.{name}"] for name in target},
+        target=ParamStore({name: arrays[f"target.{name}"] for name in target},
                           requires_grad=False)), meta
 
 
@@ -142,4 +142,4 @@ def load_decoder(path):
     hidden = [_dim(path, arrays, f"decoder.layer{i}.weight", 1) for i in range(1, n_layers)]
     shapes = decoder_shapes(_dim(path, arrays, "decoder.layer1.weight", 0) // 2, hidden)
     _check_layout(path, arrays, shapes)
-    return make_store({name: arrays[name] for name in shapes}, requires_grad=True), meta
+    return ParamStore({name: arrays[name] for name in shapes}, requires_grad=True), meta

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import pipeline
-from .errors import TYPE_NAMES, ValidationError, reading
+from .errors import TYPE_NAMES, ValidationError, make_dir, reading
 from .graph import check_summed_weights, chronological_split
 from .rng import check_seed
 from .synthetic import SyntheticSpec, write_dataset
@@ -71,7 +71,7 @@ def _parse_value(name: str, raw: str, kind):
 
 def read_config_file(path) -> dict:
     with reading(path):
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     values, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -195,6 +195,10 @@ def cmd_eval_only(args) -> int:
     split = chronological_split(graph)
     if cfg.weighted_pretrain:
         check_summed_weights(split)
+    if args.out:
+        make_dir(Path(args.out).parent)
+        if Path(args.out).is_dir():
+            raise ValidationError(f"{args.out}: output path is a directory")
     metrics, info = score_eval(dec, eval_inputs(state, split, cfg, seed), cfg)
     payload = {"dataset_hash": ds_hash, "seed": seed,
                "variant": cfg.variant_label, "metrics": metrics, "eval_info": info}

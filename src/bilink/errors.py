@@ -6,6 +6,7 @@ import dataclasses
 import numbers
 import zipfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +31,18 @@ def reading(path):
     except (OSError, ValueError, EOFError, csv.Error, zipfile.BadZipFile, zlib.error) as exc:
         raise ValidationError(f"{path}: cannot read input file "
                               f"({type(exc).__name__}: {exc})") from exc
+
+
+def make_dir(path) -> Path:
+    """Make the output directory `path`, parents included, or raise a
+    ValidationError naming it (a path under a regular file, say)."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot create output directory "
+                              f"({type(exc).__name__}: {exc.strerror})") from exc
+    return path
 
 
 # Field types of the checked dataclasses as error messages name them (`cli`

@@ -27,40 +27,29 @@ from .autodiff import Tensor
 
 
 class ParamStore(dict):
-    """Ordered name -> Tensor map over one contiguous float64 buffer, `flat`.
+    """Ordered name -> Tensor map over one contiguous float64 buffer, `flat`,
+    holding a copy of the ordered name -> array mapping `arrays`.
 
-    Every tensor's `.data` is a view into `flat` (laid out in `shapes`
+    Every tensor's `.data` is a view into `flat` (laid out in `arrays`
     order), so the optimizer, the EMA update and snapshots work on the whole
     buffer at once. A store that requires grad holds its gradients the same
     way, in `grad`, which `backward` adds into and `adam_step` zeroes. Write
     a parameter or a gradient in place (`p.data[...] = x`); rebinding leaves
-    the buffer. Build one with `make_store`.
+    the buffer.
     """
 
-    def __init__(self, flat: np.ndarray, shapes: dict, requires_grad: bool):
+    def __init__(self, arrays: dict, requires_grad: bool):
         super().__init__()
-        self.flat = flat
-        self.grad = np.zeros_like(flat) if requires_grad else None
+        arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
+        self.flat = np.concatenate([a.ravel() for a in arrays.values()])
+        self.grad = np.zeros_like(self.flat) if requires_grad else None
         start = 0
-        for name, shape in shapes.items():
-            end = start + int(np.prod(shape))
-            self[name] = t = Tensor(flat[start:end].reshape(shape), requires_grad)
+        for name, a in arrays.items():
+            end = start + a.size
+            self[name] = t = Tensor(self.flat[start:end].reshape(a.shape), requires_grad)
             if requires_grad:
-                t.grad = self.grad[start:end].reshape(shape)
+                t.grad = self.grad[start:end].reshape(a.shape)
             start = end
-
-    def __reduce__(self):
-        # Pickle (e.g. from a pool worker) sends the buffer once and
-        # rebuilds the views over it, with a fresh zero gradient buffer.
-        return ParamStore, (self.flat, {name: t.shape for name, t in self.items()},
-                            self.grad is not None)
-
-
-def make_store(arrays: dict, requires_grad: bool) -> ParamStore:
-    """A store holding a copy of an ordered name -> array mapping."""
-    arrays = {name: np.asarray(a, dtype=np.float64) for name, a in arrays.items()}
-    flat = np.concatenate([a.ravel() for a in arrays.values()])
-    return ParamStore(flat, {name: a.shape for name, a in arrays.items()}, requires_grad)
 
 
 @dataclass
@@ -138,13 +127,13 @@ def init_model_state(rng, d_u: int, d_v: int, input_dim: int, hidden_dim: int,
     drawn = {name: _init_value(rng, name, shape)
              for name, shape in model_shapes(*dims, sides=("u", "v")).items()}
     online, target = model_shapes(*dims), encoder_shapes(*dims)
-    return ModelState(make_store({n: drawn[n] for n in online}, requires_grad=True),
-                      make_store({n: drawn[n] for n in target}, requires_grad=False))
+    return ModelState(ParamStore({n: drawn[n] for n in online}, requires_grad=True),
+                      ParamStore({n: drawn[n] for n in target}, requires_grad=False))
 
 
 def init_decoder(rng, embed_dim: int, hidden_dims) -> ParamStore:
     shapes = decoder_shapes(embed_dim, hidden_dims)
-    return make_store({name: _init_value(rng, name, shape)
+    return ParamStore({name: _init_value(rng, name, shape)
                        for name, shape in shapes.items()}, requires_grad=True)
 
 

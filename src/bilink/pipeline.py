@@ -25,13 +25,13 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import metrics as mt
-from .errors import ValidationError
+from .errors import ValidationError, make_dir
 from .graph import (BipartiteGraph, aggregate_pairs, check_summed_weights,
                     chronological_split, load_graph, sample_negatives)
 from .model import state_checksum
 from .rng import check_seed, seed_int
-from .training import (ALL_VARIANTS, VariantConfig, eval_inputs, extract_embeddings,
-                       phase2_sizes, pretrain, score_eval, train_decoder)
+from .training import (VariantConfig, eval_inputs, extract_embeddings, phase2_sizes,
+                       pretrain, score_eval, train_decoder)
 
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
 
@@ -42,11 +42,6 @@ def dataset_hash(paths: dict) -> str:
         h.update(key.encode())
         h.update(Path(paths[key]).read_bytes())
     return h.hexdigest()
-
-
-def _pretrain_key(cfg: VariantConfig, seed: int) -> tuple:
-    """What phase 1 reads: the seed and the config less `weighted_bce`."""
-    return seed, dataclasses.astuple(cfg.replace(weighted_bce=False))
 
 
 def _failure(seed: int, exc: BaseException) -> dict:
@@ -101,7 +96,7 @@ def _peak_rss_mb() -> float:
     return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
 
 
-def run_seed(split, cfgs, seed: int, checkpoint_dirs=None) -> list:
+def run_seed(split, cfgs, seed: int, checkpoint_dir=None) -> list:
     """One task: the configs of one seed that share a pretrain (they differ
     in `weighted_bce` alone), on one BLAS thread, pinned here so that the pin
     holds under any start method of the pool. Returns one manifest dict or
@@ -113,12 +108,13 @@ def run_seed(split, cfgs, seed: int, checkpoint_dirs=None) -> list:
     scores one decoder per config. A failure before the decoders fails every
     config; a decoder's failure fails its own.
 
-    With `checkpoint_dirs` (one per config), each config's model and decoder
-    are written to `<dir>/seed_<seed>/` as soon as it finishes. The records
-    hold no arrays either way, so a pool sends back only manifests and the
-    caller's memory does not grow with the seed count.
+    A one-config task with `checkpoint_dir` writes its model and decoder to
+    `<checkpoint_dir>/seed_<seed>/` as soon as the decoder finishes. The
+    records hold no arrays either way, so a pool sends back only manifests
+    and the caller's memory does not grow with the seed count.
     """
-    if len({_pretrain_key(cfg, seed) for cfg in cfgs}) != 1:
+    first = cfgs[0].replace(weighted_bce=False)
+    if any(cfg.replace(weighted_bce=False) != first for cfg in cfgs):
         raise ValidationError("a task's configs must differ in weighted_bce alone")
     with _one_blas_thread() as threads:
         t0 = time.monotonic()
@@ -162,8 +158,8 @@ def run_seed(split, cfgs, seed: int, checkpoint_dirs=None) -> list:
                                "elapsed_seconds": shared_seconds + time.monotonic() - t2,
                                "blas_threads": threads},
                 }
-                if checkpoint_dirs is not None:
-                    seed_dir = checkpoint_dirs[i] / f"seed_{seed}"
+                if checkpoint_dir is not None:
+                    seed_dir = checkpoint_dir / f"seed_{seed}"
                     seed_dir.mkdir(parents=True, exist_ok=True)
                     meta = {"config": result["config"], "seed": seed}
                     ckpt.save_model_state(seed_dir / "model.npz", state, meta)
@@ -179,17 +175,18 @@ def run_seed(split, cfgs, seed: int, checkpoint_dirs=None) -> list:
     return outcomes
 
 
-def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
-              checkpoint_dirs=None):
-    """Outcomes of every (seed, variant), one row per seed in seed order.
+def _run_grid(graph: BipartiteGraph, groups, seeds, workers: int,
+              checkpoint_dir=None, out_dirs=()):
+    """Outcomes of every (seed, config), one row per seed in seed order and
+    the configs in `groups` order.
 
-    One task per (seed, pretraining config): the variants that share a
-    pretrain run one after another in one task. The tasks share one pool of
-    `min(workers, tasks)` forked processes, or run in this process when that
-    is 1. With `checkpoint_dirs` (one per variant), the tasks write their
-    checkpoints.
+    `groups` lists config lists whose configs share a pretrain: one task per
+    (seed, group) runs `run_seed`, passing `checkpoint_dir` on. The tasks
+    share one pool of `min(workers, tasks)` forked processes, or run in this
+    process when that is 1.
     Seeds, workers, the phase-2 sizes and, when any config is weighted, the
-    summed pair weights before the test era are checked first.
+    summed pair weights before the test era are checked first, then the
+    caller's `out_dirs` are made: a bad input or output fails before any task.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -202,17 +199,11 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
         check_seed(seed, "seed list: seed")
     split = chronological_split(graph)
     phase2_sizes(split)
-    if any(cfg.weighted_pretrain or cfg.weighted_bce for cfg in cfgs):
+    if any(cfg.weighted_pretrain or cfg.weighted_bce for group in groups for cfg in group):
         check_summed_weights(split)
-    tasks = []  # (row, indices of the variants sharing one pretrain)
-    for row, seed in enumerate(seeds):
-        groups = {}
-        for i, cfg in enumerate(cfgs):
-            groups.setdefault(_pretrain_key(cfg, seed), []).append(i)
-        tasks += [(row, idx) for idx in groups.values()]
-    jobs = [(split, [cfgs[i] for i in idx], seeds[row],
-             None if checkpoint_dirs is None else [checkpoint_dirs[i] for i in idx])
-            for row, idx in tasks]
+    for path in out_dirs:
+        make_dir(path)
+    jobs = [(split, group, seed, checkpoint_dir) for seed in seeds for group in groups]
     n_procs = min(workers, len(jobs))
     if n_procs == 1:
         results = [run_seed(*job) for job in jobs]
@@ -220,16 +211,12 @@ def _run_grid(graph: BipartiteGraph, cfgs, seeds, workers: int,
         results = []
         with ProcessPoolExecutor(max_workers=n_procs) as pool:
             futures = [pool.submit(run_seed, *job) for job in jobs]
-            for (row, idx), fut in zip(tasks, futures):
+            for (_, group, seed, _), fut in zip(jobs, futures):
                 try:
                     results.append(fut.result())
                 except Exception as exc:  # the task never returned, e.g. a lost worker
-                    results.append([_failure(seeds[row], exc)] * len(idx))
-    rows = [[None] * len(cfgs) for _ in seeds]
-    for (row, idx), outcomes in zip(tasks, results):
-        for i, outcome in zip(idx, outcomes):
-            rows[row][i] = outcome
-    return rows
+                    results.append([_failure(seed, exc)] * len(group))
+    return [sum(results[i:i + len(groups)], []) for i in range(0, len(results), len(groups))]
 
 
 def _write_json(path, payload) -> None:
@@ -241,7 +228,6 @@ def _write_json(path, payload) -> None:
 def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes,
                    ds_hash: str) -> mt.EvalReport:
     """Per-seed manifests plus the report of one variant."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = [o for o in outcomes if "error" not in o]
     failures = [o for o in outcomes if "error" in o]
     for result in results:
@@ -274,7 +260,7 @@ def run_dataset(graph: BipartiteGraph, cfg: VariantConfig, seeds,
     """Run every seed, write per-seed manifests/checkpoints and the
     aggregate report. Per-seed failures are recorded; other seeds proceed."""
     out_dir = Path(out_dir)
-    rows = _run_grid(graph, [cfg], seeds, workers, [out_dir])
+    rows = _run_grid(graph, [[cfg]], seeds, workers, out_dir, [out_dir])
     return _write_variant(out_dir, cfg, [row[0] for row in rows], ds_hash)
 
 
@@ -307,8 +293,10 @@ def run_ablation(graph: BipartiteGraph, base_cfg: VariantConfig, seeds,
     """
     seeds = list(seeds)
     out_dir = Path(out_dir)
-    cfgs = [base_cfg.replace(**flags) for flags in ALL_VARIANTS]
-    rows = _run_grid(graph, cfgs, seeds, workers)
+    cfgs = [base_cfg.replace(weighted_pretrain=wp, weighted_bce=wb)
+            for wp in (True, False) for wb in (True, False)]
+    rows = _run_grid(graph, [cfgs[:2], cfgs[2:]], seeds, workers,  # by weighted_pretrain
+                     out_dirs=[out_dir / cfg.variant_label for cfg in cfgs])
     reports, errors = {}, []
     for i, cfg in enumerate(cfgs):  # every variant's directory, then any error
         try:

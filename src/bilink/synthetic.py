@@ -10,12 +10,11 @@ uniform random pairs and the dataset carries no learnable signal.
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import atomic_write
-from .errors import ValidationError, check_fields, setting
+from .errors import ValidationError, check_fields, make_dir, setting
 from .graph import EDGE_HEADER
 
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -225,8 +224,7 @@ def write_dataset(spec: SyntheticSpec, out_dir) -> dict:
     """Generate and write edges.csv / u_features.csv / v_features.csv. Each
     file is replaced whole (`atomic_write`), so an interrupted run leaves
     no truncated file."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(out_dir)
     x_u, x_v, pairs, weights, times = generate(spec)
     texts = {
         "edges": _csv_text(EDGE_HEADER, "u{},v{},{},{}", *pairs.T.tolist(),

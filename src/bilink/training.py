@@ -81,14 +81,6 @@ class VariantConfig:
         return dataclasses.replace(self, **kwargs)
 
 
-ALL_VARIANTS = (
-    {"weighted_pretrain": True, "weighted_bce": True},
-    {"weighted_pretrain": True, "weighted_bce": False},
-    {"weighted_pretrain": False, "weighted_bce": True},
-    {"weighted_pretrain": False, "weighted_bce": False},
-)
-
-
 @dataclass
 class FrozenEmbeddings:
     """Online-encoder outputs for a stated graph, one read-only row per node,

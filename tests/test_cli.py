@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilink import pipeline
+from bilink import cli, pipeline, synthetic
 from bilink.checkpoint import load_arrays, load_model_state, save_decoder
 from bilink.cli import (EXIT_OK, EXIT_VALIDATION, build_config,
                         build_parser, main, read_config_file)
@@ -472,6 +472,44 @@ def no_pretrain(*args):
     raise AssertionError("pretrain called")
 
 
+class TestOutputDirectoryThatCannotBeMade:
+    """An output directory that cannot be made (here, one under a regular
+    file) exits EXIT_VALIDATION with one line naming it, before any
+    pretraining, generation or scoring."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        for module, name in ((pipeline, "pretrain"), (synthetic, "generate"),
+                             (cli, "score_eval")):
+            monkeypatch.setattr(module, name, no_work)
+        path = tmp_path / "file"
+        path.write_text("")
+        return path
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_run_and_ablate(self, dataset, blocker, capsys, command):
+        out = blocker / "out"
+        assert main([command, *dataset_flags(dataset), "--seeds", "42",
+                     "--out-dir", str(out), *FAST_FLAGS]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"{out if command == 'run' else out / 'wp_wb'}: "
+                                      "cannot create output directory")
+
+    def test_ablate_variant(self, dataset, blocker, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "nwp_nwb").write_text("")
+        assert main(["ablate", *dataset_flags(dataset), "--seeds", "42",
+                     "--out-dir", str(out), *FAST_FLAGS]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, str(out / "nwp_nwb"))
+
+    def test_gen_synth(self, blocker, capsys):
+        assert main(["gen-synth", "--out-dir", str(blocker)]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, f"{blocker}: cannot create output directory")
+
+
 class TestUnrepresentableInput:
     """Input that passes its value checks but that training cannot represent
     exits EXIT_VALIDATION with one line: before any seed runs when a check
@@ -550,6 +588,11 @@ class TestConfigPrecedence:
         f = tmp_path / "c.cfg"
         f.write_text("# comment\n\nlr = 0.01  # trailing\n")
         assert read_config_file(f) == {"lr": 0.01}
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        f = tmp_path / "bom.cfg"
+        f.write_bytes(b"\xef\xbb\xbfhidden_dim = 64\nlr = 0.01\n")
+        assert read_config_file(f) == {"hidden_dim": 64, "lr": 0.01}
 
     def test_repeated_key_rejected(self, tmp_path):
         f = tmp_path / "twice.cfg"
@@ -756,6 +799,29 @@ class TestCheckpointFiles:
                      "--out", str(out)]) == EXIT_OK
         assert out.read_text() == capsys.readouterr().out
         assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
+
+    def test_eval_only_makes_the_out_directory(self, parent_data, tmp_path, capsys):
+        out = tmp_path / "new" / "eval.json"
+        assert main(["eval-only", *dataset_flags(parent_data),
+                     "--model", str(DATA / "parent_model.npz"),
+                     "--decoder", str(DATA / "parent_decoder.npz"),
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_text() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("where", ["under_file", "dir"])
+    def test_eval_only_unwritable_out_exits_before_scoring(self, parent_data, tmp_path,
+                                                           capsys, monkeypatch, where):
+        def no_scoring(*args):
+            raise AssertionError("score_eval called")
+
+        monkeypatch.setattr(cli, "score_eval", no_scoring)
+        (tmp_path / "file").write_text("")
+        out = {"under_file": tmp_path / "file" / "eval.json", "dir": tmp_path}[where]
+        assert main(["eval-only", *dataset_flags(parent_data),
+                     "--model", str(DATA / "parent_model.npz"),
+                     "--decoder", str(DATA / "parent_decoder.npz"),
+                     "--out", str(out)]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, str(out.parent if where == "under_file" else out))
 
     @pytest.mark.parametrize("edit", [
         lambda m: m.pop("tau"), lambda m: m.update(tau="0.99"),

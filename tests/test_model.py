@@ -1,5 +1,3 @@
-import pickle
-
 import numpy as np
 import pytest
 
@@ -315,24 +313,3 @@ class TestParamStore:
         assert state.target.flat.size == 104_960
         v1 = model_shapes(12, 12, 256, 256, 128, sides=("u", "v"))
         assert sum(int(np.prod(shape)) for shape in v1.values()) == 368_900
-
-    def test_pickle_round_trip_keeps_one_buffer(self):
-        """Gradients are never sent: the copy gets a fresh zero buffer, and
-        its tensors' `.grad` views point into it."""
-        state = self._state()
-        state.online.grad[...] = 1.0
-        copy = pickle.loads(pickle.dumps(state))
-        assert state_checksum(copy) == state_checksum(state)
-        assert_in_buffer(copy.online)
-        assert_in_buffer(copy.target)
-        assert not copy.target["encoder.conv1"].requires_grad
-        assert copy.target.grad is None
-        assert copy.online.grad.shape == copy.online.flat.shape
-        assert not copy.online.grad.any()
-        for name, t in copy.online.items():
-            assert np.shares_memory(t.grad, copy.online.grad), name
-        # a default-size store sends its parameter bytes and no gradient bytes
-        online = init_model_state(np.random.default_rng(0), 12, 12, input_dim=256,
-                                  hidden_dim=256, output_dim=128).online
-        online.grad[...] = 1.0
-        assert len(pickle.dumps(online)) < online.flat.nbytes + 4096

@@ -4,12 +4,12 @@ import pytest
 from bilink import autodiff as ad
 from bilink.autodiff import Tape, Tensor, backward
 from bilink.errors import TrainingError
-from bilink.model import make_store
+from bilink.model import ParamStore
 from bilink.optim import BETA1, BETA2, EPS, _BLOCK, adam_step, init_adam_state
 
 
 def store(**arrays):
-    return make_store(arrays, requires_grad=True)
+    return ParamStore(arrays, requires_grad=True)
 
 
 def step(params, grads: dict, state, lr, weight_decay):

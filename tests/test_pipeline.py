@@ -13,11 +13,14 @@ from bilink.graph import chronological_split
 from bilink.model import ModelState, ParamStore
 from bilink.rng import seed_int
 from bilink.synthetic import SyntheticSpec, write_dataset
-from bilink.training import ALL_VARIANTS, VariantConfig
+from bilink.training import VariantConfig
 from util import make_graph
 
 FAST = dict(pretrain_epochs=3, decoder_epochs=5, input_dim=12, hidden_dim=12,
             output_dim=8, decoder_hidden_dims=(12, 6))
+# The four cells of the weighting ablation, in `run_ablation`'s order.
+VARIANTS = [{"weighted_pretrain": wp, "weighted_bce": wb}
+            for wp in (True, False) for wb in (True, False)]
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +89,11 @@ def test_dataset_hash_tracks_contents(dataset, tmp_path):
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):
-    """An output that cannot be written is a runtime failure; an input that
-    cannot be read is a validation error (`test_cli.py`)."""
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    code = main(["gen-synth", "--out-dir", str(blocker / "out")])
+    """An output file that cannot be written in a directory that can be made
+    is a runtime failure; an input that cannot be read, or an output
+    directory that cannot be made, is a validation error (`test_cli.py`)."""
+    (tmp_path / "edges.csv").mkdir()
+    code = main(["gen-synth", "--out-dir", str(tmp_path)])
     assert code == EXIT_RUNTIME
     assert "runtime failure" in capsys.readouterr().err
 
@@ -116,7 +119,7 @@ def test_ablation_matches_separate_runs(dataset, tmp_path, workers):
     base = VariantConfig(**FAST)
     pipeline.run_ablation(graph, base, [42, 43], tmp_path / "grid", ds_hash,
                           workers=workers)
-    for flags in ALL_VARIANTS:
+    for flags in VARIANTS:
         cfg = base.replace(**flags)
         alone = tmp_path / "alone" / cfg.variant_label
         pipeline.run_dataset(graph, cfg, [42, 43], alone, ds_hash)
@@ -468,17 +471,38 @@ def _held_arrays(obj, path="record"):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_task_records_hold_no_arrays(dataset, tmp_path, workers):
     graph, _ = _load(dataset)
-    cfgs = [VariantConfig(**FAST).replace(**flags) for flags in ALL_VARIANTS]
-    dirs = [tmp_path / cfg.variant_label for cfg in cfgs]
-    rows = pipeline._run_grid(graph, cfgs, [42, 43], workers)
-    rows += pipeline._run_grid(graph, cfgs, [42, 43], workers, dirs)
+    cfgs = [VariantConfig(**FAST).replace(**flags) for flags in VARIANTS]
+    rows = pipeline._run_grid(graph, [cfgs[:2], cfgs[2:]], [42, 43], workers)
+    rows += pipeline._run_grid(graph, [[cfgs[0]]], [42, 43], workers, tmp_path)
+    assert [len(row) for row in rows] == [4, 4, 1, 1]
     assert all("error" not in outcome for row in rows for outcome in row)
+    assert [outcome["variant"] for outcome in rows[0]] == [
+        "wp_wb", "wp_nwb", "nwp_wb", "nwp_nwb"]
     assert _held_arrays(rows) == []
     # the tasks wrote every checkpoint themselves
-    for d in dirs:
+    for seed in (42, 43):
+        assert (tmp_path / f"seed_{seed}" / "model.npz").exists()
+        assert (tmp_path / f"seed_{seed}" / "decoder.npz").exists()
+
+
+def test_only_run_writes_checkpoints(dataset, tmp_path):
+    """`ablate` writes one manifest per (variant, seed) and no checkpoint;
+    `run` writes a manifest, the model and the decoder per seed."""
+    graph, ds_hash = _load(dataset)
+    cfg = VariantConfig(**FAST)
+    pipeline.run_ablation(graph, cfg, [42, 43], tmp_path / "ablate", ds_hash)
+    pipeline.run_dataset(graph, cfg, [42, 43], tmp_path / "run", ds_hash)
+
+    def files(seed_dir):
+        return sorted(path.name for path in seed_dir.iterdir())
+
+    for flags in VARIANTS:
+        label = cfg.replace(**flags).variant_label
         for seed in (42, 43):
-            assert (d / f"seed_{seed}" / "model.npz").exists()
-            assert (d / f"seed_{seed}" / "decoder.npz").exists()
+            assert files(tmp_path / "ablate" / label / f"seed_{seed}") == ["manifest.json"]
+    for seed in (42, 43):
+        assert files(tmp_path / "run" / f"seed_{seed}") == [
+            "decoder.npz", "manifest.json", "model.npz"]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

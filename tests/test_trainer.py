@@ -518,7 +518,7 @@ def test_held_out_nodes_score_through_the_encoder(tmp_path):
     split = TemporalSplit(split.train.with_edges(without_held_out(split.train.edges)),
                           without_held_out(split.val_edges), test)
     cfg = VariantConfig()
-    (result,) = run_seed(split, [cfg], 42, [tmp_path / "run"])
+    (result,) = run_seed(split, [cfg], 42, tmp_path / "run")
     state, _ = load_model_state(tmp_path / "run" / "seed_42" / "model.npz")
     dec, _ = load_decoder(tmp_path / "run" / "seed_42" / "decoder.npz")
     n_u, n_v = split.train.n_u, split.train.n_v
