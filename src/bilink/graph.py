@@ -8,11 +8,10 @@ the interaction count when every event has weight 1). Event weights must be
 positive and finite. A set of pairs is a sorted array of int64 keys u*n_v+v.
 """
 
-import contextlib
 import csv
-import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,6 @@ import scipy.sparse as sp
 from .errors import ValidationError, reading
 
 EDGE_HEADER = ["u_id", "v_id", "weight", "timestamp"]
-# Timestamps are stored as int64; a parsed one outside this range is malformed.
-_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 @dataclass
@@ -113,97 +110,48 @@ class TemporalSplit:
             [_pair_key(e.u, e.v, self.train.n_v) for e in eras]))
 
 
-def _read_rows(path, header_ok, header_text) -> tuple:
-    """Reads the non-blank data rows of a CSV file whose stripped header
-    satisfies `header_ok`. Returns (width, rows, tail): the header's column
-    count; the rows before the first one that has another column count or
-    that the file fails to read at; and that failure as a ValidationError,
-    or None. A failed check on `rows` comes first in file order, so it wins
-    over `tail`."""
-    tail = None
+def _data_rows(path, header_ok, header_text):
+    """Yields (line, row) for each non-blank data row of the CSV file `path`,
+    whose stripped header must satisfy `header_ok`; `line` is the number of
+    the row's last line. A row with another column count than the header, or
+    a failure to read the file, raises a ValidationError where it is met."""
     with reading(path), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or not header_ok([h.strip() for h in header]):
             raise ValidationError(f"{path}: expected header {header_text}")
         width = len(header)
-        rows = []
-        try:
-            with reading(path):
-                rows.extend(filter(None, reader))
-        except ValidationError as exc:
-            tail = exc
-    widths = np.fromiter(map(len, rows), np.int64, len(rows))
-    bad = np.flatnonzero(widths != width)
-    if len(bad):
-        i = int(bad[0])
-        tail = ValidationError(f"{path}:{_line_of(path, i)}: expected {width} "
-                               f"columns, got {len(rows[i])}")
-        del rows[i:]
-    return width, rows, tail
-
-
-def _line_of(path, index: int) -> int:
-    """Line number of the last line of data row `index` (0-based, blank rows
-    not counted) of the CSV file `path`, read again up to that row."""
-    with reading(path), open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        # Row 0 is the header, which is never blank.
-        next(itertools.islice(filter(None, reader), index + 1, None))
-        return reader.line_num
-
-
-def _converted(kind, strings: list) -> list:
-    """`kind` (float or int) applied to `strings` in order up to the first
-    one it rejects: the result is shorter than `strings` just when one is
-    rejected, at the result's length."""
-    out = []
-    with contextlib.suppress(ValueError):
-        out.extend(map(kind, strings))
-    return out
-
-
-def _first_none(values: list) -> int:
-    return values.index(None) if None in values else len(values)
+        for row in filter(None, reader):
+            if len(row) != width:
+                raise ValidationError(f"{path}:{reader.line_num}: expected {width} "
+                                      f"columns, got {len(row)}")
+            yield reader.line_num, row
 
 
 def _read_feature_csv(path) -> tuple:
     """Returns (ids in file order, feature matrix). Header must be id,f1,...,fd.
     A duplicate id or a malformed value fails at its row, a non-finite value
     only once every row is read."""
-    width, rows, tail = _read_rows(path, lambda h: len(h) >= 2 and h[0] == "id",
-                                   "id,f1,...,fd")
-    n = len(rows)
-    cells = list(itertools.chain.from_iterable(rows))
-    ids = cells[::width]
-    del cells[::width]
-    values = _converted(float, cells)
-    first_row = dict(zip(reversed(ids), reversed(range(n))))
-    dup = n
-    if len(first_row) < n:
-        rows_of_first = np.fromiter(map(first_row.get, ids), np.int64, n)
-        dup = int(np.flatnonzero(rows_of_first != np.arange(n))[0])
-    bad = min(dup, len(values) // (width - 1))
-    if bad < n:
-        where = f"{path}:{_line_of(path, bad)}"
-        raw_id = ids[bad]
-        if bad == dup:
-            raise ValidationError(f"{where}: duplicate id {raw_id!r} (first at "
-                                  f"line {_line_of(path, first_row[raw_id])})")
+    line_of = {}  # id -> line of its row, in file order
+    values = array("d")
+    for line, (raw_id, *raw_x) in _data_rows(
+            path, lambda h: len(h) >= 2 and h[0] == "id", "id,f1,...,fd"):
+        if raw_id in line_of:
+            raise ValidationError(f"{path}:{line}: duplicate id {raw_id!r} (first at "
+                                  f"line {line_of[raw_id]})")
+        line_of[raw_id] = line
         try:
-            list(map(float, rows[bad][1:]))
+            values.extend(map(float, raw_x))
         except ValueError as exc:
-            raise ValidationError(f"{where}: malformed feature value ({exc})")
-    if tail is not None:
-        raise tail
-    if not ids:
+            raise ValidationError(f"{path}:{line}: malformed feature value ({exc})")
+    if not line_of:
         raise ValidationError(f"{path}: no feature rows")
-    x = np.array(values, dtype=np.float64).reshape(n, width - 1)
+    x = np.frombuffer(values).reshape(len(line_of), -1)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if len(bad):
-        raise ValidationError(f"{path}:{_line_of(path, int(bad[0]))}: "
+        raise ValidationError(f"{path}:{list(line_of.values())[bad[0]]}: "
                               "non-finite feature value")
-    return ids, x
+    return list(line_of), x
 
 
 def load_graph(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
@@ -211,51 +159,49 @@ def load_graph(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
 
     Dense indices are assigned in feature-file row order. Every node
     referenced by an edge must have a feature row; feature-file nodes with
-    no edges are kept as isolated nodes. The first edge row in file order
-    that fails a check names the error; within a row the checks run in
-    order: column count, u id, v id, weight and timestamp parse (the
-    timestamp within int64), weight positive and finite.
+    no edges are kept as isolated nodes. Each file is read one row at a
+    time, and only the parsed values of the rows are kept. Each edge row is
+    checked in full before the next is read, so the first failing row in
+    file order names the error; within a row the checks run in order:
+    column count, u id, v id, weight and timestamp parse (the timestamp
+    within int64), weight positive and finite.
     """
     u_ids, x_u = _read_feature_csv(u_feature_file)
     v_ids, x_v = _read_feature_csv(v_feature_file)
     u_index = dict(zip(u_ids, range(len(u_ids))))
     v_index = dict(zip(v_ids, range(len(v_ids))))
 
-    _, rows, tail = _read_rows(edge_file, lambda h: h == EDGE_HEADER,
-                               ",".join(EDGE_HEADER))
-    n = len(rows)
-    cells = list(itertools.chain.from_iterable(rows))
-    eu = list(map(u_index.get, cells[0::4]))
-    ev = list(map(v_index.get, cells[1::4]))
-    ew = _converted(float, cells[2::4])
-    et = _converted(int, cells[3::4])
-    if et and (min(et) not in _INT64 or max(et) not in _INT64):
-        del et[[t in _INT64 for t in et].index(False):]
-    w = np.array(ew, dtype=np.float64)
-    bad_w = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
-    bad = min(_first_none(eu), _first_none(ev), len(ew), len(et),
-              int(bad_w[0]) if len(bad_w) else n)
-    if bad < n:
-        where = f"{edge_file}:{_line_of(edge_file, bad)}"
-        raw_u, raw_v, raw_w, raw_t = rows[bad]
-        if eu[bad] is None:
-            raise ValidationError(f"{where}: u_id {raw_u!r} has no feature row")
-        if ev[bad] is None:
-            raise ValidationError(f"{where}: v_id {raw_v!r} has no feature row")
+    eu, ev, ew, et = array("q"), array("q"), array("d"), array("q")
+    # Bound once: this loop runs once per event.
+    u_of, v_of = u_index.get, v_index.get
+    add_u, add_v, add_w, add_t = eu.append, ev.append, ew.append, et.append
+    for line, (raw_u, raw_v, raw_w, raw_t) in _data_rows(
+            edge_file, lambda h: h == EDGE_HEADER, ",".join(EDGE_HEADER)):
+        u = u_of(raw_u)
+        if u is None:
+            raise ValidationError(f"{edge_file}:{line}: u_id {raw_u!r} has no feature row")
+        v = v_of(raw_v)
+        if v is None:
+            raise ValidationError(f"{edge_file}:{line}: v_id {raw_v!r} has no feature row")
         try:
-            float(raw_w)
-            if int(raw_t) not in _INT64:
-                raise ValueError(f"timestamp {raw_t} is outside the int64 range")
+            w = float(raw_w)
+            add_t(int(raw_t))  # an int64 array: rejects a timestamp outside int64
+        except OverflowError:
+            raise ValidationError(f"{edge_file}:{line}: malformed row (timestamp {raw_t} "
+                                  "is outside the int64 range)")
         except ValueError as exc:
-            raise ValidationError(f"{where}: malformed row ({exc})")
-        raise ValidationError(f"{where}: edge weight must be positive and "
-                              f"finite, got {raw_w}")
-    if tail is not None:
-        raise tail
-    if not n:
+            raise ValidationError(f"{edge_file}:{line}: malformed row ({exc})")
+        if not 0 < w < math.inf:
+            raise ValidationError(f"{edge_file}:{line}: edge weight must be positive "
+                                  f"and finite, got {raw_w}")
+        add_u(u)
+        add_v(v)
+        add_w(w)
+    if not eu:
         raise ValidationError(f"{edge_file}: no edges")
 
-    edges = EdgeArray(np.array(eu), np.array(ev), w, np.array(et))
+    # The typed arrays become the EdgeArray's buffers without a copy.
+    edges = EdgeArray(eu, ev, ew, et)
     return BipartiteGraph(len(u_ids), len(v_ids), x_u, x_v, edges,
                           tuple(u_ids), tuple(v_ids))
 
@@ -268,7 +214,7 @@ def chronological_split(g: BipartiteGraph) -> TemporalSplit:
         raise ValidationError(
             f"cannot form three non-empty splits from {m} edges")
     order = np.argsort(g.edges.t, kind="stable")
-    if np.unique(g.edges.t).size == 1:
+    if (g.edges.t == g.edges.t[0]).all():
         warnings.warn("all edges share one timestamp; splitting by input order")
 
     cut1 = int(m * 0.8)

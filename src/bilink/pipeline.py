@@ -36,11 +36,18 @@ from .training import (VariantConfig, eval_inputs, extract_embeddings, phase2_si
 DEFAULT_SEEDS = (42, 43, 44, 45, 46)
 
 
+# Bytes `dataset_hash` reads at a time, so that it holds no whole file.
+HASH_CHUNK = 1 << 20
+
+
 def dataset_hash(paths: dict) -> str:
+    """sha256 of each file's key and bytes, in key order."""
     h = hashlib.sha256()
     for key in sorted(paths):
         h.update(key.encode())
-        h.update(Path(paths[key]).read_bytes())
+        with open(paths[key], "rb") as fh:
+            for chunk in iter(functools.partial(fh.read, HASH_CHUNK), b""):
+                h.update(chunk)
     return h.hexdigest()
 
 

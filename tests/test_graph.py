@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,21 @@ def _edit_files(paths, edit):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     return paths["edges"], paths["u_features"], paths["v_features"]
+
+
+def test_load_graph_peak_memory_bounded_by_returned_arrays(tmp_path):
+    """Loading keeps only parsed values, not the rows' strings: the traced
+    peak stays within 4x the bytes of the arrays the graph holds."""
+    paths = write_synthetic(SyntheticSpec(seed=7), tmp_path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = load_graph(paths["edges"], paths["u_features"], paths["v_features"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    e = g.edges
+    assert peak <= 4 * sum(a.nbytes for a in (e.u, e.v, e.w, e.t, g.x_u, g.x_v))
 
 
 class TestLoadGraphMatchesReference:

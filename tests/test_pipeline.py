@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -86,6 +87,15 @@ def test_dataset_hash_tracks_contents(dataset, tmp_path):
                                         weight_skew=3, seed=12), tmp_path)
     _, h3 = _load(other)
     assert h3 != h1
+    # A file of several chunks hashes as its whole bytes, the last chunk included.
+    big = tmp_path / "big.bin"
+    data = bytearray(b"0123456789abcdef" * (pipeline.HASH_CHUNK // 8) + b"tail")
+    big.write_bytes(data)
+    h4 = pipeline.dataset_hash({"edges": big})
+    assert h4 == hashlib.sha256(b"edges" + data).hexdigest()
+    data[-1:] = b"!"
+    big.write_bytes(data)
+    assert pipeline.dataset_hash({"edges": big}) != h4
 
 
 def test_runtime_failure_exit_code(tmp_path, capsys):

@@ -179,10 +179,11 @@ def _read_feature_csv_oracle(path) -> tuple:
 
 
 def load_graph_oracle(edge_file, u_feature_file, v_feature_file) -> BipartiteGraph:
-    """`graph.load_graph` as a per-row loop over the CSV reader, each row
-    checked in full (column count, u id, v id, weight and timestamp parse,
-    weight finiteness) before the next is read. Its first failing check
-    names the error."""
+    """Independent reference for `graph.load_graph`: a plain per-row loop
+    over the CSV reader that collects lists, each row checked in full
+    (column count, u id, v id, weight and timestamp parse, weight
+    finiteness) before the next is read. Its first failing check names the
+    error."""
     u_ids, x_u = _read_feature_csv_oracle(u_feature_file)
     v_ids, x_v = _read_feature_csv_oracle(v_feature_file)
     u_index = {raw: i for i, raw in enumerate(u_ids)}
