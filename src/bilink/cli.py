@@ -136,9 +136,9 @@ def _grid_args(args) -> tuple:
 
 def cmd_run(args) -> int:
     report = pipeline.run_dataset(*_grid_args(args))
-    for seed, values in zip(report.seeds, report.per_seed):
+    for seed, values in zip(report["seeds"], report["per_seed"]):
         print(f"seed {seed}: " + "  ".join(f"{k}={v:.4f}" for k, v in sorted(values.items())))
-    for name, cell in sorted(report.aggregate.items()):
+    for name, cell in sorted(report["aggregate"].items()):
         print(f"{name}: {cell['mean']:.4f} ± {cell['std']:.4f}")
     print(f"report written to {Path(args.out_dir) / 'report.json'}")
     return EXIT_OK

@@ -280,9 +280,11 @@ def aggregate_pairs(edges: EdgeArray, n_v: int, use_weights: bool) -> tuple:
 
 def check_summed_weights(split: TemporalSplit) -> None:
     """Raise a ValidationError naming the first pair, by its ids, whose train
-    and validation event weights sum to inf. Weights are positive, so when
-    this passes, every pair weight that weighted training sums over a subset
-    of those events is finite too."""
+    and validation event weights sum to inf, else one when all of those
+    weights together do. Weights are positive, so when this passes, every
+    sum that weighted pretraining and embedding form over a subset of those
+    events (a pair's weight, a node's degree, a view's loss total, the mean
+    keep-probability weight) is finite too."""
     g = merge_graphs(split.train, split.val_edges)
     u, v, w = aggregate_pairs(g.edges, g.n_v, use_weights=True)
     bad = np.flatnonzero(np.isinf(w))
@@ -292,6 +294,11 @@ def check_summed_weights(split: TemporalSplit) -> None:
                 else (int(u[i]), int(v[i])))
         raise ValidationError(f"the event weights of pair {pair} sum past the "
                               "largest float; weighted training cannot use them")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if np.isinf(total):
+        raise ValidationError("the train and validation event weights together sum "
+                              "past the largest float; weighted training cannot use them")
 
 
 def normalized_adjacency(n_u: int, n_v: int, u: np.ndarray, v: np.ndarray,

@@ -10,7 +10,7 @@ Non-finite scores are an error for every metric.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,34 +164,19 @@ def compute_all(scores, labels, k: int = 50) -> tuple:
     return out, flags
 
 
-@dataclass
-class EvalReport:
-    """Per-seed metric values and their mean / sample standard deviation."""
-
-    seeds: list
-    per_seed: list  # one {metric: value} dict per seed
-    aggregate: dict = field(default_factory=dict)  # metric -> {"mean", "std"}
-
-    def to_dict(self) -> dict:
-        return {"seeds": self.seeds, "per_seed": self.per_seed,
-                "aggregate": self.aggregate}
-
-
-def aggregate(seeds, per_seed_metrics) -> EvalReport:
-    """Mean and sample (n-1) standard deviation per metric over >= 2 seeds."""
+def aggregate(seeds, per_seed_metrics) -> dict:
+    """The report record of one variant: {"seeds", "per_seed", "aggregate"},
+    the aggregate holding each metric's mean and sample (n-1) standard
+    deviation over >= 2 seeds, and empty below two."""
     if len(seeds) != len(per_seed_metrics):
         raise ValidationError("one metric dict required per seed")
-    if len(seeds) < 2:
-        raise ValidationError("aggregation needs at least 2 seeds")
-    keys = set(per_seed_metrics[0])
-    for m in per_seed_metrics[1:]:
-        if set(m) != keys:
-            raise ValidationError("per-seed metric sets do not match")
+    keys = set(per_seed_metrics[0]) if per_seed_metrics else set()
+    if any(set(m) != keys for m in per_seed_metrics):
+        raise ValidationError("per-seed metric sets do not match")
     agg = {}
-    for key in sorted(keys):
+    for key in sorted(keys) if len(seeds) >= 2 else ():
         values = np.array([m[key] for m in per_seed_metrics], dtype=np.float64)
         # identical runs must report exactly 0, not mean-roundoff noise
         std = 0.0 if np.all(values == values[0]) else float(values.std(ddof=1))
         agg[key] = {"mean": float(values.mean()), "std": std}
-    return EvalReport(seeds=list(seeds), per_seed=list(per_seed_metrics),
-                      aggregate=agg)
+    return {"seeds": list(seeds), "per_seed": list(per_seed_metrics), "aggregate": agg}

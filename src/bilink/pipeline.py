@@ -232,9 +232,9 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes,
-                   ds_hash: str) -> mt.EvalReport:
-    """Per-seed manifests plus the report of one variant."""
+def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes, ds_hash: str) -> dict:
+    """Per-seed manifests plus the report of one variant; returns its
+    `metrics.aggregate` record."""
     results = [o for o in outcomes if "error" not in o]
     failures = [o for o in outcomes if "error" in o]
     for result in results:
@@ -242,16 +242,8 @@ def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes,
         seed_dir.mkdir(exist_ok=True)
         _write_json(seed_dir / "manifest.json", {**result, "dataset_hash": ds_hash})
 
-    per_seed = [r["metrics"] for r in results]
-    ok_seeds = [r["seed"] for r in results]
-    if len(results) >= 2:
-        report = mt.aggregate(ok_seeds, per_seed)
-    else:
-        report = mt.EvalReport(seeds=ok_seeds, per_seed=per_seed, aggregate={})
-
-    payload = report.to_dict()
-    payload["variant"] = cfg.variant_label
-    payload["dataset_hash"] = ds_hash
+    report = mt.aggregate([r["seed"] for r in results], [r["metrics"] for r in results])
+    payload = {**report, "variant": cfg.variant_label, "dataset_hash": ds_hash}
     if failures:
         payload["failures"] = failures
     _write_json(out_dir / "report.json", payload)
@@ -263,7 +255,7 @@ def _write_variant(out_dir: Path, cfg: VariantConfig, outcomes,
 
 
 def run_dataset(graph: BipartiteGraph, cfg: VariantConfig, seeds,
-                out_dir, ds_hash: str, workers: int = 1) -> mt.EvalReport:
+                out_dir, ds_hash: str, workers: int = 1) -> dict:
     """Run every seed, write per-seed manifests/checkpoints and the
     aggregate report. Per-seed failures are recorded; other seeds proceed."""
     out_dir = Path(out_dir)
@@ -279,11 +271,11 @@ def write_report_csv(path, reports: dict) -> None:
         for label, report in reports.items():
             row = [label]
             for name in mt.METRIC_NAMES:
-                if report.aggregate:
-                    cell = (f"{report.aggregate[name]['mean']:.4f} ± "
-                            f"{report.aggregate[name]['std']:.4f}")
-                elif report.per_seed:
-                    cell = f"{report.per_seed[0][name]:.4f}"
+                if report["aggregate"]:
+                    cell = (f"{report['aggregate'][name]['mean']:.4f} ± "
+                            f"{report['aggregate'][name]['std']:.4f}")
+                elif report["per_seed"]:
+                    cell = f"{report['per_seed'][0][name]:.4f}"
                 else:
                     cell = "n/a"
                 row.append(cell)
@@ -313,20 +305,15 @@ def run_ablation(graph: BipartiteGraph, base_cfg: VariantConfig, seeds,
             errors.append(exc)
     if errors:
         raise errors[0]
-
-    def mean_auc(report):
-        if report.aggregate:
-            return report.aggregate["roc_auc"]["mean"]
-        return report.per_seed[0]["roc_auc"]
-
-    aucs = {label: mean_auc(rep) for label, rep in reports.items()}
+    aucs = {label: float(np.mean([m["roc_auc"] for m in rep["per_seed"]]))
+            for label, rep in reports.items()}
     gap = max(aucs.values()) - min(aucs.values())
     summary = {
         "dataset_hash": ds_hash,
         "seeds": seeds,
         "mean_roc_auc": aucs,
         "max_pairwise_roc_auc_gap": gap,
-        "variants": {label: rep.to_dict() for label, rep in reports.items()},
+        "variants": reports,
     }
     _write_json(out_dir / "ablation.json", summary)
     write_report_csv(out_dir / "ablation.csv", reports)

@@ -19,7 +19,7 @@ from bilink.errors import ValidationError
 from bilink.model import init_decoder, state_checksum
 from bilink.synthetic import SyntheticSpec, write_dataset
 from bilink.training import VariantConfig
-from util import resave_checkpoint
+from util import SHORT_COMPLEMENTS, resave_checkpoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -284,6 +284,24 @@ class TestConfigValidation:
         assert "needs >= 2 validation-era pairs, got 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_u,n_v,events,error", SHORT_COMPLEMENTS,
+                             ids=["no-pool", "too-few-test-negatives"])
+    def test_short_complement_exits_before_pretraining(self, tmp_path, capsys, monkeypatch,
+                                                       n_u, n_v, events, error):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "edges.csv").write_text("u_id,v_id,weight,timestamp\n" + "".join(
+            f"u{u},v{v},{w},{t}\n" for u, v, w, t in events))
+        for side, n in (("u", n_u), ("v", n_v)):
+            (data / f"{side}_features.csv").write_text("id,f1\n" + "".join(
+                f"{side}{i},{i + 1}\n" for i in range(n)))
+        monkeypatch.setattr(pipeline, "pretrain", no_pretrain)
+        out = tmp_path / "out"
+        assert main(["run", *dataset_flags(data), "--seeds", "42",
+                     "--out-dir", str(out)]) == EXIT_VALIDATION
+        assert_one_error_line(capsys, error)
+        assert not out.exists()
+
     def test_malformed_config_file_int_exits_before_training(self, dataset, tmp_path,
                                                              capsys):
         cfg_file = tmp_path / "bad.cfg"
@@ -468,6 +486,16 @@ def with_heavy_pair(data_dir, out_dir):
     return data, f"('{u_id}', '{v_id}')"
 
 
+def with_heavy_total(data_dir, out_dir):
+    """Copy of a gen-synth dataset with every edge weight 1e307: no pair's
+    events sum past the largest float, but all of them together do."""
+    rows = (data_dir / "edges.csv").read_text().splitlines()
+    rows[1:] = [",".join([*r.split(",")[:2], "1e307", r.split(",")[3]]) for r in rows[1:]]
+    data, _ = with_extra_edges(data_dir, out_dir, [])
+    (data / "edges.csv").write_text("\n".join(rows) + "\n")
+    return data
+
+
 def no_pretrain(*args):
     raise AssertionError("pretrain called")
 
@@ -550,6 +578,33 @@ class TestUnrepresentableInput:
         assert main(["run", *dataset_flags(data), "--seeds", "42",
                      "--out-dir", str(tmp_path / "out"), *FAST_FLAGS]) == EXIT_OK
 
+    @pytest.fixture(scope="class")
+    def heavy_total(self, dataset, tmp_path_factory):
+        return with_heavy_total(dataset, tmp_path_factory.mktemp("heavy-total") / "data")
+
+    @pytest.mark.parametrize("command,flags", [
+        ("run", ["--weighted-pretrain", "true"]), ("run", ["--weighted-bce", "true"]),
+        ("ablate", []),
+    ])
+    def test_overflowing_total_weight(self, heavy_total, tmp_path, capsys, monkeypatch,
+                                      command, flags):
+        """Without the check, the loss and keep-probability totals of weighted
+        pretraining read inf and training runs on, scaled to nothing."""
+        monkeypatch.setattr(pipeline, "pretrain", no_pretrain)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, *dataset_flags(heavy_total), "--seeds", "42",
+                         "--out-dir", str(out), *FAST_FLAGS, *flags])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, "weights together sum past the largest float")
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
+    def test_unweighted_run_of_overflowing_total_passes(self, heavy_total, tmp_path):
+        assert main(["run", *dataset_flags(heavy_total), "--seeds", "42",
+                     "--out-dir", str(tmp_path / "out"), *FAST_FLAGS]) == EXIT_OK
+
     def test_feature_whose_norm_overflows_names_the_op(self, dataset, tmp_path, capsys):
         data, _ = with_extra_edges(dataset, tmp_path / "data", [])
         rows = (data / "u_features.csv").read_text().splitlines()
@@ -628,6 +683,9 @@ class TestAblate:
         summary = json.loads((out / "ablation.json").read_text())
         assert "max_pairwise_roc_auc_gap" in summary
         assert set(summary["mean_roc_auc"]) == labels
+        for label, report in summary["variants"].items():  # one seed: its own value
+            assert report["aggregate"] == {}
+            assert summary["mean_roc_auc"][label] == report["per_seed"][0]["roc_auc"]
         # weights 1..4 in this dataset: the variant rows genuinely diverge
         per_seed = [json.dumps(v["per_seed"], sort_keys=True)
                     for v in summary["variants"].values()]

@@ -336,6 +336,11 @@ class TestSampleNegatives:
         with pytest.raises(ValidationError, match="only 0"):
             sample_negatives(split, 1, rng_seed=0)
 
+    def test_count_must_be_positive(self):
+        split = self._full_split([(0, 0, 1, 1), (0, 1, 1, 2), (1, 0, 1, 3)], 2, 2)
+        with pytest.raises(ValidationError, match="count must be positive, got 0"):
+            sample_negatives(split, 0, rng_seed=0)
+
     def test_single_missing_pair_forced(self):
         split = self._full_split([(0, 0, 1, 1), (0, 1, 1, 2), (1, 0, 1, 3)], 2, 2)
         neg = sample_negatives(split, 1, rng_seed=7)
@@ -512,4 +517,17 @@ def test_summed_weights_checked_before_the_test_era_only():
         check_summed_weights(split)
     split = chronological_split(make_graph(2, 3, [*events, (0, 1, 1.0, 8),
                                                   (1, 2, 1e308, 9)]))
+    check_summed_weights(split)
+
+
+def test_total_weight_checked_before_the_test_era_only():
+    """Each pair of weight 1e308 is finite alone; two before the test era
+    sum past the largest float, one before it and one in it do not."""
+    events = [(0, 0, 1.0, t) for t in range(6)] + [(1, 2, 1e308, 6), (0, 1, 1.0, 7)]
+    split = chronological_split(make_graph(2, 3, [*events, (1, 1, 1e308, 8),
+                                                  (1, 0, 1e308, 9)]))
+    with pytest.raises(ValidationError, match="together sum past the largest float"):
+        check_summed_weights(split)
+    split = chronological_split(make_graph(2, 3, [*events, (0, 1, 1.0, 8),
+                                                  (1, 1, 1e308, 9)]))
     check_summed_weights(split)

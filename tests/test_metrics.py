@@ -132,6 +132,11 @@ class TestThresholdPrf:
         assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
         assert "no_predicted_positives" in r.flags
 
+    def test_no_actual_positives_flagged(self):
+        r = threshold_prf([0.9, 0.1], [0, 0])
+        assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
+        assert r.flags == ("no_actual_positives",)
+
     def test_all_predicted_positive_flagged(self):
         r = threshold_prf([0.5, 0.9, 0.6], [1, 0, 0])
         assert (r.precision, r.recall) == (pytest.approx(1 / 3), 1.0)
@@ -165,25 +170,34 @@ class TestAggregate:
     def test_identical_runs_zero_std(self):
         m = {"roc_auc": 0.7, "f1": 0.5}
         report = aggregate([1, 2, 3], [m, dict(m), dict(m)])
-        assert report.aggregate["roc_auc"]["std"] == 0.0
-        assert report.aggregate["roc_auc"]["mean"] == pytest.approx(0.7)
+        assert report["aggregate"]["roc_auc"]["std"] == 0.0
+        assert report["aggregate"]["roc_auc"]["mean"] == pytest.approx(0.7)
 
     def test_two_runs_closed_form(self):
         report = aggregate([42, 43], [{"roc_auc": 0.9}, {"roc_auc": 1.0}])
-        assert report.aggregate["roc_auc"]["mean"] == pytest.approx(0.95)
-        assert report.aggregate["roc_auc"]["std"] == pytest.approx(0.0707, abs=1e-4)
+        assert report["aggregate"]["roc_auc"]["mean"] == pytest.approx(0.95)
+        assert report["aggregate"]["roc_auc"]["std"] == pytest.approx(0.0707, abs=1e-4)
 
     def test_five_runs_match_two_pass_oracle(self):
         rng = np.random.default_rng(4)
         values = rng.random(5).tolist()
         report = aggregate(list(range(5)), [{"m": v} for v in values])
         mean, std = mean_std_oracle(values)
-        assert abs(report.aggregate["m"]["mean"] - mean) < 1e-12
-        assert abs(report.aggregate["m"]["std"] - std) < 1e-12
+        assert abs(report["aggregate"]["m"]["mean"] - mean) < 1e-12
+        assert abs(report["aggregate"]["m"]["std"] - std) < 1e-12
 
-    def test_single_seed_error(self):
-        with pytest.raises(ValidationError):
-            aggregate([42], [{"m": 1.0}])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_report_record_at_any_seed_count(self, n):
+        """The record `report.json` holds; below two seeds its aggregate is
+        empty, not an error."""
+        seeds, per_seed = [42, 43][:n], [{"m": 0.25}, {"m": 0.75}][:n]
+        want = {"m": {"mean": 0.5, "std": np.sqrt(0.125)}} if n == 2 else {}
+        assert aggregate(seeds, per_seed) == {"seeds": seeds, "per_seed": per_seed,
+                                              "aggregate": want}
+
+    def test_mismatched_seed_count_error(self):
+        with pytest.raises(ValidationError, match="one metric dict required per seed"):
+            aggregate([42], [])
 
     def test_mismatched_metric_sets_error(self):
         with pytest.raises(ValidationError):

@@ -43,7 +43,7 @@ def test_worker_pool_matches_sequential(dataset, tmp_path):
                                workers=1)
     par = pipeline.run_dataset(graph, cfg, [42, 43], tmp_path / "par", ds_hash,
                                workers=2)
-    assert seq.per_seed == par.per_seed
+    assert seq["per_seed"] == par["per_seed"]
     assert ((tmp_path / "seq" / "report.json").read_bytes()
             == (tmp_path / "par" / "report.json").read_bytes())
 
@@ -129,6 +129,7 @@ def test_ablation_matches_separate_runs(dataset, tmp_path, workers):
     base = VariantConfig(**FAST)
     pipeline.run_ablation(graph, base, [42, 43], tmp_path / "grid", ds_hash,
                           workers=workers)
+    summary = json.loads((tmp_path / "grid" / "ablation.json").read_text())
     for flags in VARIANTS:
         cfg = base.replace(**flags)
         alone = tmp_path / "alone" / cfg.variant_label
@@ -136,9 +137,32 @@ def test_ablation_matches_separate_runs(dataset, tmp_path, workers):
         shared = tmp_path / "grid" / cfg.variant_label
         for name in ("report.json", "report.csv"):
             assert (shared / name).read_bytes() == (alone / name).read_bytes()
+        report = json.loads((shared / "report.json").read_text())
+        assert (summary["mean_roc_auc"][cfg.variant_label]
+                == report["aggregate"]["roc_auc"]["mean"])
         for seed in (42, 43):
             assert (_without_timing(shared / f"seed_{seed}" / "manifest.json")
                     == _without_timing(alone / f"seed_{seed}" / "manifest.json"))
+
+
+def test_ablation_mean_roc_auc_is_the_report_mean(dataset, tmp_path, monkeypatch):
+    """`mean_roc_auc` equals each report's mean bit for bit. At three seeds
+    scoring 0.1, 0.2 and 0.3 the float sum rounds, so an exactly rounded mean
+    (`statistics.fmean`, 0.19999999999999998) differs from numpy's
+    (0.20000000000000004); two seeds cannot tell the two apart."""
+    auc = {42: 0.1, 43: 0.2, 44: 0.3}
+
+    def scored(split, cfgs, seed, checkpoint_dir=None):
+        return [{"seed": seed, "metrics": dict.fromkeys(pipeline.mt.METRIC_NAMES,
+                                                        auc[seed])}] * len(cfgs)
+
+    monkeypatch.setattr(pipeline, "run_seed", scored)
+    graph, ds_hash = _load(dataset)
+    pipeline.run_ablation(graph, VariantConfig(**FAST), list(auc), tmp_path, ds_hash)
+    summary = json.loads((tmp_path / "ablation.json").read_text())
+    for label, report in summary["variants"].items():
+        assert report["aggregate"]["roc_auc"]["mean"] == 0.20000000000000004
+        assert summary["mean_roc_auc"][label] == 0.20000000000000004
 
 
 def test_ablation_pretrains_once_per_pretraining_config(dataset, tmp_path, monkeypatch):
@@ -240,7 +264,7 @@ def test_pretraining_survives_a_view_that_drops_every_edge(tmp_path):
     _, trace = training.pretrain(split, cfg, 42)
     assert len(trace) == 50 and all(np.isfinite(e["total"]) for e in trace)
     report = pipeline.run_dataset(graph, cfg, [42], tmp_path, "in-memory")
-    assert report.seeds == [42]
+    assert report["seeds"] == [42]
 
 
 def _perfbench_spans():
@@ -541,7 +565,7 @@ def test_failed_checkpoint_write_recorded_others_proceed(dataset, tmp_path,
     monkeypatch.setattr(pipeline.ckpt, "save_decoder", flaky)
     report = pipeline.run_dataset(graph, VariantConfig(**FAST), [42, 43], tmp_path,
                                   ds_hash, workers=workers)
-    assert report.seeds == [42]
+    assert report["seeds"] == [42]
     (failure,) = _failures(tmp_path)
     assert failure["seed"] == 43 and failure["type"] == "OSError"
     assert (tmp_path / "seed_42" / "decoder.npz").exists()

@@ -19,7 +19,7 @@ from bilink.pipeline import run_seed
 from bilink.synthetic import SyntheticSpec, write_dataset
 from bilink.training import (VariantConfig, decoder_bce_examples, eval_inputs,
                              extract_embeddings, pretrain, score_eval, train_decoder)
-from util import epoch_inputs_oracle, make_graph
+from util import SHORT_COMPLEMENTS, epoch_inputs_oracle, make_graph
 
 SMALL = dict(input_dim=12, hidden_dim=12, output_dim=8,
              decoder_hidden_dims=(16, 8))
@@ -604,6 +604,13 @@ class TestFullRunInvariants:
         cfg = VariantConfig(pretrain_epochs=1, decoder_epochs=2, **SMALL)
         (result,) = run_seed(split, [cfg], 42)
         assert result["eval_info"]["n_test_negatives"] == n_test
+
+    @pytest.mark.parametrize("n_u,n_v,events,error", SHORT_COMPLEMENTS,
+                             ids=["no-pool", "too-few-test-negatives"])
+    def test_phase2_sizes_reject_a_short_complement(self, n_u, n_v, events, error):
+        split = chronological_split(make_graph(n_u, n_v, events))
+        with pytest.raises(ValidationError, match=error):
+            training.phase2_sizes(split)
 
     def test_score_eval_counts_and_flags(self):
         split = small_split(seed=33, n_u=15, n_v=15, m=150)

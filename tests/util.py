@@ -33,6 +33,19 @@ def make_graph(n_u, n_v, edge_tuples, d_u=3, d_v=4, rng=None):
                           rng.normal(size=(n_v, d_v)), edges)
 
 
+# Event lists, as (n_u, n_v, (u, v, w, t) tuples, error), whose 80/10/10
+# split leaves phase 2 too few complement pairs: the 2x2 graph's eras take
+# every pair, so no negative pool can be drawn, and the 3x3 graph has three
+# free pairs for four test-era pairs.
+SHORT_COMPLEMENTS = [
+    (2, 2, [(0, t % 2, 1.0, t) for t in range(18)] + [(1, 0, 1.0, 18), (1, 1, 1.0, 19)],
+     "complement too small to sample a negative pool"),
+    (3, 3, [(0, t % 2, 1.0, t) for t in range(36)]
+     + [(u, v, 1.0, 36 + i) for i, (u, v) in enumerate([(1, 0), (1, 1), (2, 0), (2, 1)])],
+     "4 test-era pairs need as many test negatives, but the complement has only 3 pairs"),
+]
+
+
 def sample_negatives_oracle(split, count, rng_seed):
     """Per-draw rejection loop over a set of (u, v) tuples: one scalar draw
     of u, then one of v, until `count` distinct pairs outside every era."""
