@@ -10,7 +10,6 @@ Non-finite scores are an error for every metric.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,16 +98,9 @@ def hits_at_k(scores, labels, k: int = 50) -> float:
     return float((pos > threshold).mean())
 
 
-@dataclass
-class ThresholdReport:
-    precision: float
-    recall: float
-    f1: float
-    flags: tuple = ()
-
-
-def threshold_prf(scores, labels) -> ThresholdReport:
-    """Precision/recall/F1 with prediction = score >= 0.5.
+def threshold_prf(scores, labels) -> tuple:
+    """Precision/recall/F1 with prediction = score >= 0.5:
+    ({"precision", "recall", "f1"}, flag list).
 
     Zero-denominator cases yield 0 for the affected metric and a flag
     naming it, never an error. A decoder that scores every pair positive
@@ -138,7 +130,7 @@ def threshold_prf(scores, labels) -> ThresholdReport:
             flags.append("zero_f1_denominator")
     else:
         f1 = 2 * precision * recall / (precision + recall)
-    return ThresholdReport(precision, recall, f1, tuple(flags))
+    return {"precision": precision, "recall": recall, "f1": f1}, flags
 
 
 def compute_all(scores, labels, k: int = 50) -> tuple:
@@ -149,16 +141,13 @@ def compute_all(scores, labels, k: int = 50) -> tuple:
     `threshold_prf`, and `hits_at_k_fewer_negatives_than_k` when the pool
     has fewer than k negatives, so that every positive counts as a hit.
     """
-    prf = threshold_prf(scores, labels)
+    prf, flags = threshold_prf(scores, labels)
     out = {
         "roc_auc": roc_auc(scores, labels),
         "average_precision": average_precision(scores, labels),
         "hits_at_k": hits_at_k(scores, labels, k=k),
-        "precision": prf.precision,
-        "recall": prf.recall,
-        "f1": prf.f1,
+        **prf,
     }
-    flags = list(prf.flags)
     if np.count_nonzero(np.asarray(labels) == 0) < k:
         flags.append("hits_at_k_fewer_negatives_than_k")
     return out, flags

@@ -17,6 +17,12 @@ _BLOCK = 1 << 15
 # Moment decay rates and the denominator's epsilon (Kingma and Ba's defaults).
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
+# The largest gradient magnitude a step accepts, about 4.2e152. `v` is a
+# convex mix of squared gradients, so it stays below the largest of them, and
+# its bias correction divides by at least 1 - BETA2: below this bound `v_hat`
+# stays finite. Once `v` overflows, every later update of that entry is 0.
+MAX_GRAD = float(np.sqrt(np.finfo(np.float64).max * (1.0 - BETA2)))
+
 
 @dataclass
 class AdamState:
@@ -35,16 +41,21 @@ def adam_step(params, state: AdamState, lr: float, weight_decay: float) -> None:
 
     Weight decay is applied directly to the parameter (decoupled from the
     moment estimates), so a parameter that received no gradient still
-    decays. A non-finite gradient raises TrainingError, naming the first
-    parameter that holds one, before anything is written.
+    decays. A gradient entry that is not finite, or whose magnitude exceeds
+    `MAX_GRAD`, raises TrainingError, naming the first parameter that holds
+    one, before anything is written.
     """
     g = params.grad
     try:
         if state.m.shape != params.flat.shape:
             raise ValueError("optimizer state does not match parameter set")
-        if not np.isfinite(g).all():
-            name = next(n for n, p in params.items() if not np.isfinite(p.grad).all())
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
+        # min and max propagate NaN, so one pass of each also catches it
+        if not (-MAX_GRAD <= g.min() and g.max() <= MAX_GRAD):
+            name = next(n for n, p in params.items()
+                        if not (np.abs(p.grad) <= MAX_GRAD).all())
+            raise TrainingError(
+                f"non-finite or too large (above {MAX_GRAD:.3g}) gradient "
+                f"for parameter {name!r}")
         state.step += 1
         t = state.step
         bc1 = 1.0 - BETA1 ** t

@@ -156,7 +156,7 @@ def run_seed(split, cfgs, seed: int, checkpoint_dir=None) -> list:
                     "variant": cfg.variant_label,
                     "config": dataclasses.asdict(cfg),
                     "pretrain_trace": trace,
-                    "decoder": dataclasses.asdict(record),
+                    "decoder": record,
                     "encoder_checksum_before_decoder": checksum_before,
                     "encoder_checksum_after_decoder": checksum_after,
                     "metrics": metrics,

@@ -5,7 +5,7 @@ and the final inductive evaluation on the test era.
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,15 +79,6 @@ class VariantConfig:
 
     def replace(self, **kwargs) -> "VariantConfig":
         return dataclasses.replace(self, **kwargs)
-
-
-@dataclass
-class FrozenEmbeddings:
-    """Online-encoder outputs for a stated graph, one read-only row per node,
-    whether or not the node has an edge in that graph."""
-
-    emb_u: np.ndarray
-    emb_v: np.ndarray
 
 
 def _target_rows(state: ModelState, adj, x_u, x_v) -> np.ndarray:
@@ -199,8 +190,9 @@ def pretrain(split: TemporalSplit, cfg: VariantConfig, seed: int):
 
 
 def extract_embeddings(state: ModelState, graph: BipartiteGraph,
-                       cfg: VariantConfig) -> FrozenEmbeddings:
-    """Deterministic online-encoder embeddings over a stated graph.
+                       cfg: VariantConfig) -> tuple:
+    """Deterministic online-encoder embeddings over a stated graph:
+    (emb_u, emb_v), read-only views of one array with one row per node.
 
     No dropout, no gradients. Every node takes the encoder's own row: the
     adjacency's self-loop embeds a node without any incident edge in
@@ -209,7 +201,7 @@ def extract_embeddings(state: ModelState, graph: BipartiteGraph,
     adj = build_weighted_adjacency(graph, cfg.weighted_pretrain)
     h = encode(state.online, adj, graph.x_u, graph.x_v).data
     h.setflags(write=False)
-    return FrozenEmbeddings(h[:graph.n_u], h[graph.n_u:])
+    return h[:graph.n_u], h[graph.n_u:]
 
 
 def decoder_bce_examples(positives_uv: np.ndarray, pos_weights: np.ndarray,
@@ -226,32 +218,15 @@ def decoder_bce_examples(positives_uv: np.ndarray, pos_weights: np.ndarray,
     return pairs, labels, weights
 
 
-@dataclass
-class DecoderRecord:
-    """Early-stopping record. `monitor_metric` is "hits_at_k", or "roc_auc"
-    when the monitor slice holds `hits_k` negatives or fewer: there a Hits@K
-    hit means beating the weakest negative, or every epoch reads 1.0.
-    `stopped_at_early_best` says that patience ran out after a best epoch
-    of 0 or 1: the decoder likely never left its starting plateau. A
-    manifest's "decoder" entry is this record as a dict."""
-
-    best_epoch: int
-    best_monitor_score: float
-    epochs_run: int
-    monitor_metric: str
-    monitor_history: list = field(default_factory=list)
-    stopped_at_early_best: bool = False
-
-
 def _decoder_scores(dec, emb, pairs):
-    logits = decode_logits(dec, emb.emb_u, emb.emb_v, pairs)
-    return ad.sigmoid(logits).data.ravel()
+    return ad.sigmoid(decode_logits(dec, *emb, pairs)).data.ravel()
 
 
-def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
+def train_decoder(emb: tuple, positives_uv: np.ndarray,
                   pos_weights: np.ndarray, negatives: np.ndarray,
                   cfg: VariantConfig, seed: int):
-    """Phase 2: supervised decoder on frozen embeddings.
+    """Phase 2: supervised decoder on frozen embeddings, the
+    `extract_embeddings` pair. Returns (decoder, record).
 
     A monitor slice (`DECODER_MONITOR_FRACTION`, 10%, of the positives and
     of the negative pool, but at least one positive and `hits_k` negatives
@@ -260,6 +235,15 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
     epoch. Early stopping restores the parameters from the best monitor
     epoch: by Hits@K if the slice holds more than `hits_k` negatives, else
     by ROC-AUC.
+
+    The record is a manifest's "decoder" entry: `best_epoch`,
+    `best_monitor_score`, `epochs_run`, `monitor_metric`, `monitor_history`
+    and `stopped_at_early_best`. `monitor_metric` is "hits_at_k", or
+    "roc_auc" when the monitor slice holds `hits_k` negatives or fewer:
+    there a Hits@K hit means beating the weakest negative, or every epoch
+    reads 1.0. `stopped_at_early_best` says that patience ran out after a
+    best epoch of 0 or 1: the decoder likely never left its starting
+    plateau.
     """
     positives_uv = np.asarray(positives_uv, dtype=np.int64)
     pos_weights = np.asarray(pos_weights, dtype=np.float64)
@@ -304,7 +288,7 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             with Tape():
-                logits = decode_logits(dec, emb.emb_u, emb.emb_v, pairs[batch])
+                logits = decode_logits(dec, *emb, pairs[batch])
                 loss = ad.bce_with_logits(logits, labels[batch, None],
                                           weights[batch, None])
                 backward(loss)
@@ -321,11 +305,10 @@ def train_decoder(emb: FrozenEmbeddings, positives_uv: np.ndarray,
 
     dec.flat[...] = best[2]
     patience_ran_out = epochs_run - 1 - best[1] >= cfg.patience
-    record = DecoderRecord(best_epoch=best[1], best_monitor_score=best[0],
-                           epochs_run=epochs_run, monitor_metric=monitor_metric,
-                           monitor_history=history,
-                           stopped_at_early_best=patience_ran_out and best[1] <= 1)
-    return dec, record
+    return dec, {"best_epoch": best[1], "best_monitor_score": best[0],
+                 "epochs_run": epochs_run, "monitor_metric": monitor_metric,
+                 "monitor_history": history,
+                 "stopped_at_early_best": patience_ran_out and best[1] <= 1}
 
 
 def phase2_sizes(split: TemporalSplit) -> tuple:
@@ -360,7 +343,8 @@ def eval_inputs(state: ModelState, split: TemporalSplit, cfg: VariantConfig,
     """What scoring the test era reads besides the decoder:
     (embeddings, pairs, labels, info).
 
-    Embeddings are recomputed on train+val with the frozen encoder. The
+    The embeddings are the `extract_embeddings` pair, recomputed on
+    train+val with the frozen encoder. The
     pairs are the distinct test-era pairs, then as many negatives sampled
     from the complement of all eras under the seed tag "eval-negatives".
     The info counts the test positives and, of those, the ones whose U or V

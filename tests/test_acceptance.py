@@ -274,8 +274,8 @@ def test_criterion_2_oracle_equivalence():
         k = int(rng.integers(1, 61))
         assert mt.hits_at_k(scores, labels, k=k) == hits_at_k_oracle(
             scores.tolist(), labels.tolist(), k)
-        r = mt.threshold_prf(scores, labels)
-        assert (r.precision, r.recall, r.f1) == prf_oracle(
+        r, _ = mt.threshold_prf(scores, labels)
+        assert (r["precision"], r["recall"], r["f1"]) == prf_oracle(
             scores.tolist(), labels.tolist())
 
         # EMA update vs elementwise loop

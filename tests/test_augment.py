@@ -103,6 +103,11 @@ class TestDropEdges:
         assert probs[1] == pytest.approx(0.5 * 377.0 / 189.0)
         assert keep_probabilities(np.array([1.0, 99.0]), 1.0)[1] == 1.0  # ceiling
 
+    @pytest.mark.parametrize("base_keep", [0.0, 1.5])
+    def test_base_keep_outside_unit_interval_rejected(self, base_keep):
+        with pytest.raises(ValueError, match="base_keep must be in"):
+            keep_probabilities(np.ones(3), base_keep)
+
 
 class TestCorruptView:
     def test_permutation_preserves_row_multiset(self):

@@ -59,6 +59,30 @@ class TestForward:
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)|\(2, 3\)"):
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda: Tensor(np.ones(3)), r"2-D, got shape \(3,\)"),
+        (lambda: Tensor(np.ones((1, 2))).item(), r"1x1 tensor, got \(1, 2\)"),
+        (lambda: ad.add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2)))), "add shape"),
+        (lambda: ad.mul(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3)))), "mul shape"),
+        (lambda: ad.prelu(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 2)))),
+         "slope must be 1x1"),
+        (lambda: ad.dropout_mask(Tensor(np.ones((2, 3))), 1.0, seed=0),
+         r"dropout probability must be in \[0, 1\)"),
+        (lambda: ad.replace_rows(Tensor(np.ones((2, 3))), [0], Tensor(np.ones((1, 2)))),
+         r"replacement row must be \(1, 3\)"),
+        (lambda: ad.concat_rows(Tensor(np.ones((1, 3))), Tensor(np.ones((1, 2)))),
+         "concat_rows width"),
+        (lambda: ad.concat_cols(Tensor(np.ones((1, 3))), Tensor(np.ones((2, 3)))),
+         "concat_cols height"),
+        (lambda: ad.sparse_dense_matmul(sp.identity(3, format="csr"),
+                                        Tensor(np.ones((2, 3)))),
+         "sparse_dense_matmul shape"),
+    ], ids=["tensor-1d", "item", "add", "mul", "prelu", "dropout", "replace-rows",
+            "concat-rows", "concat-cols", "sparse-matmul"])
+    def test_malformed_operands_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_non_finite_forward_rejected(self):
         big = Tensor(np.full((1, 1), 1e308))
         with np.errstate(over="ignore"):

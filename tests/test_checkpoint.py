@@ -198,6 +198,11 @@ def test_kind_mismatch_rejected(tmp_path):
         load_model_state(path)
 
 
+def test_model_checkpoint_rejected_as_decoder():
+    with pytest.raises(ValidationError, match="kind is 'model_state', expected 'decoder'"):
+        load_decoder(DATA / "parent_model.npz")
+
+
 def test_non_checkpoint_rejected(tmp_path):
     path = tmp_path / "raw.npz"
     np.savez(path, a=np.zeros(3))

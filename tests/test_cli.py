@@ -422,8 +422,10 @@ class TestUnreadableInput:
             np.save(fh, np.ones(3))
         binary = tmp_path / "binary.csv"
         binary.write_bytes(b"\xff\xfe\x00id,f1\n")
+        no_equals = tmp_path / "no_equals.cfg"
+        no_equals.write_text("lr = 0.01\nhidden_dim 64\n")
         files = {"missing": tmp_path / "missing.file", "text": text, "npy": npy,
-                 "binary": binary, "dir": tmp_path}
+                 "binary": binary, "dir": tmp_path, "no_equals": no_equals}
         for name, meta in (("list_meta", b"[]"), ("broken_meta", b"{")):
             files[name] = tmp_path / f"{name}.npz"
             np.savez(files[name], __meta__=np.frombuffer(meta, dtype=np.uint8))
@@ -440,7 +442,7 @@ class TestUnreadableInput:
         assert_one_error_line(capsys, str(bad_files[which]))
         assert not out.exists()
 
-    @pytest.mark.parametrize("which", ["missing", "binary", "dir"])
+    @pytest.mark.parametrize("which", ["missing", "binary", "dir", "no_equals"])
     def test_config_file(self, dataset, bad_files, tmp_path, capsys, which):
         out = tmp_path / "out"
         assert main(["ablate", *dataset_flags(dataset), "--seeds", "42",
@@ -486,11 +488,12 @@ def with_heavy_pair(data_dir, out_dir):
     return data, f"('{u_id}', '{v_id}')"
 
 
-def with_heavy_total(data_dir, out_dir):
-    """Copy of a gen-synth dataset with every edge weight 1e307: no pair's
-    events sum past the largest float, but all of them together do."""
+def with_heavy_total(data_dir, out_dir, weight="1e307"):
+    """Copy of a gen-synth dataset with every edge weight `weight`. At 1e307
+    no pair's events sum past the largest float, but all of them together
+    do."""
     rows = (data_dir / "edges.csv").read_text().splitlines()
-    rows[1:] = [",".join([*r.split(",")[:2], "1e307", r.split(",")[3]]) for r in rows[1:]]
+    rows[1:] = [",".join([*r.split(",")[:2], weight, r.split(",")[3]]) for r in rows[1:]]
     data, _ = with_extra_edges(data_dir, out_dir, [])
     (data / "edges.csv").write_text("\n".join(rows) + "\n")
     return data
@@ -604,6 +607,30 @@ class TestUnrepresentableInput:
     def test_unweighted_run_of_overflowing_total_passes(self, heavy_total, tmp_path):
         assert main(["run", *dataset_flags(heavy_total), "--seeds", "42",
                      "--out-dir", str(tmp_path / "out"), *FAST_FLAGS]) == EXIT_OK
+
+    @pytest.fixture(scope="class")
+    def heavy_edges(self, dataset, tmp_path_factory):
+        return with_heavy_total(dataset, tmp_path_factory.mktemp("heavy-edges") / "data",
+                                weight="1e200")
+
+    def test_gradient_that_would_overflow_adam_names_the_parameter(self, heavy_edges,
+                                                                   tmp_path, capsys):
+        """Every weight sum is finite, but the weighted BCE gradients (about
+        1e200) would overflow Adam's second moment, which then stalls every
+        update: the decoder read one monitor score in every epoch."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", *dataset_flags(heavy_edges), "--seeds", "42",
+                         "--out-dir", str(tmp_path / "out"), *FAST_FLAGS,
+                         "--weighted-bce", "true", "--unk-substitution-rate", "0"])
+        assert code == EXIT_VALIDATION
+        assert_one_error_line(capsys, "gradient for parameter 'decoder.")
+        assert [str(w.message) for w in caught] == []
+
+    def test_unweighted_run_of_heavy_edges_passes(self, heavy_edges, tmp_path):
+        assert main(["run", *dataset_flags(heavy_edges), "--seeds", "42",
+                     "--out-dir", str(tmp_path / "out"), *FAST_FLAGS,
+                     "--unk-substitution-rate", "0"]) == EXIT_OK
 
     def test_feature_whose_norm_overflows_names_the_op(self, dataset, tmp_path, capsys):
         data, _ = with_extra_edges(dataset, tmp_path / "data", [])

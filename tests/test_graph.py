@@ -86,6 +86,19 @@ class TestLoadGraph:
         with pytest.raises(ValidationError, match="positive and finite.*event 1"):
             make_graph(2, 2, [(0, 0, 1.0, 1), (1, 1, bad, 2)])
 
+    @pytest.mark.parametrize("build,match", [
+        (lambda: EdgeArray([0, 1], [0], [1.0, 1.0], [1, 2]), "equal length"),
+        (lambda: BipartiteGraph(3, 2, np.zeros((2, 1)), np.zeros((2, 1)),
+                                EdgeArray([], [], [], [])), "feature row counts 2/2"),
+        (lambda: BipartiteGraph(1, 1, [[np.nan]], [[0.0]], EdgeArray([], [], [], [])),
+         "non-finite"),
+        (lambda: make_graph(2, 2, [(2, 0, 1.0, 1)]), "u index out of range"),
+        (lambda: make_graph(2, 2, [(0, -1, 1.0, 1)]), "v index out of range"),
+    ], ids=["edge-lengths", "feature-rows", "feature-value", "u-index", "v-index"])
+    def test_in_memory_graph_rejected(self, build, match):
+        with pytest.raises(ValidationError, match=match):
+            build()
+
     def test_malformed_row_names_line(self, tmp_path):
         paths = write_dataset(tmp_path, ["a,x,1,10", "a,x,oops,20"],
                               ["a,0,0"], ["x,0,0"])

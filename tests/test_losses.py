@@ -46,6 +46,11 @@ class TestAttractive:
                             np.array([]))
 
 
+    def test_weights_summing_to_zero_rejected(self):
+        with pytest.raises(ValidationError, match="sum to a positive value"):
+            attractive_loss(tensor(np.ones((2, 2))), np.ones((2, 2)),
+                            np.array([0, 1]), np.array([0, 1]), np.zeros(2))
+
     def test_out_of_range_edge_index_rejected(self):
         pred, target = np.ones((3, 2)), np.ones((4, 2))
         for eu, ev in (([0, 3], [0, 1]), ([0, 1], [4, 0]), ([-1, 0], [0, 1])):

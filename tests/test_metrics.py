@@ -123,39 +123,39 @@ class TestHitsAtK:
 
 class TestThresholdPrf:
     def test_perfect_predictions(self):
-        r = threshold_prf([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
-        assert (r.precision, r.recall, r.f1) == (1.0, 1.0, 1.0)
-        assert r.flags == ()
+        r, flags = threshold_prf([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
+        assert r == {"precision": 1.0, "recall": 1.0, "f1": 1.0}
+        assert flags == []
 
     def test_no_predicted_positives_flagged(self):
-        r = threshold_prf([0.1, 0.2], [1, 0])
-        assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
-        assert "no_predicted_positives" in r.flags
+        r, flags = threshold_prf([0.1, 0.2], [1, 0])
+        assert r == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        assert "no_predicted_positives" in flags
 
     def test_no_actual_positives_flagged(self):
-        r = threshold_prf([0.9, 0.1], [0, 0])
-        assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
-        assert r.flags == ("no_actual_positives",)
+        r, flags = threshold_prf([0.9, 0.1], [0, 0])
+        assert r == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+        assert flags == ["no_actual_positives"]
 
     def test_all_predicted_positive_flagged(self):
-        r = threshold_prf([0.5, 0.9, 0.6], [1, 0, 0])
-        assert (r.precision, r.recall) == (pytest.approx(1 / 3), 1.0)
-        assert r.flags == ("all_predicted_positive",)
+        r, flags = threshold_prf([0.5, 0.9, 0.6], [1, 0, 0])
+        assert (r["precision"], r["recall"]) == (pytest.approx(1 / 3), 1.0)
+        assert flags == ["all_predicted_positive"]
         assert "all_predicted_positive" in compute_all([0.5, 0.9, 0.6], [1, 0, 0], k=1)[1]
-        assert threshold_prf([0.6, 0.9, 0.4], [1, 0, 0]).flags == ()
+        assert threshold_prf([0.6, 0.9, 0.4], [1, 0, 0])[1] == []
 
     def test_mixed_case_matches_confusion_matrix(self):
         scores = [0.9, 0.4, 0.6, 0.5, 0.1, 0.7, 0.3, 0.51]
         labels = [1, 1, 0, 1, 0, 1, 0, 0]
-        r = threshold_prf(scores, labels)
+        r, _ = threshold_prf(scores, labels)
         p, rec, f1 = prf_oracle(scores, labels)
-        assert r.precision == pytest.approx(p)
-        assert r.recall == pytest.approx(rec)
-        assert r.f1 == pytest.approx(f1)
+        assert r["precision"] == pytest.approx(p)
+        assert r["recall"] == pytest.approx(rec)
+        assert r["f1"] == pytest.approx(f1)
 
     def test_threshold_is_inclusive(self):
-        r = threshold_prf([0.5], [1])
-        assert r.recall == 1.0
+        r, _ = threshold_prf([0.5], [1])
+        assert r["recall"] == 1.0
 
 
 @pytest.mark.parametrize("metric", [roc_auc, average_precision, hits_at_k,
@@ -164,6 +164,17 @@ class TestThresholdPrf:
 def test_non_finite_scores_rejected(metric, bad):
     with pytest.raises(ValidationError, match="finite"):
         metric([0.9, bad, 0.2, 0.4], [1, 0, 1, 0])
+
+
+@pytest.mark.parametrize("metric,scores,labels,match", [
+    (roc_auc, [0.9, 0.1, 0.5], [1, 0], "differ in length: 3 vs 2"),
+    (average_precision, [0.9, 0.1], [1, 2], "labels must be 0 or 1"),
+    (hits_at_k, [0.9, 0.1], [0, 0], "at least one positive"),
+    (lambda s, l: hits_at_k(s, l, k=0), [0.9, 0.1], [1, 0], "k must be >= 1, got 0"),
+], ids=["length", "labels", "hits-no-positive", "hits-k-zero"])
+def test_malformed_input_rejected(metric, scores, labels, match):
+    with pytest.raises(ValidationError, match=match):
+        metric(scores, labels)
 
 
 class TestAggregate:

@@ -241,6 +241,14 @@ class TestDecoder:
         with pytest.raises(ValueError, match="out of range"):
             decode_logits(dec, emb, emb, np.array([[-1, 0]]))
 
+    @pytest.mark.parametrize("pairs", [[0, 1], [[0, 1, 2]]], ids=["1-D", "three-columns"])
+    def test_pairs_not_n_by_2_rejected(self, pairs):
+        rng = np.random.default_rng(15)
+        dec = init_decoder(rng, embed_dim=3, hidden_dims=(4, 2))
+        emb = rng.normal(size=(3, 3))
+        with pytest.raises(ValueError, match=r"pairs must be \(n, 2\)"):
+            decode_logits(dec, emb, emb, pairs)
+
 
 class TestGradientIsolation:
     def test_target_params_never_in_gradient_map(self):

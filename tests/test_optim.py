@@ -5,7 +5,8 @@ from bilink import autodiff as ad
 from bilink.autodiff import Tape, Tensor, backward
 from bilink.errors import TrainingError
 from bilink.model import ParamStore
-from bilink.optim import BETA1, BETA2, EPS, _BLOCK, adam_step, init_adam_state
+from bilink.optim import (BETA1, BETA2, EPS, MAX_GRAD, _BLOCK, adam_step,
+                          init_adam_state)
 
 
 def store(**arrays):
@@ -117,6 +118,42 @@ def test_failed_step_changes_nothing_and_zeroes_gradients():
     step(params, good, state, lr=0.1, weight_decay=0.01)
     step(fresh, good, init_adam_state(fresh), lr=0.1, weight_decay=0.01)
     np.testing.assert_array_equal(params.flat, fresh.flat)
+
+
+@pytest.mark.parametrize("bad", [np.nextafter(MAX_GRAD, np.inf), -1e200])
+def test_too_large_gradient_changes_nothing_and_zeroes_gradients(bad):
+    """A finite gradient whose square would overflow the second moment is
+    rejected like a non-finite one, after earlier steps filled the moments."""
+    params = store(**{"layer.bias": [[1.0]], "layer.weight": [[1.0, -1.0]]})
+    state = init_adam_state(params)
+    step(params, {"layer.bias": [[0.5]], "layer.weight": [[0.2, -0.3]]}, state,
+         lr=0.1, weight_decay=0.01)
+    before = (params.flat.copy(), state.m.copy(), state.v.copy(), state.step)
+    with pytest.raises(TrainingError, match="too large .*'layer.weight'"):
+        step(params, {"layer.weight": [[0.1, bad]]}, state, lr=0.1, weight_decay=0.01)
+    after = (params.flat, state.m, state.v, state.step)
+    for was, now in zip(before, after):
+        np.testing.assert_array_equal(now, was)
+    assert not params.grad.any()
+
+
+def test_largest_accepted_gradient_keeps_the_moments_finite():
+    params = store(p=[[0.0, 0.0]])
+    state = init_adam_state(params)
+    for _ in range(5):
+        step(params, {"p": [[MAX_GRAD, -MAX_GRAD]]}, state, lr=0.1, weight_decay=0.0)
+    assert np.isfinite(state.v).all() and np.isfinite(params.flat).all()
+    assert np.all(np.sign(params.flat) == [-1.0, 1.0])
+
+
+def test_state_of_another_store_rejected():
+    params = store(p=[[1.0, 2.0]])
+    state = init_adam_state(store(q=[[1.0]]))
+    params["p"].grad[...] = 1.0
+    with pytest.raises(ValueError, match="does not match"):
+        adam_step(params, state, lr=0.1, weight_decay=0.0)
+    np.testing.assert_array_equal(params.flat, [1.0, 2.0])
+    assert not params.grad.any()
 
 
 def test_gradient_shape_mismatch_rejected():

@@ -2,13 +2,15 @@ import collections
 import hashlib
 import importlib.util
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bilink import pipeline, training
-from bilink.cli import EXIT_OK, EXIT_RUNTIME, main
+from bilink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from bilink.errors import ValidationError
 from bilink.graph import chronological_split
 from bilink.model import ModelState, ParamStore
@@ -367,6 +369,35 @@ def test_failure_record_from_pool_worker(dataset, tmp_path, monkeypatch):
     assert failure["type"] == "RuntimeError"
     assert "synthetic failure for seed 43" in failure["traceback"]
     assert "in flaky" in failure["traceback"]
+
+
+_run_seed = pipeline.run_seed
+
+
+def _run_seed_in_a_worker_that_dies_on_43(split, cfgs, seed, checkpoint_dir=None):
+    """`run_seed`, except that a pool worker given seed 43 exits at once, as
+    one killed by the OS would. Module-level, so that the pool can send it."""
+    if seed == 43 and multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _run_seed(split, cfgs, seed, checkpoint_dir)
+
+
+def test_lost_worker_recorded_and_report_written(dataset, tmp_path, monkeypatch):
+    """A dead worker breaks the pool, so every task not yet returned fails
+    with BrokenProcessPool; the run neither hangs nor loses a seed."""
+    monkeypatch.setattr(pipeline, "run_seed", _run_seed_in_a_worker_that_dies_on_43)
+    out = tmp_path / "out"
+    code = main(["run", "--edges", str(dataset["edges"]),
+                 "--u-features", str(dataset["u_features"]),
+                 "--v-features", str(dataset["v_features"]), "--seeds", "42,43",
+                 "--workers", "2", "--out-dir", str(out), "--pretrain-epochs", "3",
+                 "--decoder-epochs", "5", "--input-dim", "12", "--hidden-dim", "12",
+                 "--output-dim", "8", "--decoder-hidden-dims", "12,6"])
+    report = json.loads((out / "report.json").read_text())
+    failed = {f["seed"]: f["type"] for f in report["failures"]}
+    assert failed[43] == "BrokenProcessPool"
+    assert sorted([*report["seeds"], *failed]) == [42, 43]
+    assert code == (EXIT_OK if report["seeds"] else EXIT_VALIDATION)
 
 
 class _InlinePool:

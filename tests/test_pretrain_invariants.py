@@ -96,7 +96,7 @@ def test_relabeled_nodes_permute_the_embedding_rows(skew50):
         cfg = VariantConfig(weighted_pretrain=weighted)
         state = init_model_state(rng_for(42, "init"), g.x_u.shape[1], g.x_v.shape[1],
                                  cfg.input_dim, cfg.hidden_dim, cfg.output_dim)
-        emb = extract_embeddings(state, g, cfg)
-        moved = extract_embeddings(state, relabeled, cfg)
-        assert np.abs(moved.emb_u[new_u] - emb.emb_u).max() <= 1e-12
-        assert np.abs(moved.emb_v[new_v] - emb.emb_v).max() <= 1e-12
+        emb_u, emb_v = extract_embeddings(state, g, cfg)
+        moved_u, moved_v = extract_embeddings(state, relabeled, cfg)
+        assert np.abs(moved_u[new_u] - emb_u).max() <= 1e-12
+        assert np.abs(moved_v[new_v] - emb_v).max() <= 1e-12

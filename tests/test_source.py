@@ -1,6 +1,7 @@
 """Checks on the package source itself, for want of a linter."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,36 @@ def test_unread_private_names_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_reads_every_private_name_it_defines(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def export_problems(source: str, package) -> list:
+    """How the package `__init__` source `source`, loaded as `package`, breaks
+    the export rule: the names its imports bind equal `__all__` less
+    `__version__`, `__all__` lists each name once, and every name in it
+    resolves on `package`."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    (exported,) = [ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+    listed = set(exported) - {"__version__"}
+    return ([f"imported, not exported: {n}" for n in sorted(imported - listed)]
+            + [f"exported, not imported: {n}" for n in sorted(listed - imported)]
+            + [f"exported twice: {n}" for n in sorted({n for n in exported
+                                                       if exported.count(n) > 1})]
+            + [f"does not resolve: {n}" for n in exported if not hasattr(package, n)])
+
+
+def test_export_problems_are_found():
+    source = ("from .a import B, C\nfrom .d import E as F\n__version__ = '1'\n"
+              "__all__ = ['B', 'F', 'B', 'Gone', '__version__']\n")
+    package = types.SimpleNamespace(B=1, C=2, F=3, __version__="1")
+    assert export_problems(source, package) == [
+        "imported, not exported: C", "exported, not imported: Gone",
+        "exported twice: B", "does not resolve: Gone"]
+
+
+def test_package_exports_what_it_imports():
+    init = Path(bilink.__file__)
+    assert export_problems(init.read_text(encoding="utf-8"), bilink) == []

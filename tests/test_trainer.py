@@ -138,6 +138,13 @@ class TestPretrain:
         _, b = pretrain(split, cfg, seed=2)
         assert a != b
 
+    def test_empty_train_graph_rejected(self):
+        split = small_split()
+        split = TemporalSplit(split.train.with_edges(EdgeArray([], [], [], [])),
+                              split.val_edges, split.test_edges)
+        with pytest.raises(ValidationError, match="empty train graph"):
+            pretrain(split, VariantConfig(pretrain_epochs=1, **SMALL), seed=1)
+
     def test_collapse_run_drives_loss_to_minus_one(self):
         """With identical views (no masking, keep-all), tau=0 and the
         attractive term alone, alignment collapses and the loss approaches
@@ -347,30 +354,30 @@ class TestExtractEmbeddings:
         assert 9 not in split.train.edges.u and 9 not in split.train.edges.v
         cfg = VariantConfig(pretrain_epochs=2, **SMALL)
         state = self._trained(split, cfg)
-        emb = extract_embeddings(state, split.train, cfg)
+        emb_u, emb_v = extract_embeddings(state, split.train, cfg)
         own_u, own_v = self._own_feature_rows(state, split.train)
-        np.testing.assert_allclose(emb.emb_u[9], own_u[9], rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(emb.emb_v[9], own_v[9], rtol=1e-12, atol=1e-12)
-        assert not np.allclose(emb.emb_u[0], own_u[0])  # u=0 has edges
+        np.testing.assert_allclose(emb_u[9], own_u[9], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(emb_v[9], own_v[9], rtol=1e-12, atol=1e-12)
+        assert not np.allclose(emb_u[0], own_u[0])  # u=0 has edges
 
     def test_graph_without_edges_embeds_every_node_from_own_features(self):
         split = small_split(seed=10)
         cfg = VariantConfig(pretrain_epochs=1, **SMALL)
         state = self._trained(split, cfg)
         empty = split.train.with_edges(EdgeArray([], [], [], []))
-        emb = extract_embeddings(state, empty, cfg)
+        emb_u, emb_v = extract_embeddings(state, empty, cfg)
         own_u, own_v = self._own_feature_rows(state, empty)
-        np.testing.assert_allclose(emb.emb_u, own_u, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(emb.emb_v, own_v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(emb_u, own_u, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(emb_v, own_v, rtol=1e-12, atol=1e-12)
 
     def test_repeated_extraction_bit_identical(self):
         split = small_split(seed=12)
         cfg = VariantConfig(pretrain_epochs=2, **SMALL)
         state = self._trained(split, cfg)
-        a = extract_embeddings(state, split.train, cfg)
-        b = extract_embeddings(state, split.train, cfg)
-        np.testing.assert_array_equal(a.emb_u, b.emb_u)
-        np.testing.assert_array_equal(a.emb_v, b.emb_v)
+        a_u, a_v = extract_embeddings(state, split.train, cfg)
+        b_u, b_v = extract_embeddings(state, split.train, cfg)
+        np.testing.assert_array_equal(a_u, b_u)
+        np.testing.assert_array_equal(a_v, b_v)
 
     def test_train_vs_full_history_differ_for_nodes_gaining_edges(self):
         from bilink.graph import merge_graphs
@@ -378,19 +385,20 @@ class TestExtractEmbeddings:
         split = small_split(seed=13, m=60)
         cfg = VariantConfig(pretrain_epochs=2, **SMALL)
         state = self._trained(split, cfg)
-        emb_train = extract_embeddings(state, split.train, cfg)
+        train_u, _ = extract_embeddings(state, split.train, cfg)
         graph_tv = merge_graphs(split.train, split.val_edges)
-        emb_tv = extract_embeddings(state, graph_tv, cfg)
+        tv_u, _ = extract_embeddings(state, graph_tv, cfg)
         gained = np.unique(split.val_edges.u)
-        assert any(not np.allclose(emb_train.emb_u[u], emb_tv.emb_u[u])
-                   for u in gained)
+        assert any(not np.allclose(train_u[u], tv_u[u]) for u in gained)
 
     def test_arrays_are_read_only(self):
         split = small_split(seed=14)
         cfg = VariantConfig(pretrain_epochs=1, **SMALL)
-        emb = extract_embeddings(self._trained(split, cfg), split.train, cfg)
-        with pytest.raises(ValueError):
-            emb.emb_u[0, 0] = 1.0
+        emb_u, emb_v = extract_embeddings(self._trained(split, cfg), split.train, cfg)
+        assert emb_u.base is emb_v.base  # views of one array
+        for rows in (emb_u, emb_v):
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1.0
 
 
 class TestDecoderLoss:
@@ -437,9 +445,13 @@ class TestTrainDecoder:
     def test_early_stopping_within_patience_of_best(self):
         split, cfg, state, emb, pos, w, neg = self._setup()
         dec, record = train_decoder(emb, pos, w, neg, cfg, seed=2)
-        assert record.epochs_run - 1 - record.best_epoch <= cfg.patience
-        assert record.best_monitor_score == max(record.monitor_history)
-        assert record.monitor_history[record.best_epoch] == record.best_monitor_score
+        assert set(record) == {"best_epoch", "best_monitor_score", "epochs_run",
+                               "monitor_metric", "monitor_history",
+                               "stopped_at_early_best"}
+        assert record["epochs_run"] - 1 - record["best_epoch"] <= cfg.patience
+        assert record["best_monitor_score"] == max(record["monitor_history"])
+        assert (record["monitor_history"][record["best_epoch"]]
+                == record["best_monitor_score"])
 
     def test_best_checkpoint_restored(self):
         split, cfg, state, emb, pos, w, neg = self._setup(seed=21)
@@ -447,7 +459,7 @@ class TestTrainDecoder:
         # replay: training again with the same seed returns identical params
         dec2, record2 = train_decoder(emb, pos, w, neg, cfg, seed=4)
         np.testing.assert_array_equal(dec.flat, dec2.flat)
-        assert record.best_epoch == record2.best_epoch
+        assert record == record2
 
     def test_returns_best_monitor_epoch_not_last(self, monkeypatch):
         split, cfg, state, emb, pos, w, neg = self._setup(seed=24)
@@ -463,7 +475,7 @@ class TestTrainDecoder:
         for metric in ("hits_at_k", "roc_auc"):  # whichever the slice size picks
             monkeypatch.setattr(training.mt, metric, lambda *a, **k: next(scripted))
         dec, record = train_decoder(emb, pos, w, neg, cfg.replace(patience=3), seed=7)
-        assert record.best_epoch == 1 and record.epochs_run == 5
+        assert record["best_epoch"] == 1 and record["epochs_run"] == 5
         np.testing.assert_array_equal(dec.flat, seen[1])
         assert not np.array_equal(dec.flat, seen[-1])
         for name, p in dec.items():
@@ -481,7 +493,7 @@ class TestTrainDecoder:
             monkeypatch.setattr(training.mt, metric, lambda *a, **k: next(scripted))
         cfg = cfg.replace(patience=3, decoder_epochs=8)
         _, record = train_decoder(emb, pos, w, neg, cfg, seed=7)
-        assert record.stopped_at_early_best is flagged
+        assert record["stopped_at_early_best"] is flagged
 
     def test_encoder_untouched_by_decoder_training(self):
         split, cfg, state, emb, pos, w, neg = self._setup(seed=22)
@@ -542,9 +554,9 @@ def test_held_out_nodes_score_through_the_encoder(tmp_path):
     known_v = np.isin(np.arange(n_v), graph_tv.edges.v)
     assert not known_u[held_u].any() and known_u.sum() == n_u - len(held_u)
     assert not known_v[held_v].any() and known_v.sum() == n_v - len(held_v)
-    constant_rows = training.FrozenEmbeddings(
-        np.where(known_u[:, None], emb.emb_u, state.online["encoder.unk_u"].data),
-        np.where(known_v[:, None], emb.emb_v, emb.emb_v[known_v].mean(axis=0)))
+    emb_u, emb_v = emb
+    constant_rows = (np.where(known_u[:, None], emb_u, state.online["encoder.unk_u"].data),
+                     np.where(known_v[:, None], emb_v, emb_v[known_v].mean(axis=0)))
 
     scores = training._decoder_scores(dec, emb, pairs)
     assert np.isfinite(scores).all() and ((scores > 0) & (scores < 1)).all()
